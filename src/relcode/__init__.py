@@ -9,7 +9,7 @@ Layers:
 
 * :mod:`relcode.distributions` - Gaussian target/proposal pairs and their
   density-ratio services.
-* :mod:`relcode.partition` - binary-tree interval bookkeeping.
+* :mod:`relcode.partition` - heap indices and intervals.
 * :mod:`relcode.randomness` - the shared counter-based per-node stream.
 * :mod:`relcode.engine` - the encoder/decoder recursion.
 * :mod:`relcode.codecs` - bitstream serialization (universal integer codes,
@@ -20,35 +20,23 @@ Layers:
 from .distributions import (
     Distribution1D,
     DistributionPair,
-    LevelSet,
     NoFiniteMode,
     NotUnimodal,
     Unsatisfiable,
     gaussian_pair_for_targets,
-    kl_divergence,
-    level_set,
-    log_density_ratio,
-    ratio_mode,
-    renyi_inf_divergence,
-    residual_mass,
 )
 from .engine import (
     BatchResult,
-    EncoderState,
     InvalidIndex,
     NonTermination,
     RecResult,
     SplitRule,
-    accept_prob,
-    advance_level,
-    branch_choice,
     decode,
     encode,
     encode_batch,
-    initial_state,
     simulate_bound_masses,
 )
-from .partition import Interval, child, depth, parent, path_bits, split_dyadic, split_global, split_sample
+from .partition import Interval, depth, path_bits
 from .randomness import NodeRandoms, derive_seeds, node_randoms
 
 __version__ = "0.1.0"
@@ -56,39 +44,22 @@ __version__ = "0.1.0"
 __all__ = [
     "Distribution1D",
     "DistributionPair",
-    "LevelSet",
     "NoFiniteMode",
     "NotUnimodal",
     "Unsatisfiable",
     "gaussian_pair_for_targets",
-    "kl_divergence",
-    "level_set",
-    "log_density_ratio",
-    "ratio_mode",
-    "renyi_inf_divergence",
-    "residual_mass",
     "BatchResult",
-    "EncoderState",
     "InvalidIndex",
     "NonTermination",
     "RecResult",
     "SplitRule",
-    "accept_prob",
-    "advance_level",
-    "branch_choice",
     "decode",
     "encode",
     "encode_batch",
-    "initial_state",
     "simulate_bound_masses",
     "Interval",
-    "child",
     "depth",
-    "parent",
     "path_bits",
-    "split_dyadic",
-    "split_global",
-    "split_sample",
     "NodeRandoms",
     "derive_seeds",
     "node_randoms",

@@ -14,29 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-
-if TYPE_CHECKING:
-    from .partition import Interval
 
 LN2 = math.log(2.0)
 
 __all__ = [
     "Distribution1D",
     "DistributionPair",
-    "LevelSet",
     "NoFiniteMode",
     "NotUnimodal",
     "Unsatisfiable",
-    "log_density_ratio",
-    "ratio_mode",
-    "level_set",
-    "residual_mass",
-    "kl_divergence",
-    "renyi_inf_divergence",
     "gaussian_pair_for_targets",
 ]
 
@@ -86,23 +75,6 @@ class Distribution1D:
 
     def quantile(self, u):
         return self.loc + self.scale * ndtri(u)
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """The superlevel set {x : dQ/dP(x) >= level} of a pair's density ratio.
-
-    For unimodal ratios this is an interval; ``empty`` is True when the level
-    exceeds the ratio's maximum.  ``lo``/``hi`` may be infinite.
-    """
-
-    level: float
-    lo: float
-    hi: float
-
-    @property
-    def empty(self) -> bool:
-        return self.lo > self.hi
 
 
 @dataclass(frozen=True)
@@ -175,18 +147,23 @@ class DistributionPair:
             return math.inf
         return self.log_ratio_nats(self.ratio_mode) / LN2
 
+    def check_unimodal(self) -> None:
+        """Raise NotUnimodal when the ratio opens upward (``c2 > 0``), so that
+        its superlevel sets are not intervals."""
+        if self._coeffs[0] > 0.0:
+            raise NotUnimodal(
+                "superlevel sets are not intervals (target wider than proposal)"
+            )
+
     def level_bounds(self, level):
         """Superlevel-set endpoints for an array (or scalar) of levels.
 
         Returns ``(lo, hi)`` with ``lo > hi`` encoding the empty set.  Raises
         NotUnimodal when the ratio opens upward and the set is not an interval.
         """
+        self.check_unimodal()
         c2, c1, c0 = self._coeffs
         level = np.asarray(level, dtype=np.float64)
-        if c2 > 0.0:
-            raise NotUnimodal(
-                "superlevel sets are not intervals (target wider than proposal)"
-            )
         with np.errstate(divide="ignore"):
             lnl = np.log(level)
         if c2 == 0.0:
@@ -223,10 +200,7 @@ class DistributionPair:
             return 1.0
         c2, c1, c0 = self._coeffs
         lnl = math.log(level)
-        if c2 > 0.0:
-            raise NotUnimodal(
-                "superlevel sets are not intervals (target wider than proposal)"
-            )
+        self.check_unimodal()
         if c2 == 0.0:
             if c1 == 0.0:
                 return 0.0 if lnl > 0.0 else 1.0 - level
@@ -277,43 +251,6 @@ class DistributionPair:
         )
         out = np.where(nonempty, qmass - level * pmass, 0.0)
         return np.clip(out, 0.0, 1.0)
-
-
-def log_density_ratio(pair: DistributionPair, x: float):
-    """Base-2 log of dQ/dP at x."""
-    return pair.log_ratio_nats(x) / LN2
-
-
-def ratio_mode(pair: DistributionPair) -> float:
-    """Argmax of the density ratio (closed form for Gaussian pairs)."""
-    return pair.ratio_mode
-
-
-def level_set(pair: DistributionPair, level: float) -> LevelSet:
-    """The interval {x : dQ/dP(x) >= level}; empty when level > max ratio."""
-    if level < 0.0:
-        raise ValueError("level must be nonnegative")
-    lo, hi = pair.level_bounds(level)
-    return LevelSet(level=level, lo=float(lo), hi=float(hi))
-
-
-def residual_mass(pair: DistributionPair, interval: "Interval", level: float) -> float:
-    """Mass of ``interval`` not yet accounted for at ``level``.
-
-    Equals Q(A) - level * P(A) with A = interval intersected with the
-    superlevel set of the ratio at ``level``, clamped to [0, 1].
-    """
-    return float(pair.residual_above(interval.lo, interval.hi, level))
-
-
-def kl_divergence(pair: DistributionPair) -> float:
-    """Kullback-Leibler divergence of target from proposal, in bits."""
-    return pair.dkl_bits
-
-
-def renyi_inf_divergence(pair: DistributionPair) -> float:
-    """Renyi infinity-divergence (sup of the base-2 log ratio), in bits."""
-    return pair.dinf_bits
 
 
 def _kl_gap_nats(s: float) -> float:

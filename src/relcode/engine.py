@@ -21,8 +21,11 @@ at the current level for any split rule.
 
 Interval endpoints are tracked in CDF coordinates (``f_lo``, ``f_hi``) by
 the exact same float expressions on both encoder and decoder, which is what
-makes the replay bit-exact.  All heavy paths are vectorized across runs;
-``encode`` is the single-run wrapper around the same loop.
+makes the replay bit-exact.  One kernel, vectorized across runs, carries
+every encode: each step is a draw (``_draw``), the clipped accept test
+(``_accept_prob``) and, on rejection, the level raise and descent
+(``_branch_arrays``).  ``encode`` is the single-run wrapper around it and
+``simulate_bound_masses`` runs its draws and descents with no accept test.
 """
 
 from __future__ import annotations
@@ -38,20 +41,14 @@ import numpy as np
 
 from .distributions import DistributionPair, Distribution1D, NoFiniteMode
 from .partition import Interval, REAL_LINE, path_bits
-from .randomness import node_uniforms, node_randoms
+from .randomness import node_randoms, node_uniforms, seed_words
 
 __all__ = [
     "SplitRule",
-    "EncoderState",
     "RecResult",
     "BatchResult",
     "NonTermination",
     "InvalidIndex",
-    "DegenerateBranch",
-    "initial_state",
-    "accept_prob",
-    "advance_level",
-    "branch_choice",
     "encode",
     "encode_batch",
     "decode",
@@ -79,24 +76,6 @@ class NonTermination(RuntimeError):
 
 class InvalidIndex(ValueError):
     """A decoded path bit leads into an empty or zero-mass interval."""
-
-
-class DegenerateBranch(ArithmeticError):
-    """Both children carry zero residual mass (numerical exhaustion)."""
-
-
-@dataclass(frozen=True)
-class EncoderState:
-    """Snapshot of the recursion after ``step`` rejections."""
-
-    step: int
-    index: int
-    interval: Interval
-    level: float
-    ruled_out: float
-    proposal_mass: float
-    f_lo: float
-    f_hi: float
 
 
 @dataclass(frozen=True)
@@ -128,112 +107,18 @@ class BatchResult:
     proposal_mass: np.ndarray
 
 
-def initial_state(pair: DistributionPair) -> EncoderState:
-    return EncoderState(
-        step=0,
-        index=1,
-        interval=REAL_LINE,
-        level=0.0,
-        ruled_out=0.0,
-        proposal_mass=1.0,
-        f_lo=0.0,
-        f_hi=1.0,
-    )
-
-
-def accept_prob(pair: DistributionPair, state: EncoderState, x: float) -> float:
-    """Clipped acceptance probability at ``x``.
-
-    Returns 1.0 outright in the degenerate regime (all mass ruled out to
-    machine precision), implementing the accept-immediately convention.
-    """
-    resid = 1.0 - state.ruled_out
-    if resid <= _DEGENERATE_EPS:
-        return 1.0
-    r = np.exp(pair.log_ratio_nats(x))
-    beta = state.proposal_mass * (r - state.level) / resid
-    return float(np.clip(beta, 0.0, 1.0))
-
-
-def advance_level(pair: DistributionPair, state: EncoderState) -> tuple[float, float]:
-    """Next (level, ruled-out mass) for the state's interval."""
-    level_next = state.level + (1.0 - state.ruled_out) / state.proposal_mass
-    resid = pair.residual_above(state.interval.lo, state.interval.hi, level_next)
-    return level_next, float(np.clip(1.0 - resid, 0.0, 1.0))
-
-
-def branch_choice(
-    pair: DistributionPair,
-    rule: SplitRule,
-    state: EncoderState,
-    x_rejected: float,
-    u_branch: Optional[float] = None,
-) -> tuple[int, EncoderState]:
-    """Child choice and advanced state after a rejection at ``x_rejected``.
-
-    Global keeps the whole interval (bit 0); sample splitting keeps the side
-    containing the ratio mode; dyadic splitting picks a child with
-    probability proportional to its residual mass at the next level (this is
-    the only rule that consumes ``u_branch``).
-
-    This is the readable scalar route; it tracks interval endpoints through
-    the proposal CDF, so its states may differ from the replay-exact encoder
-    loop in the last ulp.
-    """
-    level_next = state.level + (1.0 - state.ruled_out) / state.proposal_mass
-    s = state.interval
-    if rule is SplitRule.GLOBAL:
-        bit = 0
-        lo, hi = s.lo, s.hi
-        f_lo, f_hi = state.f_lo, state.f_hi
-    elif rule is SplitRule.SAMPLE:
-        bit = 0 if x_rejected > pair.ratio_mode else 1
-        f_mid = float(pair.proposal.cdf(x_rejected))
-        if bit == 0:
-            lo, hi, f_lo, f_hi = s.lo, x_rejected, state.f_lo, f_mid
-        else:
-            lo, hi, f_lo, f_hi = x_rejected, s.hi, f_mid, state.f_hi
-    elif rule is SplitRule.DYADIC:
-        if u_branch is None:
-            raise ValueError("dyadic branching needs u_branch")
-        f_mid = 0.5 * (state.f_lo + state.f_hi)
-        c = float(pair.proposal.quantile(f_mid))
-        res_left = float(pair.residual_above(s.lo, c, level_next))
-        res_right = float(pair.residual_above(c, s.hi, level_next))
-        total = res_left + res_right
-        if total <= 0.0:
-            raise DegenerateBranch("both children have zero residual mass")
-        bit = 1 if u_branch < res_right / total else 0
-        if bit == 0:
-            lo, hi, f_lo, f_hi = s.lo, c, state.f_lo, f_mid
-        else:
-            lo, hi, f_lo, f_hi = c, s.hi, f_mid, state.f_hi
-    else:  # pragma: no cover
-        raise ValueError(f"unknown rule {rule}")
-    resid = float(pair.residual_above(lo, hi, level_next))
-    next_state = EncoderState(
-        step=state.step + 1,
-        index=2 * state.index + bit,
-        interval=Interval(lo, hi),
-        level=level_next,
-        ruled_out=float(np.clip(1.0 - resid, 0.0, 1.0)),
-        proposal_mass=f_hi - f_lo,
-        f_lo=f_lo,
-        f_hi=f_hi,
-    )
-    return bit, next_state
-
-
 def _check_rule(pair: DistributionPair, rule: SplitRule) -> None:
+    """Reject a pair the rule cannot code before the first step."""
     if rule is SplitRule.SAMPLE and not pair.has_finite_mode:
         raise NoFiniteMode("sample splitting needs a finite ratio mode")
+    pair.check_unimodal()
 
 
 class _BatchState:
     """Per-run arrays for the alive subset of a vectorized encode."""
 
     def __init__(self, n: int, seeds: np.ndarray):
-        self.seeds = seeds.astype(np.uint64)
+        self.seeds = seeds
         self.lo = np.full(n, -np.inf)
         self.hi = np.full(n, np.inf)
         self.f_lo = np.zeros(n)
@@ -244,10 +129,11 @@ class _BatchState:
         self.k_mid = np.zeros(n, np.uint64)
         self.k_hi = np.zeros(n, np.uint64)
 
-    def take(self, mask: np.ndarray) -> None:
-        for name in ("seeds", "lo", "hi", "f_lo", "f_hi", "level", "ruled",
-                     "k_lo", "k_mid", "k_hi"):
-            setattr(self, name, getattr(self, name)[mask])
+    def take(self, rows: np.ndarray) -> _BatchState:
+        """A new state holding the selected runs; ``self`` is left intact."""
+        new = object.__new__(_BatchState)
+        new.__dict__ = {name: arr[rows] for name, arr in vars(self).items()}
+        return new
 
     def heap_index(self, i: int, depth: int) -> int:
         offset = (
@@ -258,8 +144,39 @@ class _BatchState:
         return (1 << depth) + offset
 
 
-def _branch_arrays(pair, rule, st: _BatchState, x, t, u_branch, level_next):
-    """Split and descend for every (rejected) run in ``st``; returns residuals."""
+def _draw(pair: DistributionPair, st: _BatchState, d: int):
+    """Node draw at depth ``d`` for every run: the proposal restricted to the
+    active interval, sampled by its quantile.
+
+    Returns ``(x, t, mass, u_accept, u_branch)`` with ``t`` the draw's CDF
+    coordinate and ``mass`` the interval's proposal mass.
+    """
+    u_s, u_a, u_b = node_uniforms(st.seeds, np.uint64(d), st.k_lo, st.k_mid, st.k_hi)
+    mass = st.f_hi - st.f_lo
+    t = st.f_lo + u_s * mass
+    return pair.proposal.quantile(t), t, mass, u_a, u_b
+
+
+def _accept_prob(pair: DistributionPair, x, level, resid, mass):
+    """Clipped acceptance probability ``clip(mass * (r(x) - level) / resid, 0, 1)``.
+
+    Returns 1 where the residual mass is exhausted to machine precision
+    (``resid <= 1e-12``): the accept-immediately convention.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.exp(pair.log_ratio_nats(x))
+        beta = np.clip(mass * (r - level) / resid, 0.0, 1.0)
+    return np.where(resid <= _DEGENERATE_EPS, 1.0, beta)
+
+
+def _branch_arrays(pair, rule, st: _BatchState, x, t, u_branch):
+    """Raise the level, split and descend for every (rejected) run in ``st``.
+
+    Returns the child's residual mass at the new level, NaN where both
+    dyadic children have none (numerical exhaustion).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        level_next = st.level + (1.0 - st.ruled) / (st.f_hi - st.f_lo)
     one = np.uint64(1)
     s63 = np.uint64(63)
     if rule is SplitRule.GLOBAL:
@@ -363,7 +280,6 @@ def _run_global(pair, seeds, d_max, trace):
     proposal and the acceptance threshold sequence is shared by all runs;
     steps are processed in windows to keep the straggler tail cheap.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
     n = seeds.shape[0]
     sched = _global_schedule(pair)
     limit = math.inf if d_max is None else d_max
@@ -388,11 +304,8 @@ def _run_global(pair, seeds, d_max, trace):
             alive_seeds[:, None], depths[None, :], zeros, zeros, zeros
         )
         x = pair.proposal.quantile(u_s)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            r = np.exp(pair.log_ratio_nats(x))
-            beta = np.clip((r - levels[None, :]) / resid[None, :], 0.0, 1.0)
-        # degenerate exhaustion accepts unconditionally from that step on
-        beta = np.where(resid[None, :] <= _DEGENERATE_EPS, 1.0, beta)
+        # the whole line has proposal mass 1, and 1.0 * (r - level) is exact
+        beta = _accept_prob(pair, x, levels[None, :], resid[None, :], 1.0)
         stop = u_a <= beta
         if d0 <= limit < d0 + w:
             # the depth budget forces a return at that column
@@ -423,7 +336,7 @@ def _run_global(pair, seeds, d_max, trace):
 
 def _run_batch(pair, rule, seeds, d_max, trace):
     _check_rule(pair, rule)
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
+    seeds = np.atleast_1d(seed_words(seeds))
     n = seeds.shape[0]
     if trace is not None and n != 1:
         raise ValueError("trace capture only supported for single runs")
@@ -438,62 +351,37 @@ def _run_batch(pair, rule, seeds, d_max, trace):
     out_index = [0] * n
     limit = math.inf if d_max is None else d_max
     d = 0
-    proposal = pair.proposal
     while alive_ids.size:
         if d > HARD_STEP_CAP:
             raise NonTermination(f"no acceptance within {HARD_STEP_CAP} steps")
         if trace is not None:
             trace.append(Interval(float(st.lo[0]), float(st.hi[0])))
-        u_s, u_a, u_b = node_uniforms(
-            st.seeds, np.uint64(d), st.k_lo, st.k_mid, st.k_hi
-        )
-        mass = st.f_hi - st.f_lo
-        t = st.f_lo + u_s * mass
-        x = proposal.quantile(t)
-        resid = 1.0 - st.ruled
-        degenerate = resid <= _DEGENERATE_EPS
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            r = np.exp(pair.log_ratio_nats(x))
-            beta = np.clip(mass * (r - st.level) / resid, 0.0, 1.0)
-        beta = np.where(degenerate, 1.0, beta)
-        accepted_now = u_a <= beta
-        stop = accepted_now | (d >= limit)
-        rejected = ~stop
-        if rejected.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # stopped runs are sliced away below; only rejected rows matter
-                level_next = st.level + resid / mass
-            keep = _finalize_then_take(
-                st, alive_ids, stop, accepted_now,
-                out_sample, out_depth, out_accepted, out_mass, out_index,
-                x, mass, d,
-            )
-            alive_ids = keep
+        x, t, mass, u_a, u_b = _draw(pair, st, d)
+        accepted = u_a <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)
+        stop = accepted | (d >= limit)
+        rejected = np.flatnonzero(~stop)
+        child = st.take(rejected)
+        if rejected.size:
             res_child = _branch_arrays(
-                pair, rule,
-                st,
-                x[rejected], t[rejected], u_b[rejected],
-                level_next[rejected],
+                pair, rule, child, x[rejected], t[rejected], u_b[rejected]
             )
+            # numerical exhaustion: terminate accepting the current draw
             exhausted = np.isnan(res_child)
             if exhausted.any():
-                # numerical exhaustion: terminate accepting the current draw
-                ids = alive_ids[exhausted]
-                out_sample[ids] = x[rejected][exhausted]
-                out_depth[ids] = d
-                out_accepted[ids] = True
-                out_mass[ids] = mass[rejected][exhausted]
-                for j_local, j_global in zip(np.nonzero(exhausted)[0], ids):
-                    # undo the bit appended by the descent (it was 0)
-                    out_index[j_global] = st.heap_index(j_local, d + 1) >> 1
-                st.take(~exhausted)
-                alive_ids = alive_ids[~exhausted]
-        else:
-            alive_ids = _finalize_then_take(
-                st, alive_ids, stop, accepted_now,
-                out_sample, out_depth, out_accepted, out_mass, out_index,
-                x, mass, d,
-            )
+                stop[rejected] = accepted[rejected] = exhausted
+                child = child.take(~exhausted)
+        if stop.any():
+            # every stopping run is written from the parent state, whose heap
+            # offsets do not yet carry this step's branch bit
+            ids = alive_ids[stop]
+            out_sample[ids] = x[stop]
+            out_depth[ids] = d
+            out_accepted[ids] = accepted[stop]
+            out_mass[ids] = mass[stop]
+            for j_local, j_global in zip(np.flatnonzero(stop), ids):
+                out_index[j_global] = st.heap_index(j_local, d)
+            alive_ids = alive_ids[~stop]
+        st = child
         d += 1
     return BatchResult(
         samples=out_sample,
@@ -502,25 +390,6 @@ def _run_batch(pair, rule, seeds, d_max, trace):
         accepted=out_accepted,
         proposal_mass=out_mass,
     )
-
-
-def _finalize_then_take(
-    st, alive_ids, stop, accepted_now,
-    out_sample, out_depth, out_accepted, out_mass, out_index,
-    x, mass, d,
-):
-    """Write outputs for stopping runs, then shrink ``st`` to the rest."""
-    if stop.any():
-        ids = alive_ids[stop]
-        out_sample[ids] = x[stop]
-        out_depth[ids] = d
-        out_accepted[ids] = accepted_now[stop]
-        out_mass[ids] = mass[stop]
-        for j_local, j_global in zip(np.nonzero(stop)[0], ids):
-            out_index[j_global] = st.heap_index(j_local, d)
-    keep = ~stop
-    st.take(keep)
-    return alive_ids[keep]
 
 
 def encode_batch(
@@ -607,22 +476,14 @@ def simulate_bound_masses(
     is autonomous), one row per seed.  Used for contraction-rate checks.
     """
     _check_rule(pair, rule)
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
-    n = seeds.shape[0]
-    st = _BatchState(n, seeds)
-    masses = np.empty((n, max_depth + 1))
+    seeds = np.atleast_1d(seed_words(seeds))
+    st = _BatchState(seeds.shape[0], seeds)
+    masses = np.empty((seeds.shape[0], max_depth + 1))
     masses[:, 0] = 1.0
-    proposal = pair.proposal
     for d in range(max_depth):
-        u_s, _, u_b = node_uniforms(st.seeds, np.uint64(d), st.k_lo, st.k_mid, st.k_hi)
-        mass = st.f_hi - st.f_lo
-        t = st.f_lo + u_s * mass
-        x = proposal.quantile(t)
-        resid = 1.0 - st.ruled
-        level_next = st.level + resid / mass
-        res_child = _branch_arrays(pair, rule, st, x, t, u_b, level_next)
-        if np.isnan(res_child).any():
-            # exhausted runs keep their interval frozen from here on
-            st.ruled = np.where(np.isnan(res_child), 1.0, st.ruled)
+        x, t, _, _, u_b = _draw(pair, st, d)
+        res_child = _branch_arrays(pair, rule, st, x, t, u_b)
+        # an exhausted run has no residual mass left
+        st.ruled = np.where(np.isnan(res_child), 1.0, st.ruled)
         masses[:, d + 1] = st.f_hi - st.f_lo
     return masses

@@ -1,10 +1,9 @@
-"""Infinite-binary-tree bookkeeping: heap indices and interval splits.
+"""Heap indices and intervals of the infinite binary partition tree.
 
 Nodes of the partition tree are addressed by positive heap indices (children
 of ``n`` are ``2n`` and ``2n + 1``); the root is index 1 and covers the whole
-real line.  Three split rules are supported: global (left child keeps
-everything), sample splitting (split at a drawn point), and dyadic splitting
-(split at the proposal's conditional median).
+real line.  The split rules that carve a node's interval into its children
+live in the engine's descent step.
 
 Shared endpoints between sibling intervals are tolerated: the proposal is
 continuous, so they carry zero mass, and the engine never resamples an
@@ -17,31 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Distribution1D
-
-__all__ = [
-    "Interval",
-    "REAL_LINE",
-    "EMPTY",
-    "OutOfBounds",
-    "ZeroMass",
-    "split_global",
-    "split_sample",
-    "split_dyadic",
-    "child",
-    "parent",
-    "depth",
-    "path_bits",
-    "index_from_path",
-]
-
-
-class OutOfBounds(ValueError):
-    """A split point falls outside the interval being split."""
-
-
-class ZeroMass(ArithmeticError):
-    """The proposal mass of an interval underflowed to zero."""
+__all__ = ["Interval", "REAL_LINE", "depth", "path_bits"]
 
 
 @dataclass(frozen=True)
@@ -67,44 +42,6 @@ class Interval:
 
 
 REAL_LINE = Interval(-math.inf, math.inf)
-EMPTY = Interval(math.inf, -math.inf)
-
-
-def split_global(s: Interval) -> tuple[Interval, Interval]:
-    """Left child keeps the full interval, right child is empty."""
-    return s, EMPTY
-
-
-def split_sample(s: Interval, x: float) -> tuple[Interval, Interval]:
-    """Split ``s`` at the point ``x``; both children keep the endpoint."""
-    if s.empty or not s.contains(x):
-        raise OutOfBounds(f"split point {x} not in {s}")
-    return Interval(s.lo, x), Interval(x, s.hi)
-
-
-def split_dyadic(s: Interval, proposal: Distribution1D) -> tuple[Interval, Interval]:
-    """Split ``s`` so both children carry equal proposal mass."""
-    f_lo = float(proposal.cdf(s.lo)) if s.lo != -math.inf else 0.0
-    f_hi = float(proposal.cdf(s.hi)) if s.hi != math.inf else 1.0
-    if s.empty or not f_hi - f_lo > 0.0:
-        raise ZeroMass(f"no proposal mass on {s}")
-    c = float(proposal.quantile(0.5 * (f_lo + f_hi)))
-    return Interval(s.lo, c), Interval(c, s.hi)
-
-
-def child(index: int, bit: int) -> int:
-    """Heap index of the left (bit 0) or right (bit 1) child."""
-    if index < 1:
-        raise ValueError("heap indices start at 1")
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return 2 * index + bit
-
-
-def parent(index: int) -> int:
-    if index < 2:
-        raise ValueError("the root has no parent")
-    return index // 2
 
 
 def depth(index: int) -> int:
@@ -120,11 +57,3 @@ def path_bits(index: int) -> tuple[int, ...]:
         raise ValueError("heap indices start at 1")
     d = depth(index)
     return tuple((index >> (d - 1 - i)) & 1 for i in range(d))
-
-
-def index_from_path(bits) -> int:
-    """Inverse of :func:`path_bits`."""
-    index = 1
-    for b in bits:
-        index = child(index, b)
-    return index

@@ -6,7 +6,7 @@ counter based: the heap index is decomposed into ``(depth, offset)`` with
 ``index = 2**depth + offset``, packed into a Philox4x64-10 counter block
 
     counter = (depth, offset[0:64], offset[64:128], offset[128:192])
-    key     = (seed mod 2**64, domain constant)
+    key     = (seed, domain constant)
 
 and the first three 64-bit output words are mapped to [0, 1) by taking their
 top 53 bits.  This is bit-exact across platforms, needs no per-node state,
@@ -14,17 +14,29 @@ and lets a decoder replay exactly the draws it needs without simulating
 rejected branches.  The same primitive (under a different domain constant)
 fans a benchmark base seed out into per-run seeds.
 
+Encoder and decoder share one seed contract (:func:`seed_words`): a seed is
+an integer with ``0 <= seed < 2**64``; any other value raises ValueError
+rather than being wrapped into range.
+
 Offsets of 192 bits cover any node reachable in practice: non-global runs
 terminate at depths far below 192, and global runs only ever visit offset 0.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NodeRandoms", "node_randoms", "node_uniforms", "derive_seeds", "philox4x64_10"]
+__all__ = [
+    "NodeRandoms",
+    "node_randoms",
+    "node_uniforms",
+    "seed_words",
+    "derive_seeds",
+    "philox4x64_10",
+]
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
@@ -99,6 +111,25 @@ def node_uniforms(seeds, depths, off_lo, off_mid, off_hi):
     return _to_unit(w0), _to_unit(w1), _to_unit(w2)
 
 
+def seed_words(seeds):
+    """Seeds as Philox key words, under the one seed contract.
+
+    Takes one integer (returns an ``np.uint64``) or a 1-D sequence or array
+    of integers (returns a uint64 array).  Raises ValueError for any seed
+    outside ``0 <= seed < 2**64``; none is wrapped or masked.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+            raise ValueError("seeds must satisfy 0 <= seed < 2**64")
+        return seeds.astype(np.uint64)
+    scalar = isinstance(seeds, (int, np.integer))
+    ints = [operator.index(s) for s in ([seeds] if scalar else seeds)]
+    if not all(0 <= s <= _MASK64 for s in ints):
+        raise ValueError("seeds must satisfy 0 <= seed < 2**64")
+    words = np.array(ints, dtype=np.uint64)
+    return words[0] if scalar else words
+
+
 def node_randoms(seed: int, index: int) -> NodeRandoms:
     """The uniforms for a single tree node."""
     if index < 1:
@@ -108,7 +139,7 @@ def node_randoms(seed: int, index: int) -> NodeRandoms:
     if offset >> _MAX_OFFSET_BITS:
         raise ValueError(f"node offset exceeds {_MAX_OFFSET_BITS} bits")
     u0, u1, u2 = node_uniforms(
-        np.uint64(seed & _MASK64),
+        seed_words(seed),
         np.uint64(d),
         np.uint64(offset & _MASK64),
         np.uint64((offset >> 64) & _MASK64),

@@ -90,7 +90,8 @@ def _batch_digest(pair, rule, seeds) -> str:
 
 
 def _sweep_csv() -> str:
-    # the ``small_config`` sweep of tests/test_bench.py
+    # the ``small_config`` sweep of tests/test_bench.py, copied so that an
+    # edit to that test cannot change the fixture
     cfg = dict(
         mode="runtime_vs_dinf",
         dkl_grid=(2.0,),

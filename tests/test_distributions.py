@@ -11,12 +11,6 @@ from relcode.distributions import (
     NotUnimodal,
     Unsatisfiable,
     gaussian_pair_for_targets,
-    kl_divergence,
-    level_set,
-    log_density_ratio,
-    ratio_mode,
-    renyi_inf_divergence,
-    residual_mass,
 )
 from relcode.partition import Interval, REAL_LINE
 
@@ -31,6 +25,20 @@ STD = Distribution1D(loc=0.0, scale=1.0)
 NARROW = DistributionPair(Distribution1D(0.0, 0.5), STD)
 SHIFTED = DistributionPair(Distribution1D(1.0, 0.5), STD)
 SAME = DistributionPair(STD, STD)
+
+
+def log2_ratio(pair, x):
+    return pair.log_ratio_nats(x) / math.log(2.0)
+
+
+def residual(pair, interval, level):
+    return float(pair.residual_above(interval.lo, interval.hi, level))
+
+
+def level_set(pair, level):
+    """The superlevel set of the ratio; ``lo > hi`` is the empty set."""
+    lo, hi = pair.level_bounds(level)
+    return Interval(float(lo), float(hi))
 
 
 def random_pairs(n, seed=0):
@@ -75,38 +83,38 @@ class TestDistribution1D:
 class TestLogDensityRatio:
     def test_identical_is_zero(self):
         for x in (-3.0, 0.0, 1.7):
-            assert log_density_ratio(SAME, x) == 0.0
+            assert log2_ratio(SAME, x) == 0.0
 
     def test_narrow_at_center(self):
         # density ratio of N(0, 0.5^2) to N(0,1) at 0 is 2
-        assert log_density_ratio(NARROW, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert log2_ratio(NARROW, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_mode_value_is_dinf(self):
-        mu = ratio_mode(SHIFTED)
-        assert log_density_ratio(SHIFTED, mu) == pytest.approx(
-            renyi_inf_divergence(SHIFTED), abs=1e-12
+        mu = SHIFTED.ratio_mode
+        assert log2_ratio(SHIFTED, mu) == pytest.approx(
+            SHIFTED.dinf_bits, abs=1e-12
         )
 
 
 class TestRatioMode:
     def test_symmetric(self):
-        assert ratio_mode(NARROW) == 0.0
+        assert NARROW.ratio_mode == 0.0
 
     def test_matches_grid_argmax(self):
-        assert ratio_mode(SHIFTED) == pytest.approx(
+        assert SHIFTED.ratio_mode == pytest.approx(
             grid_ratio_argmax(SHIFTED), abs=1e-3
         )
 
     def test_identical_convention(self):
-        assert ratio_mode(SAME) == STD.loc
+        assert SAME.ratio_mode == STD.loc
 
     def test_unbounded_ratio(self):
         wide = DistributionPair(Distribution1D(0.0, 2.0), STD)
         equal = DistributionPair(Distribution1D(1.0, 1.0), STD)
         for pair in (wide, equal):
             with pytest.raises(NoFiniteMode):
-                ratio_mode(pair)
-            assert renyi_inf_divergence(pair) == math.inf
+                pair.ratio_mode
+            assert pair.dinf_bits == math.inf
 
 
 class TestLevelSet:
@@ -121,7 +129,7 @@ class TestLevelSet:
         assert ls.lo == pytest.approx(-c, abs=1e-9)
 
     def test_above_max_is_empty(self):
-        top = 2.0 ** renyi_inf_divergence(NARROW)
+        top = 2.0 ** NARROW.dinf_bits
         assert level_set(NARROW, top * 1.0001).empty
         assert not level_set(NARROW, top * 0.9999).empty
 
@@ -148,16 +156,16 @@ class TestLevelSet:
 class TestResidualMass:
     def test_total_mass(self):
         for pair in random_pairs(10, seed=3):
-            assert residual_mass(pair, REAL_LINE, 0.0) == pytest.approx(1.0, abs=1e-9)
+            assert residual(pair, REAL_LINE, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_identical_above_one(self):
-        assert residual_mass(SAME, Interval(-2.0, 5.0), 1.0) == 0.0
+        assert residual(SAME, Interval(-2.0, 5.0), 1.0) == 0.0
 
     def test_matches_quadrature(self):
-        val = residual_mass(NARROW, REAL_LINE, 0.5)
+        val = residual(NARROW, REAL_LINE, 0.5)
         ref = numeric_residual_mass(NARROW, -math.inf, math.inf, 0.5)
         assert val == pytest.approx(ref, abs=1e-6)
-        val = residual_mass(SHIFTED, Interval(0.3, 1.4), 0.8)
+        val = residual(SHIFTED, Interval(0.3, 1.4), 0.8)
         ref = numeric_residual_mass(SHIFTED, 0.3, 1.4, 0.8)
         assert val == pytest.approx(ref, abs=1e-6)
 
@@ -165,48 +173,48 @@ class TestResidualMass:
         rng = np.random.default_rng(4)
         for pair in random_pairs(20, seed=5):
             levels = np.sort(rng.uniform(0.0, 2.0, 3))
-            vals = [residual_mass(pair, REAL_LINE, float(l)) for l in levels]
+            vals = [residual(pair, REAL_LINE, float(l)) for l in levels]
             assert vals[0] >= vals[1] >= vals[2]
             inner = Interval(-0.5, 0.8)
             outer = Interval(-1.5, 2.0)
-            assert residual_mass(pair, inner, 0.3) <= residual_mass(
+            assert residual(pair, inner, 0.3) <= residual(
                 pair, outer, 0.3
             ) + 1e-12
 
 
 class TestDivergences:
     def test_identical(self):
-        assert kl_divergence(SAME) == 0.0
-        assert renyi_inf_divergence(SAME) == 0.0
+        assert SAME.dkl_bits == 0.0
+        assert SAME.dinf_bits == 0.0
 
     def test_mean_shift_closed_form(self):
         pair = DistributionPair(Distribution1D(1.0, 1.0), STD)
-        assert kl_divergence(pair) == pytest.approx(0.5 * math.log2(math.e), abs=1e-12)
-        assert renyi_inf_divergence(pair) == math.inf
+        assert pair.dkl_bits == pytest.approx(0.5 * math.log2(math.e), abs=1e-12)
+        assert pair.dinf_bits == math.inf
 
     def test_narrow_quadrature_and_dinf(self):
-        assert kl_divergence(NARROW) == pytest.approx(
+        assert NARROW.dkl_bits == pytest.approx(
             numeric_kl_bits(NARROW), abs=1e-6
         )
-        assert renyi_inf_divergence(NARROW) == pytest.approx(1.0, abs=1e-12)
+        assert NARROW.dinf_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_kl_quadrature_random(self):
         for pair in random_pairs(5, seed=6):
-            assert kl_divergence(pair) == pytest.approx(
+            assert pair.dkl_bits == pytest.approx(
                 numeric_kl_bits(pair), abs=1e-6
             )
 
     def test_ordering(self):
         for pair in random_pairs(50, seed=7):
-            assert renyi_inf_divergence(pair) >= kl_divergence(pair) >= 0.0
+            assert pair.dinf_bits >= pair.dkl_bits >= 0.0
 
 
 class TestPairForTargets:
     @pytest.mark.parametrize("dkl,dinf", [(3.0, 5.0), (1.0, 3.0), (0.1, 0.9), (8.0, 10.0)])
     def test_round_trip(self, dkl, dinf):
         pair = gaussian_pair_for_targets(dkl, dinf)
-        assert kl_divergence(pair) == pytest.approx(dkl, abs=1e-6)
-        assert renyi_inf_divergence(pair) == pytest.approx(dinf, abs=1e-6)
+        assert pair.dkl_bits == pytest.approx(dkl, abs=1e-6)
+        assert pair.dinf_bits == pytest.approx(dinf, abs=1e-6)
         assert pair.proposal == STD
         assert pair.target.scale < 1.0
 
@@ -215,8 +223,8 @@ class TestPairForTargets:
             pair = gaussian_pair_for_targets(3.0, 3.0001)
         except Unsatisfiable:
             return
-        assert kl_divergence(pair) == pytest.approx(3.0, abs=1e-6)
-        assert renyi_inf_divergence(pair) == pytest.approx(3.0001, abs=1e-6)
+        assert pair.dkl_bits == pytest.approx(3.0, abs=1e-6)
+        assert pair.dinf_bits == pytest.approx(3.0001, abs=1e-6)
 
     def test_bad_targets(self):
         with pytest.raises(Unsatisfiable):

@@ -5,26 +5,24 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from relcode.codecs import deserialize, serialize
 from relcode.distributions import (
-    level_set,
     Distribution1D,
     DistributionPair,
     NoFiniteMode,
+    NotUnimodal,
     gaussian_pair_for_targets,
-    residual_mass,
 )
 from relcode.engine import (
-    DegenerateBranch,
-    EncoderState,
     InvalidIndex,
     SplitRule,
-    accept_prob,
-    advance_level,
-    branch_choice,
+    _accept_prob,
+    _BatchState,
+    _branch_arrays,
+    _draw,
     decode,
     encode,
     encode_batch,
-    initial_state,
     simulate_bound_masses,
 )
 from relcode.partition import REAL_LINE, Interval
@@ -39,123 +37,171 @@ PAIR35 = gaussian_pair_for_targets(3.0, 5.0)
 ALL_RULES = list(SplitRule)
 
 
-def encode_with_public_ops(pair, rule, seed, d_max=None):
-    """Reference encoder driven purely through the public scalar ops."""
-    state = initial_state(pair)
+class _NoResidualAbove(DistributionPair):
+    """A pair whose residual mass vanishes above a level, which forces the
+    dyadic descent into numerical exhaustion (both children empty)."""
+
+    def residual_above(self, lo, hi, level):
+        out = super().residual_above(lo, hi, level)
+        return np.where(np.asarray(level) > 4.0, 0.0, out)
+
+
+NO_RESIDUAL_ABOVE_4 = _NoResidualAbove(PAIR35.target, PAIR35.proposal)
+
+# The per-step checks below drive the encoder kernel itself on size-1
+# states: ``_draw`` samples a node, ``_accept_prob`` is the clipped accept
+# test and ``_branch_arrays`` raises the level and descends.
+
+
+def root_state(seed=0):
+    return _BatchState(1, np.array([seed], np.uint64))
+
+
+def state_at(pair, lo, hi, level, ruled):
+    """A size-1 kernel state on ``[lo, hi]`` at the given level."""
+    st = root_state()
+    st.lo[:], st.hi[:] = lo, hi
+    st.f_lo[:], st.f_hi[:] = pair.proposal.cdf(lo), pair.proposal.cdf(hi)
+    st.level[:], st.ruled[:] = level, ruled
+    return st
+
+
+def interval(st):
+    return Interval(float(st.lo[0]), float(st.hi[0]))
+
+
+def proposal_mass(st):
+    return float(st.f_hi[0] - st.f_lo[0])
+
+
+def accept_prob(pair, st, x):
+    beta = _accept_prob(pair, np.array([x]), st.level, 1.0 - st.ruled, st.f_hi - st.f_lo)
+    return float(beta[0])
+
+
+def branch(pair, rule, st, x, u_branch=0.5):
+    """Kernel descent after a rejection at ``x``; returns (bit, child state).
+
+    The draw's CDF coordinate is ``cdf(x)``, as the kernel's ``t`` would be.
+    """
+    child = st.take(np.arange(1))
+    t = np.atleast_1d(pair.proposal.cdf(x))
+    _branch_arrays(pair, rule, child, np.array([x]), t, np.array([u_branch]))
+    return int(child.k_lo[0] & np.uint64(1)), child
+
+
+def encode_step_by_step(pair, rule, seed):
+    """Reference encoder: one run, one kernel step at a time, no batching.
+
+    Returns the accepted sample and its heap index.
+    """
+    st = root_state(seed)
+    d = 0
     while True:
-        u = node_randoms(seed, state.index)
-        span = state.f_hi - state.f_lo
-        x = float(pair.proposal.quantile(state.f_lo + u.u_sample * span))
-        beta = accept_prob(pair, state, x)
-        limited = d_max is not None and state.step >= d_max
-        if u.u_accept <= beta or limited:
-            return x, state
-        try:
-            _, state = branch_choice(pair, rule, state, x, u.u_branch)
-        except DegenerateBranch:
-            return x, state
+        x, t, mass, u_a, u_b = _draw(pair, st, d)
+        if u_a[0] <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)[0]:
+            return float(x[0]), st.heap_index(0, d)
+        child = st.take(np.arange(1))
+        if np.isnan(_branch_arrays(pair, rule, child, x, t, u_b)[0]):
+            return float(x[0]), st.heap_index(0, d)
+        st, d = child, d + 1
 
 
 class TestAcceptProb:
     def test_root_is_clipped_ratio(self):
-        st0 = initial_state(PAIR35)
+        st0 = root_state()
         for x in (-1.0, 0.5, PAIR35.ratio_mode):
             r = float(np.exp(PAIR35.log_ratio_nats(x)))
             assert accept_prob(PAIR35, st0, x) == pytest.approx(min(r, 1.0), abs=1e-12)
 
     def test_identical_always_accepts(self):
-        st0 = initial_state(SAME)
+        st0 = root_state()
         for x in (-2.0, 0.0, 3.0):
             assert accept_prob(SAME, st0, x) == 1.0
 
     def test_degenerate_state_accepts(self):
-        st0 = initial_state(PAIR35)
-        st = type(st0)(**{**st0.__dict__, "ruled_out": 1.0 - 1e-13})
+        st = root_state()
+        st.ruled[:] = 1.0 - 1e-13
         assert accept_prob(PAIR35, st, 0.0) == 1.0
 
     def test_after_one_dyadic_rejection_vs_quadrature(self):
         # drive one rejection, then compare the clip-form acceptance with a
         # direct evaluation of the general recursion: after one level raise,
         # the accounted density inside the active interval is min(r, L1)
-        state = initial_state(NARROW)
         x0 = 1.3
-        bit, st1 = branch_choice(NARROW, SplitRule.DYADIC, state, x0, u_branch=0.3)
+        bit, st1 = branch(NARROW, SplitRule.DYADIC, root_state(), x0, u_branch=0.3)
         mu = NARROW.ratio_mode
 
         def r(y):
             return float(np.exp(NARROW.log_ratio_nats(y)))
 
-        lvl = st1.level
-        lo, hi = st1.interval.lo, st1.interval.hi
+        lvl = float(st1.level[0])
+        lo, hi = interval(st1).lo, interval(st1).hi
         a, b = max(lo, -8.0), min(hi, 8.0)
         rem, _ = quad(
             lambda y: max(r(y) - lvl, 0.0) * NARROW.proposal.pdf(y), a, b,
             limit=300,
         )
-        alpha_mu = min(r(mu) - lvl, rem / st1.proposal_mass)
-        beta_ref = alpha_mu * st1.proposal_mass / rem
+        alpha_mu = min(r(mu) - lvl, rem / proposal_mass(st1))
+        beta_ref = alpha_mu * proposal_mass(st1) / rem
         beta_ref = max(min(beta_ref, 1.0), 0.0)
         assert accept_prob(NARROW, st1, mu) == pytest.approx(beta_ref, abs=1e-6)
 
 
 class TestAdvanceLevel:
+    # the global descent keeps the interval, so it isolates the level update
     def test_first_level(self):
-        st0 = initial_state(PAIR35)
-        level, ruled = advance_level(PAIR35, st0)
+        _, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(), 0.0)
+        level, ruled = float(st1.level[0]), float(st1.ruled[0])
         assert level == 1.0
         ref = ruled_out_after_one_level(PAIR35)
         assert ruled == pytest.approx(ref, abs=1e-6)
 
     def test_narrow_quadrature(self):
-        st0 = initial_state(NARROW)
-        level, ruled = advance_level(NARROW, st0)
+        _, st1 = branch(NARROW, SplitRule.GLOBAL, root_state(), 0.0)
+        level, ruled = float(st1.level[0]), float(st1.ruled[0])
         assert level == 1.0
         assert ruled == pytest.approx(ruled_out_after_one_level(NARROW), abs=1e-6)
 
 
 class TestBranchChoice:
     def test_global_keeps_interval(self):
-        st0 = initial_state(PAIR35)
-        bit, st1 = branch_choice(PAIR35, SplitRule.GLOBAL, st0, 0.7)
+        bit, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(), 0.7)
         assert bit == 0
-        assert st1.interval == REAL_LINE
-        assert st1.index == 2
-        assert st1.level == 1.0
+        assert interval(st1) == REAL_LINE
+        assert st1.heap_index(0, 1) == 2
+        assert st1.level[0] == 1.0
 
     def test_sample_keeps_mode_side(self):
         mu = PAIR35.ratio_mode
-        st0 = initial_state(PAIR35)
-        bit, st1 = branch_choice(PAIR35, SplitRule.SAMPLE, st0, mu + 1.0)
-        assert bit == 0 and st1.interval.hi == mu + 1.0
-        bit, st2 = branch_choice(PAIR35, SplitRule.SAMPLE, st0, mu - 1.0)
-        assert bit == 1 and st2.interval.lo == mu - 1.0
-        assert st1.interval.contains(mu) and st2.interval.contains(mu)
+        st0 = root_state()
+        bit, st1 = branch(PAIR35, SplitRule.SAMPLE, st0, mu + 1.0)
+        assert bit == 0 and interval(st1).hi == mu + 1.0
+        bit, st2 = branch(PAIR35, SplitRule.SAMPLE, st0, mu - 1.0)
+        assert bit == 1 and interval(st2).lo == mu - 1.0
+        assert interval(st1).contains(mu) and interval(st2).contains(mu)
 
     def test_dyadic_symmetric_pair_is_fair(self):
-        st0 = initial_state(NARROW)
+        st0 = root_state()
         # split of the full line lands at the mode, so residuals are equal;
         # the branch coin must flip exactly at 1/2
-        bit_lo, _ = branch_choice(NARROW, SplitRule.DYADIC, st0, 2.0, u_branch=0.499999)
-        bit_hi, _ = branch_choice(NARROW, SplitRule.DYADIC, st0, 2.0, u_branch=0.500001)
+        bit_lo, _ = branch(NARROW, SplitRule.DYADIC, st0, 2.0, u_branch=0.499999)
+        bit_hi, _ = branch(NARROW, SplitRule.DYADIC, st0, 2.0, u_branch=0.500001)
         assert (bit_lo, bit_hi) == (1, 0)
 
     def test_dyadic_probability_vs_quadrature(self):
         pair = PAIR35
-        st0 = initial_state(pair)
+        st0 = root_state()
         level1 = 1.0
         c = float(pair.proposal.quantile(0.5))
         res_r = numeric_residual_mass(pair, c, math.inf, level1)
         res_tot = numeric_residual_mass(pair, -math.inf, math.inf, level1)
         p_right = res_r / res_tot
         eps = 1e-7
-        bit, _ = branch_choice(pair, SplitRule.DYADIC, st0, 2.0, u_branch=p_right - eps)
+        bit, _ = branch(pair, SplitRule.DYADIC, st0, 2.0, u_branch=p_right - eps)
         assert bit == 1
-        bit, _ = branch_choice(pair, SplitRule.DYADIC, st0, 2.0, u_branch=p_right + eps)
+        bit, _ = branch(pair, SplitRule.DYADIC, st0, 2.0, u_branch=p_right + eps)
         assert bit == 0
-
-    def test_dyadic_needs_coin(self):
-        with pytest.raises(ValueError):
-            branch_choice(PAIR35, SplitRule.DYADIC, initial_state(PAIR35), 0.5)
 
     def test_dyadic_straddling_level_set_vs_quadrature(self):
         # a deep state whose superlevel set straddles the dyadic midpoint,
@@ -168,26 +214,23 @@ class TestBranchChoice:
         f_lo = float(pair.proposal.cdf(lo1))
         f_hi = float(pair.proposal.cdf(hi1))
         ruled = 1.0 - numeric_residual_mass(pair, lo1, hi1, level1)
-        st1 = EncoderState(
-            step=1, index=2, interval=Interval(lo1, hi1), level=level1,
-            ruled_out=ruled, proposal_mass=f_hi - f_lo, f_lo=f_lo, f_hi=f_hi,
-        )
+        st1 = state_at(pair, lo1, hi1, level1, ruled)
         level2 = level1 + (1.0 - ruled) / (f_hi - f_lo)
         c = float(pair.proposal.quantile(0.5 * (f_lo + f_hi)))
-        ls = level_set(pair, level2)
-        assert ls.lo < c < ls.hi  # the split point sits inside the level set
+        ls_lo, ls_hi = pair.level_bounds(level2)
+        assert ls_lo < c < ls_hi  # the split point sits inside the level set
         p_right = numeric_residual_mass(pair, c, hi1, level2) / (
             numeric_residual_mass(pair, lo1, hi1, level2)
         )
         assert 0.001 < p_right < 0.999
         eps = 1e-5
-        bit, st2 = branch_choice(pair, SplitRule.DYADIC, st1, 0.9, u_branch=p_right - eps)
+        bit, st2 = branch(pair, SplitRule.DYADIC, st1, 0.9, u_branch=p_right - eps)
         assert bit == 1
         # the advanced state keeps only its own slice of the level set
-        assert 1.0 - st2.ruled_out == pytest.approx(
+        assert 1.0 - st2.ruled[0] == pytest.approx(
             numeric_residual_mass(pair, c, hi1, level2), abs=1e-6
         )
-        bit, _ = branch_choice(pair, SplitRule.DYADIC, st1, 0.9, u_branch=p_right + eps)
+        bit, _ = branch(pair, SplitRule.DYADIC, st1, 0.9, u_branch=p_right + eps)
         assert bit == 0
 
 
@@ -195,38 +238,29 @@ class TestStateConsistency:
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_residual_invariant_along_trajectories(self, rule):
         for seed in range(30):
-            state = initial_state(PAIR35)
-            u = node_randoms(seed, state.index)
-            for _ in range(6):
-                x = float(PAIR35.proposal.quantile(
-                    state.f_lo + u.u_sample * (state.f_hi - state.f_lo)
-                ))
-                try:
-                    _, state = branch_choice(PAIR35, rule, state, x, u.u_branch)
-                except DegenerateBranch:
+            st = root_state(seed)
+            for d in range(6):
+                x, t, _, _, u_b = _draw(PAIR35, st, d)
+                if np.isnan(_branch_arrays(PAIR35, rule, st, x, t, u_b)[0]):
                     break
-                assert 1.0 - state.ruled_out == pytest.approx(
-                    residual_mass(PAIR35, state.interval, state.level), abs=1e-9
+                iv = interval(st)
+                assert 1.0 - st.ruled[0] == pytest.approx(
+                    float(PAIR35.residual_above(iv.lo, iv.hi, st.level[0])), abs=1e-9
                 )
-                assert state.proposal_mass == pytest.approx(
-                    float(PAIR35.proposal.cdf(state.interval.hi)
-                          - PAIR35.proposal.cdf(state.interval.lo)),
+                assert proposal_mass(st) == pytest.approx(
+                    float(PAIR35.proposal.cdf(iv.hi) - PAIR35.proposal.cdf(iv.lo)),
                     abs=1e-9,
                 )
-                u = node_randoms(seed, state.index)
 
     def test_levels_and_ruled_mass_monotone(self):
         out = encode(PAIR35, SplitRule.DYADIC, seed=3)
-        state = initial_state(PAIR35)
-        levels, ruled = [state.level], [state.ruled_out]
-        for _ in range(10):
-            u = node_randoms(12, state.index)
-            x = float(PAIR35.proposal.quantile(
-                state.f_lo + u.u_sample * (state.f_hi - state.f_lo)
-            ))
-            _, state = branch_choice(PAIR35, SplitRule.DYADIC, state, x, u.u_branch)
-            levels.append(state.level)
-            ruled.append(state.ruled_out)
+        st = root_state(12)
+        levels, ruled = [float(st.level[0])], [float(st.ruled[0])]
+        for d in range(10):
+            x, t, _, _, u_b = _draw(PAIR35, st, d)
+            _branch_arrays(PAIR35, SplitRule.DYADIC, st, x, t, u_b)
+            levels.append(float(st.level[0]))
+            ruled.append(float(st.ruled[0]))
         assert levels == sorted(levels)
         assert ruled == sorted(ruled)
         assert out.bound_trace[0] == REAL_LINE
@@ -262,10 +296,13 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_public_ops_agree_with_engine(self, rule):
+        # the batched driver (run compaction, output writes) against one run
+        # stepped through the same kernel pieces; global encodes run on the
+        # precomputed level schedule, which may differ in the last ulp
         for seed in range(100):
             res = encode(PAIR35, rule, seed)
-            x, state = encode_with_public_ops(PAIR35, rule, seed)
-            assert state.index == res.heap_index
+            x, index = encode_step_by_step(PAIR35, rule, seed)
+            assert index == res.heap_index
             assert x == pytest.approx(res.sample, abs=1e-9)
 
     def test_trace_matches_depth_and_mass(self):
@@ -311,6 +348,29 @@ class TestEncodeDecode:
         res = encode(pair, SplitRule.DYADIC, 0)  # dyadic splits are fine
         assert res.accepted
 
+    def test_wide_target_rejected_before_first_step(self):
+        # superlevel sets of a ratio that opens upward are not intervals
+        wide = DistributionPair(Distribution1D(0.5, 1.5), STD)
+        for rule in (SplitRule.DYADIC, SplitRule.GLOBAL):
+            for seed in range(200):
+                with pytest.raises(NotUnimodal):
+                    encode(wide, rule, seed)
+            with pytest.raises(NotUnimodal):
+                simulate_bound_masses(wide, rule, [0], 3)
+
+    def test_numerical_exhaustion_accepts_current_draw(self):
+        # no residual mass above level 4: every dyadic run still alive at
+        # depth 2 finds both children empty and stops where it is
+        out = encode_batch(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, range(200))
+        assert out.accepted.all()
+        assert out.depths.max() == 2
+        for seed, x, d, index in zip(range(200), out.samples, out.depths, out.heap_indices):
+            assert index.bit_length() - 1 == d
+            assert decode(STD, SplitRule.DYADIC, seed, index) == x
+            assert encode_step_by_step(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, seed) == (
+                x, index
+            )
+
     def test_decode_never_sees_target(self):
         import inspect
 
@@ -334,6 +394,33 @@ class TestEncodeDecode:
         for seed in range(20):
             x = decode(STD, SplitRule.DYADIC, seed, 5)
             assert lo <= x <= hi
+
+
+class TestSeedContract:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            encode(PAIR35, SplitRule.DYADIC, seed)
+        with pytest.raises(ValueError):
+            encode_batch(PAIR35, SplitRule.DYADIC, [0, seed])
+        if seed < 0:
+            with pytest.raises(ValueError):
+                encode_batch(PAIR35, SplitRule.DYADIC, np.array([0, seed], np.int64))
+        res = next(r for r in (encode(PAIR35, SplitRule.SAMPLE, s) for s in range(50))
+                   if r.depth > 0)
+        with pytest.raises(ValueError):
+            decode(PAIR35.proposal, SplitRule.SAMPLE, seed, res.heap_index)
+        with pytest.raises(ValueError):
+            deserialize(serialize(res), seed=seed)
+
+    def test_range_ends_round_trip(self):
+        seeds = [0, 2**63, 2**64 - 1]
+        out = encode_batch(PAIR35, SplitRule.SAMPLE, np.array(seeds, np.uint64))
+        for i, seed in enumerate(seeds):
+            res = encode(PAIR35, SplitRule.SAMPLE, seed)
+            assert (res.sample, res.heap_index) == (out.samples[i], out.heap_indices[i])
+            _, _, index, _ = deserialize(serialize(res), seed=seed)
+            assert decode(PAIR35.proposal, SplitRule.SAMPLE, seed, index) == res.sample
 
 
 class TestDistributionOfSamples:
