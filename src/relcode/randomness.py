@@ -118,16 +118,15 @@ def seed_words(seeds):
     of integers (returns a uint64 array).  Raises ValueError for any seed
     outside ``0 <= seed < 2**64``; none is wrapped or masked.
     """
+    if isinstance(seeds, (int, np.integer)):
+        if not 0 <= seeds <= _MASK64:
+            raise ValueError(f"seed {seeds} outside 0 <= seed < 2**64")
+        return np.uint64(seeds)
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
-            raise ValueError("seeds must satisfy 0 <= seed < 2**64")
+            raise ValueError(f"seed {seeds.min()} outside 0 <= seed < 2**64")
         return seeds.astype(np.uint64)
-    scalar = isinstance(seeds, (int, np.integer))
-    ints = [operator.index(s) for s in ([seeds] if scalar else seeds)]
-    if not all(0 <= s <= _MASK64 for s in ints):
-        raise ValueError("seeds must satisfy 0 <= seed < 2**64")
-    words = np.array(ints, dtype=np.uint64)
-    return words[0] if scalar else words
+    return np.array([seed_words(operator.index(s)) for s in seeds], dtype=np.uint64)
 
 
 def node_randoms(seed: int, index: int) -> NodeRandoms:
