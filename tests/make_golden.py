@@ -1,4 +1,4 @@
-"""Golden outputs of the encoder: samples, heap indices, codewords, sweep CSV.
+"""Golden outputs: samples, heap indices, codewords, sweep CSV, codec bits.
 
 Run from the root of a checkout to (re)write the fixture that
 ``tests/test_golden.py`` compares against:
@@ -8,6 +8,8 @@ Run from the root of a checkout to (re)write the fixture that
 Every value is recorded exactly (floats as ``float.hex``, indices as hex,
 codewords as byte hex, batch outputs as sha256 digests), so the fixture only
 stays unchanged while every sample, heap index and codeword does.  The
+``codecs`` section pins the bit strings of the integer codes, the standalone
+power-law codewords and the arithmetic coder, each as ``"<nbits>:<byte hex>"``.  The
 inputs come from fixed integers and ``numpy.random.default_rng``, never from
 ``relcode``'s own seed derivation.
 """
@@ -23,7 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from relcode.bench import SweepConfig, run_sweep
-from relcode.codecs import serialize
+from relcode.bench import encode_vector
+from relcode.codecs import (
+    ArithmeticEncoder,
+    OutOfRange,
+    ZetaModel,
+    elias_delta_encode,
+    elias_gamma_encode,
+    fit_zeta,
+    quantize_p0,
+    serialize,
+    zeta_encode,
+)
 from relcode.distributions import Distribution1D, DistributionPair, gaussian_pair_for_targets
 from relcode.engine import SplitRule, encode, encode_batch, simulate_bound_masses
 
@@ -107,6 +120,61 @@ def _sweep_csv() -> str:
         return Path(path).read_bytes().decode()
 
 
+def _bits(b) -> str:
+    return f"{len(b)}:{b.to_bytes().hex()}"
+
+
+def _codec_ints() -> list[int]:
+    ints = set(range(1, 65))
+    for k in range(1, 71):
+        ints.update((2**k - 1, 2**k, 2**k + 1))
+    return sorted(ints)
+
+
+def _zeta_codewords(model: ZetaModel) -> dict:
+    out = {}
+    for n in list(range(1, 65)) + [10**k for k in range(2, 19)] + [model.n_max]:
+        try:
+            out[str(n)] = _bits(zeta_encode(n, model))
+        except OutOfRange:
+            out[str(n)] = "OutOfRange"
+    return out
+
+
+def _arith_stream() -> str:
+    rng = np.random.default_rng(2026)
+    enc = ArithmeticEncoder()
+    for p, u in zip(rng.random(400) * 0.98 + 0.01, rng.random(400)):
+        enc.encode_bit(int(u < 0.5), quantize_p0(float(p)))
+    cum = [0, 5, 9, 40, 100]
+    for s in rng.integers(0, 4, 300):
+        enc.encode(cum[s], cum[s + 1], 100)
+    return _bits(enc.finish())
+
+
+def _codecs() -> dict:
+    ints = _codec_ints()
+    fitted = fit_zeta(np.random.default_rng(2027).uniform(0.0, 4.0, 200))
+    pairs = [gaussian_pair_for_targets(dkl, dkl + 1.5) for dkl in (0.2, 0.5, 1.0, 2.0)]
+    vec = encode_vector(pairs, seed=5, calibration_runs=64, repeats=3)
+    return {
+        "gamma": {str(n): _bits(elias_gamma_encode(n)) for n in ints},
+        "delta": {str(n): _bits(elias_delta_encode(n)) for n in ints},
+        "zeta": {
+            "1.05": _zeta_codewords(ZetaModel(1.05)),
+            "2.0": _zeta_codewords(ZetaModel(2.0)),
+            "fitted": _zeta_codewords(fitted),
+            "fitted_exponent": fitted.exponent.hex(),
+        },
+        "arith": _arith_stream(),
+        "vector_totals": {
+            "delta_total_bits": vec.delta_total_bits.hex(),
+            "zeta_total_bits": vec.zeta_total_bits.hex(),
+            "round_trip_ok": vec.round_trip_ok,
+        },
+    }
+
+
 def build() -> dict:
     """Recompute every golden value from the current program."""
     codes, batches = {}, {}
@@ -133,6 +201,7 @@ def build() -> dict:
         "batch_sha256": batches,
         "bound_masses_sha256": masses,
         "sweep_csv": _sweep_csv(),
+        "codecs": _codecs(),
     }
 
 
