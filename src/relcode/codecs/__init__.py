@@ -7,8 +7,6 @@ from .elias import (
     elias_gamma_decode,
     elias_delta_encode,
     elias_delta_decode,
-    gamma_length,
-    delta_length,
 )
 from .arith import ArithmeticEncoder, ArithmeticDecoder, PrecisionExhausted, quantize_p0
 from .zeta import ZetaModel, Unfittable, OutOfRange, fit_zeta, zeta_encode, zeta_decode
@@ -18,12 +16,8 @@ from .stream import (
     encode_payload,
     decode_payload,
     encode_global_payload,
-    decode_global_payload,
     encode_dyadic_payload,
-    decode_dyadic_payload,
     encode_sample_payload,
-    decode_sample_payload,
-    payload_length,
 )
 
 __all__ = [
@@ -34,8 +28,6 @@ __all__ = [
     "elias_gamma_decode",
     "elias_delta_encode",
     "elias_delta_decode",
-    "gamma_length",
-    "delta_length",
     "ArithmeticEncoder",
     "ArithmeticDecoder",
     "PrecisionExhausted",
@@ -51,10 +43,6 @@ __all__ = [
     "encode_payload",
     "decode_payload",
     "encode_global_payload",
-    "decode_global_payload",
     "encode_dyadic_payload",
-    "decode_dyadic_payload",
     "encode_sample_payload",
-    "decode_sample_payload",
-    "payload_length",
 ]

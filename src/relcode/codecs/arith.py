@@ -42,7 +42,8 @@ class ArithmeticEncoder:
         self._low = 0
         self._high = FULL - 1
         self._pending = 0
-        self._out: list[int] = []
+        self._out = 0
+        self._nbits = 0
         self._finished = False
 
     def encode(self, c_lo: int, c_hi: int, total: int) -> None:
@@ -64,8 +65,10 @@ class ArithmeticEncoder:
             self.encode(c_zero, PROB_ONE, PROB_ONE)
 
     def _emit(self, bit: int) -> None:
-        self._out.append(bit)
-        self._out.extend([bit ^ 1] * self._pending)
+        # ``bit`` followed by ``pending`` copies of its complement
+        run = self._pending
+        self._out = self._out << (run + 1) | bit << run | (bit ^ 1) * ((1 << run) - 1)
+        self._nbits += run + 1
         self._pending = 0
 
     def _renorm(self) -> None:
@@ -92,7 +95,7 @@ class ArithmeticEncoder:
         self._finished = True
         self._pending += 1
         self._emit(0 if self._low < QUARTER else 1)
-        return Bits(self._out)
+        return Bits.of(self._out, self._nbits)
 
 
 class ArithmeticDecoder:

@@ -9,21 +9,14 @@ __all__ = [
     "elias_gamma_decode",
     "elias_delta_encode",
     "elias_delta_decode",
-    "gamma_length",
-    "delta_length",
 ]
-
-
-def _binary(n: int, width: int) -> list[int]:
-    return [(n >> (width - 1 - i)) & 1 for i in range(width)]
 
 
 def elias_gamma_encode(n: int) -> Bits:
     """Gamma code: floor(log2 n) zeros, then n in binary."""
     if n < 1:
         raise ValueError("gamma codes positive integers only")
-    width = n.bit_length()
-    return Bits([0] * (width - 1) + _binary(n, width))
+    return Bits.of(n, 2 * n.bit_length() - 1)
 
 
 def elias_gamma_decode(reader: BitReader) -> int:
@@ -32,14 +25,7 @@ def elias_gamma_decode(reader: BitReader) -> int:
         zeros += 1
         if zeros > 4096:
             raise DecodeError("gamma prefix too long")
-    n = 1
-    for _ in range(zeros):
-        n = (n << 1) | reader.read_bit()
-    return n
-
-
-def gamma_length(n: int) -> int:
-    return 2 * (n.bit_length() - 1) + 1
+    return reader.read_int(zeros) | 1 << zeros
 
 
 def elias_delta_encode(n: int) -> Bits:
@@ -47,17 +33,9 @@ def elias_delta_encode(n: int) -> Bits:
     if n < 1:
         raise ValueError("delta codes positive integers only")
     width = n.bit_length()
-    return elias_gamma_encode(width) + Bits(_binary(n, width)[1:])
+    return elias_gamma_encode(width) + Bits.of(n - (1 << (width - 1)), width - 1)
 
 
 def elias_delta_decode(reader: BitReader) -> int:
     width = elias_gamma_decode(reader)
-    n = 1
-    for _ in range(width - 1):
-        n = (n << 1) | reader.read_bit()
-    return n
-
-
-def delta_length(n: int) -> int:
-    width = n.bit_length()
-    return gamma_length(width) + width - 1
+    return reader.read_int(width - 1) | 1 << (width - 1)

@@ -3,8 +3,9 @@
 Payload per rule (depth D, heap index I):
 
 * global:  gamma(D+1); the index is always 2**D.
-* dyadic:  gamma(D+1) then the D raw path bits; with equal-mass splits the
-  path bits are already at their entropy, so no modelling helps.
+* dyadic:  gamma(D+1) then I - 2**D as a D-bit field, i.e. the raw path
+  bits; with equal-mass splits the path bits are already at their entropy,
+  so no modelling helps.
 * sample:  gamma(D+1) then the path bits under arithmetic coding, where the
   0-branch probability at each node is that node's sample uniform (the mass
   fraction of the left child).  Both sides replay the uniform from the
@@ -20,53 +21,34 @@ from typing import Optional
 
 from ..engine import RecResult, SplitRule
 from ..partition import path_bits
-from ..randomness import node_randoms
+from ..randomness import MAX_OFFSET_BITS, node_randoms
 from .arith import ArithmeticDecoder, ArithmeticEncoder, quantize_p0
 from .bits import BitReader, Bits, DecodeError
 from .elias import elias_gamma_decode, elias_gamma_encode
 
 __all__ = [
-    "MAGIC",
     "serialize",
     "deserialize",
     "encode_payload",
     "decode_payload",
     "encode_global_payload",
-    "decode_global_payload",
     "encode_dyadic_payload",
-    "decode_dyadic_payload",
     "encode_sample_payload",
-    "decode_sample_payload",
-    "payload_length",
 ]
 
-MAGIC = (1, 0, 1, 0)
-_RULE_TAG = {SplitRule.GLOBAL: (0, 0), SplitRule.SAMPLE: (0, 1), SplitRule.DYADIC: (1, 0)}
-_TAG_RULE = {bits: rule for rule, bits in _RULE_TAG.items()}
+_MAGIC = 0b1010
+_RULE_TAG = {SplitRule.GLOBAL: 0b00, SplitRule.SAMPLE: 0b01, SplitRule.DYADIC: 0b10}
+_TAG_RULE = {tag: rule for rule, tag in _RULE_TAG.items()}
 
 
 def encode_global_payload(depth: int) -> Bits:
     return elias_gamma_encode(depth + 1)
 
 
-def decode_global_payload(reader: BitReader) -> tuple[int, int]:
-    depth = elias_gamma_decode(reader) - 1
-    return depth, 1 << depth
-
-
 def encode_dyadic_payload(depth: int, heap_index: int) -> Bits:
-    bits = path_bits(heap_index)
-    if len(bits) != depth:
+    if heap_index.bit_length() - 1 != depth:
         raise ValueError("depth does not match the heap index")
-    return elias_gamma_encode(depth + 1) + Bits(bits)
-
-
-def decode_dyadic_payload(reader: BitReader) -> tuple[int, int]:
-    depth = elias_gamma_decode(reader) - 1
-    index = 1
-    for _ in range(depth):
-        index = (index << 1) | reader.read_bit()
-    return depth, index
+    return elias_gamma_encode(depth + 1) + Bits.of(heap_index - (1 << depth), depth)
 
 
 def encode_sample_payload(depth: int, heap_index: int, seed: int) -> Bits:
@@ -85,22 +67,6 @@ def encode_sample_payload(depth: int, heap_index: int, seed: int) -> Bits:
     return out + enc.finish()
 
 
-def decode_sample_payload(reader: BitReader, seed: int) -> tuple[int, int]:
-    depth = elias_gamma_decode(reader) - 1
-    if depth == 0:
-        return 0, 1
-    dec = ArithmeticDecoder(reader)
-    node = 1
-    for _ in range(depth):
-        c_zero = quantize_p0(node_randoms(seed, node).u_sample)
-        node = 2 * node + dec.decode_bit(c_zero)
-    consumed = dec.bits_consumed()
-    if consumed > reader.remaining:
-        raise DecodeError("bit stream exhausted")
-    reader.advance(consumed)
-    return depth, node
-
-
 def encode_payload(result: RecResult) -> Bits:
     if result.rule is SplitRule.GLOBAL:
         return encode_global_payload(result.depth)
@@ -113,22 +79,32 @@ def decode_payload(
     reader: BitReader, rule: SplitRule, seed: Optional[int] = None
 ) -> tuple[int, int]:
     """Read one payload; returns (depth, heap index)."""
-    if rule is SplitRule.GLOBAL:
-        return decode_global_payload(reader)
-    if rule is SplitRule.DYADIC:
-        return decode_dyadic_payload(reader)
-    if seed is None:
+    if rule is SplitRule.SAMPLE and seed is None:
         raise ValueError("sample-rule payloads need the shared seed")
-    return decode_sample_payload(reader, seed)
-
-
-def payload_length(result: RecResult) -> int:
-    return len(encode_payload(result))
+    depth = elias_gamma_decode(reader) - 1
+    if rule is SplitRule.GLOBAL:
+        return depth, 1 << depth
+    if rule is SplitRule.DYADIC:
+        return depth, reader.read_int(depth) | 1 << depth
+    if depth == 0:
+        return 0, 1
+    dec = ArithmeticDecoder(reader)
+    node = 1
+    for d in range(depth):
+        if (node - (1 << d)) >> MAX_OFFSET_BITS:
+            raise DecodeError(f"node offset exceeds {MAX_OFFSET_BITS} bits")
+        c_zero = quantize_p0(node_randoms(seed, node).u_sample)
+        node = 2 * node + dec.decode_bit(c_zero)
+    consumed = dec.bits_consumed()
+    if consumed > reader.remaining:
+        raise DecodeError("bit stream exhausted")
+    reader.advance(consumed)
+    return depth, node
 
 
 def serialize(result: RecResult) -> Bits:
     """Container: magic nibble, 2-bit rule tag, then the rule payload."""
-    return Bits(MAGIC) + Bits(_RULE_TAG[result.rule]) + encode_payload(result)
+    return Bits.of(_MAGIC << 2 | _RULE_TAG[result.rule], 6) + encode_payload(result)
 
 
 def deserialize(
@@ -136,12 +112,11 @@ def deserialize(
 ) -> tuple[SplitRule, int, int, int]:
     """Parse one container; returns (rule, depth, heap index, end position)."""
     reader = BitReader(bits, pos)
-    magic = tuple(reader.read_bit() for _ in range(4))
-    if magic != MAGIC:
+    if reader.read_int(4) != _MAGIC:
         raise DecodeError("bad magic")
-    tag = (reader.read_bit(), reader.read_bit())
+    tag = reader.read_int(2)
     rule = _TAG_RULE.get(tag)
     if rule is None:
-        raise DecodeError(f"unknown rule tag {tag}")
+        raise DecodeError(f"unknown rule tag {tag:02b}")
     depth, index = decode_payload(reader, rule, seed)
     return rule, depth, index, reader.pos

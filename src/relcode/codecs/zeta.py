@@ -245,7 +245,7 @@ def zeta_encode(n: int, model: ZetaModel) -> Bits:
     if not 1 <= n <= model.n_max:
         raise OutOfRange(f"index {n} outside 1..n_max")
     value, length = _codeword(model, n)
-    return Bits((value >> (length - 1 - i)) & 1 for i in range(length))
+    return Bits.of(value, length)
 
 
 def zeta_decode(reader: BitReader, model: ZetaModel) -> int:

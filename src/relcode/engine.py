@@ -437,15 +437,14 @@ def decode(
     """
     if heap_index < 1:
         raise InvalidIndex("heap indices start at 1")
-    bits = path_bits(heap_index)
     f_lo, f_hi = 0.0, 1.0
     node = 1
     if rule is SplitRule.GLOBAL:
-        if any(bits):
+        if heap_index & (heap_index - 1):
             raise InvalidIndex("global-rule indices never take a right branch")
         node = heap_index
     else:
-        for b in bits:
+        for b in path_bits(heap_index):
             if not f_hi - f_lo > 0.0:
                 raise InvalidIndex("path leads into a zero-mass interval")
             if rule is SplitRule.SAMPLE:

@@ -55,5 +55,4 @@ def path_bits(index: int) -> tuple[int, ...]:
     """Branch bits from the root to ``index`` (binary expansion sans leading 1)."""
     if index < 1:
         raise ValueError("heap indices start at 1")
-    d = depth(index)
-    return tuple((index >> (d - 1 - i)) & 1 for i in range(d))
+    return tuple(map(int, bin(index)[3:]))

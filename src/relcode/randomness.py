@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_OFFSET_BITS",
     "NodeRandoms",
     "node_randoms",
     "node_uniforms",
@@ -53,7 +54,7 @@ _MASK64 = (1 << 64) - 1
 _DOMAIN_NODE = np.uint64(0x6E6F64652D726E67)
 _DOMAIN_SEED = np.uint64(0x736565642D726E67)
 
-_MAX_OFFSET_BITS = 192
+MAX_OFFSET_BITS = 192
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ def node_randoms(seed: int, index: int) -> NodeRandoms:
         raise ValueError("heap indices start at 1")
     d = index.bit_length() - 1
     offset = index - (1 << d)
-    if offset >> _MAX_OFFSET_BITS:
-        raise ValueError(f"node offset exceeds {_MAX_OFFSET_BITS} bits")
+    if offset >> MAX_OFFSET_BITS:
+        raise ValueError(f"node offset exceeds {MAX_OFFSET_BITS} bits")
     u0, u1, u2 = node_uniforms(
         seed_words(seed),
         np.uint64(d),
@@ -149,7 +150,7 @@ def node_randoms(seed: int, index: int) -> NodeRandoms:
 
 def derive_seeds(base_seed: int, tag: int, block: int, n: int) -> np.ndarray:
     """``n`` decorrelated 64-bit run seeds for one benchmark block."""
-    k0 = np.uint64(base_seed & _MASK64)
+    k0 = seed_words(base_seed)
     w0, _, _, _ = philox4x64_10(
         np.uint64(tag & _MASK64),
         np.uint64(block & _MASK64),

@@ -9,9 +9,9 @@ Every value is recorded exactly (floats as ``float.hex``, indices as hex,
 codewords as byte hex, batch outputs as sha256 digests), so the fixture only
 stays unchanged while every sample, heap index and codeword does.  The
 ``codecs`` section pins the bit strings of the integer codes, the standalone
-power-law codewords and the arithmetic coder, each as ``"<nbits>:<byte hex>"``.  The
-inputs come from fixed integers and ``numpy.random.default_rng``, never from
-``relcode``'s own seed derivation.
+power-law codewords and the arithmetic coder, each as
+``"<nbits>:<byte hex>"``.  The inputs come from fixed integers and
+``numpy.random.default_rng``, never from ``relcode``'s own seed derivation.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relcode.bench import SweepConfig, run_sweep
-from relcode.bench import encode_vector
+from relcode.bench import SweepConfig, encode_vector, run_sweep
 from relcode.codecs import (
     ArithmeticEncoder,
     OutOfRange,

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from relcode.codecs import (
     OutOfRange,
     Unfittable,
     ZetaModel,
-    delta_length,
     deserialize,
     elias_delta_decode,
     elias_delta_encode,
@@ -25,7 +25,6 @@ from relcode.codecs import (
     encode_sample_payload,
     decode_payload,
     fit_zeta,
-    gamma_length,
     quantize_p0,
     serialize,
     zeta_decode,
@@ -65,6 +64,38 @@ class TestBits:
         with pytest.raises(ValueError):
             Bits([0, 2])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=200), st.data())
+    def test_matches_list_semantics(self, lst, data):
+        n = len(lst)
+        b = Bits(lst)
+        text = "".join(map(str, lst))
+        assert len(b) == n and list(b) == lst and b.to01() == text
+        assert Bits.from01(text) == b
+        assert [b[i] for i in range(-n, n)] == lst + lst
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                b[i]
+        lo = data.draw(st.integers(-n - 2, n + 2))
+        hi = data.draw(st.integers(-n - 2, n + 2))
+        step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+        assert list(b[lo:hi:step]) == lst[lo:hi:step]
+        cut = data.draw(st.integers(0, n))
+        assert Bits(lst[:cut]) + Bits(lst[cut:]) == b
+        packed = b.to_bytes()
+        assert len(packed) == (n + 7) // 8
+        assert Bits.from_bytes(packed, n) == b
+        reader = BitReader(b)
+        assert reader.read_int(cut) == int(text[:cut] or "0", 2)
+        assert reader.remaining == n - cut
+        with pytest.raises(DecodeError):
+            reader.read_int(n - cut + 1)
+        value = int(text or "0", 2)
+        assert Bits.of(value, n) == b
+        for bad in (value | 1 << n, -1 - value):
+            with pytest.raises(ValueError):
+                Bits.of(bad, n)
+
 
 class TestElias:
     def test_gamma_reference_values(self):
@@ -90,12 +121,12 @@ class TestElias:
     @given(st.integers(1, 10**5))
     def test_round_trip_and_lengths(self, n):
         g = elias_gamma_encode(n)
-        assert len(g) == gamma_length(n) == 2 * math.floor(math.log2(n)) + 1
+        assert len(g) == 2 * math.floor(math.log2(n)) + 1
         r = BitReader(g)
         assert elias_gamma_decode(r) == n and r.remaining == 0
         d = elias_delta_encode(n)
         lg = math.floor(math.log2(n))
-        assert len(d) == delta_length(n) == lg + 2 * math.floor(math.log2(lg + 1)) + 1
+        assert len(d) == lg + 2 * math.floor(math.log2(lg + 1)) + 1
         r = BitReader(d)
         assert elias_delta_decode(r) == n and r.remaining == 0
 
@@ -295,7 +326,7 @@ class TestPayloads:
         for s in seeds[:300]:
             res = encode(PAIR, SplitRule.SAMPLE, int(s))
             payload = encode_sample_payload(res.depth, res.heap_index, int(s))
-            ac_bits = len(payload) - gamma_length(res.depth + 1)
+            ac_bits = len(payload) - len(elias_gamma_encode(res.depth + 1))
             ideal = -math.log2(res.proposal_mass)
             if res.depth:
                 assert ac_bits <= ideal + 3.0
@@ -318,6 +349,21 @@ class TestContainer:
         corrupted = Bits([1 - blob[0]]) + blob[1:]
         with pytest.raises(DecodeError):
             deserialize(corrupted, seed=5)
+
+    def test_deep_global_container_decodes_fast(self):
+        # 47 bits that declare depth 2**20 - 1
+        blob = Bits.from01("101000") + elias_gamma_encode(2**20)
+        t0 = time.perf_counter()
+        rule, depth, index, end = deserialize(blob, seed=0)
+        sample = decode(PAIR.proposal, rule, 0, index)
+        assert time.perf_counter() - t0 < 2.0
+        assert (rule, depth, index, end) == (SplitRule.GLOBAL, 2**20 - 1, 1 << (2**20 - 1), 47)
+        assert math.isfinite(sample)
+
+    def test_sample_path_past_offset_ceiling_is_decode_error(self):
+        blob = Bits.from01("101001") + elias_gamma_encode(256) + Bits([1] * 400)
+        with pytest.raises(DecodeError):
+            deserialize(blob, seed=0)
 
     def test_bytes_round_trip_with_padding(self):
         res = encode(PAIR, SplitRule.DYADIC, 11)

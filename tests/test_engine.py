@@ -413,6 +413,12 @@ class TestSeedContract:
         with pytest.raises(ValueError):
             deserialize(serialize(res), seed=seed)
 
+    def test_derive_seeds_rejects_out_of_range_base(self):
+        for base in (-1, 2**64):
+            with pytest.raises(ValueError):
+                derive_seeds(base, 0, 0, 3)
+        assert derive_seeds(2**64 - 1, 0, 0, 3).shape == (3,)
+
     def test_range_ends_round_trip(self):
         seeds = [0, 2**63, 2**64 - 1]
         out = encode_batch(PAIR35, SplitRule.SAMPLE, np.array(seeds, np.uint64))
