@@ -104,24 +104,6 @@ def _stats_row(dkl, dinf, rule, n, st: RunStats, reason="") -> dict:
     }
 
 
-def _empty_row(dkl, dinf, rule, reason) -> dict:
-    nan = float("nan")
-    return {
-        "dkl_target": dkl,
-        "dinf_target": dinf,
-        "variant": rule.value,
-        "n": 0,
-        "mean_steps": nan,
-        "se_steps": nan,
-        "mean_bits": nan,
-        "se_bits": nan,
-        "mean_pathcost_bits": nan,
-        "se_pathcost_bits": nan,
-        "ks_p": nan,
-        "reason": reason,
-    }
-
-
 def _run_grid(config: SweepConfig) -> list[dict]:
     points = config.points()
     pairs: list = []
@@ -139,14 +121,16 @@ def _run_grid(config: SweepConfig) -> list[dict]:
     def work(task):
         pi, dkl, dinf, pair, rule = task
         if isinstance(pair, str):
-            return (pi, rule), _empty_row(dkl, dinf, rule, f"unsatisfiable: {pair}")
+            return (pi, rule), _stats_row(
+                dkl, dinf, rule, 0, RunStats(), f"unsatisfiable: {pair}"
+            )
         if (
             rule is SplitRule.GLOBAL
             and dinf > GLOBAL_DINF_CUTOFF
             and not config.force_global
         ):
-            return (pi, rule), _empty_row(
-                dkl, dinf, rule,
+            return (pi, rule), _stats_row(
+                dkl, dinf, rule, 0, RunStats(),
                 "skipped: expected steps ~2^dinf; rerun with force_global",
             )
         st = measure_point(

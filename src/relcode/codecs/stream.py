@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..engine import RecResult, SplitRule
+from ..engine import GLOBAL_STEP_CAP, RecResult, SplitRule
 from ..partition import path_bits
 from ..randomness import MAX_OFFSET_BITS, node_randoms
 from .arith import ArithmeticDecoder, ArithmeticEncoder, quantize_p0
@@ -83,6 +83,8 @@ def decode_payload(
         raise ValueError("sample-rule payloads need the shared seed")
     depth = elias_gamma_decode(reader) - 1
     if rule is SplitRule.GLOBAL:
+        if depth > GLOBAL_STEP_CAP:
+            raise DecodeError(f"global depth exceeds {GLOBAL_STEP_CAP}")
         return depth, 1 << depth
     if rule is SplitRule.DYADIC:
         return depth, reader.read_int(depth) | 1 << depth
@@ -91,6 +93,9 @@ def decode_payload(
     dec = ArithmeticDecoder(reader)
     node = 1
     for d in range(depth):
+        # consumption only grows, so a valid codeword never trips this
+        if dec.bits_consumed() > reader.remaining:
+            raise DecodeError("bit stream exhausted")
         if (node - (1 << d)) >> MAX_OFFSET_BITS:
             raise DecodeError(f"node offset exceeds {MAX_OFFSET_BITS} bits")
         c_zero = quantize_p0(node_randoms(seed, node).u_sample)

@@ -167,14 +167,6 @@ class ZetaModel:
             n += 1
         return n
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        head_top = float(self._head_cum[-1]) / self._norm
-        out = np.searchsorted(self._head_cum, u * self._norm, side="right")
-        for i in np.nonzero(u >= head_top)[0]:
-            out[i] = self.search_before(float(u[i]))
-        return out.astype(np.int64)
-
     def quantized_cum(self, n: int) -> int:
         """cdf_before on a 48-bit integer grid, for arithmetic coding."""
         return int(self.cdf_before(n) * CUM_ONE)

@@ -26,14 +26,18 @@ every encode: each step is a draw (``_draw``), the clipped accept test
 (``_accept_prob``) and, on rejection, the level raise and descent
 (``_branch_arrays``).  ``encode`` is the single-run wrapper around it and
 ``simulate_bound_masses`` runs its draws and descents with no accept test.
+
+The global rule keeps the whole line active, so its runs share one level
+sequence and need no per-run interval state; ``_run_global`` tests a window
+of steps at once and computes the levels each call needs, no deeper than its
+deepest run.  The module holds no mutable state, so concurrent calls (the
+sweep's thread pool) need no locks.
 """
 
 from __future__ import annotations
 
-import array
 import enum
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -223,80 +227,40 @@ def _branch_arrays(pair, rule, st: _BatchState, x, t, u_branch):
     return res_child
 
 
-class _GlobalSchedule:
-    """Lazily grown (level, residual) sequence for the global rule.
-
-    With the whole line active, the level recurrence does not depend on the
-    run at all: L_{d+1} = L_d + res(L_d) with res the residual mass of the
-    real line.  ``res[d] <= eps`` marks the step from which the degenerate
-    accept-everything convention applies.
-    """
-
-    def __init__(self, pair: DistributionPair):
-        self.pair = pair
-        self.levels = array.array("d", [0.0])
-        self.resid = array.array("d", [1.0])
-        self.exhausted_at: Optional[int] = None
-        self._lock = threading.Lock()
-
-    def window(self, start: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            levels, resid = self.levels, self.resid
-            residual = self.pair.residual_real_line
-            while len(levels) < start + width and self.exhausted_at is None:
-                level = levels[-1] + resid[-1]
-                res = residual(level)
-                levels.append(level)
-                resid.append(res)
-                if res <= _DEGENERATE_EPS:
-                    self.exhausted_at = len(levels) - 1
-                if len(levels) > GLOBAL_STEP_CAP:
-                    raise NonTermination("global level schedule exceeds step cap")
-            stop = min(start + width, len(levels))
-            return (
-                np.asarray(levels[start:stop]),
-                np.asarray(resid[start:stop]),
-            )
-
-
-_schedule_cache: dict[DistributionPair, _GlobalSchedule] = {}
-_schedule_cache_lock = threading.Lock()
-
-
-def _global_schedule(pair: DistributionPair) -> _GlobalSchedule:
-    with _schedule_cache_lock:
-        sched = _schedule_cache.get(pair)
-        if sched is None:
-            if len(_schedule_cache) > 64:
-                _schedule_cache.clear()
-            sched = _schedule_cache.setdefault(pair, _GlobalSchedule(pair))
-        return sched
-
-
 def _run_global(pair, seeds, d_max, trace):
     """Global-rule encode, vectorized across runs and steps.
 
-    The active interval never shrinks, so every step draws from the full
-    proposal and the acceptance threshold sequence is shared by all runs;
-    steps are processed in windows to keep the straggler tail cheap.
+    The active interval never shrinks, so every step draws from the whole
+    proposal and all runs share one level sequence, L_{d+1} = L_d + res(L_d)
+    with res the residual mass of the real line.  Steps are processed in
+    windows of columns that start at 16 and double, so a call computes
+    levels and Philox blocks only about as deep as its deepest run; where
+    the windows fall does not change which column first stops a run.
     """
     n = seeds.shape[0]
-    sched = _global_schedule(pair)
     limit = math.inf if d_max is None else d_max
     out_sample = np.empty(n)
     out_depth = np.zeros(n, np.int64)
     out_accepted = np.zeros(n, bool)
     alive = np.arange(n)
     alive_seeds = seeds
+    levels, resid = [0.0], [1.0]
     d0 = 0
+    window = 16
     target_elems = 1 << 20  # per-window work cap keeps memory flat
     while alive.size:
         if d0 > GLOBAL_STEP_CAP:
             raise NonTermination(f"no acceptance within {GLOBAL_STEP_CAP} steps")
-        width = int(np.clip(target_elems // alive.size, 16, 1 << 16))
-        levels, resid = sched.window(d0, width)
-        w = levels.shape[0]
-        if w == 0:  # pragma: no cover - schedule always covers live depths
+        width = max(16, min(window, target_elems // alive.size))
+        window = min(2 * window, 1 << 16)
+        # from the first residual <= eps on, every run accepts: stop there
+        while len(levels) < d0 + width and resid[-1] > _DEGENERATE_EPS:
+            if len(levels) == GLOBAL_STEP_CAP:
+                raise NonTermination("global level schedule exceeds step cap")
+            levels.append(levels[-1] + resid[-1])
+            resid.append(pair.residual_real_line(levels[-1]))
+        w = min(width, len(levels) - d0)
+        if w == 0:  # a NaN residual leaves live runs with no level to test
             raise NonTermination("global schedule exhausted with live runs")
         depths = np.arange(d0, d0 + w, dtype=np.uint64)
         zeros = np.uint64(0)
@@ -305,7 +269,9 @@ def _run_global(pair, seeds, d_max, trace):
         )
         x = pair.proposal.quantile(u_s)
         # the whole line has proposal mass 1, and 1.0 * (r - level) is exact
-        beta = _accept_prob(pair, x, levels[None, :], resid[None, :], 1.0)
+        beta = _accept_prob(
+            pair, x, np.array(levels[d0:d0 + w]), np.array(resid[d0:d0 + w]), 1.0
+        )
         stop = u_a <= beta
         if d0 <= limit < d0 + w:
             # the depth budget forces a return at that column

@@ -31,7 +31,7 @@ from relcode.codecs import (
     zeta_encode,
 )
 from relcode.distributions import gaussian_pair_for_targets
-from relcode.engine import SplitRule, decode, encode, encode_batch
+from relcode.engine import GLOBAL_STEP_CAP, SplitRule, decode, encode, encode_batch
 from relcode.randomness import derive_seeds
 
 PAIR = gaussian_pair_for_targets(3.0, 5.0)
@@ -257,7 +257,8 @@ class TestZeta:
 
     def test_prefix_free_stream(self):
         model = fit_zeta(np.random.default_rng(5).uniform(0.0, 3.0, 100))
-        values = [int(v) for v in model.sample(np.random.default_rng(6), 100)]
+        uniforms = np.random.default_rng(6).random(100)
+        values = [model.search_before(u) for u in uniforms]
         stream = Bits()
         for v in values:
             stream = stream + zeta_encode(v, model)
@@ -267,7 +268,8 @@ class TestZeta:
 
     def test_expected_length_within_two_bits_of_entropy(self):
         model = fit_zeta(np.random.default_rng(7).uniform(0.2, 2.5, 500))
-        draws = model.sample(np.random.default_rng(8), 100_000)
+        uniforms = np.random.default_rng(8).random(100_000)
+        draws = [model.search_before(u) for u in uniforms]
         lengths = np.fromiter(
             (len(zeta_encode(int(n), model)) for n in draws), dtype=float
         )
@@ -364,6 +366,26 @@ class TestContainer:
         blob = Bits.from01("101001") + elias_gamma_encode(256) + Bits([1] * 400)
         with pytest.raises(DecodeError):
             deserialize(blob, seed=0)
+
+    def test_sample_depth_past_the_stream_fails_fast(self):
+        # declares 2**14 - 1 path bits with none behind them
+        blob = Bits.from01("101001") + elias_gamma_encode(2**14)
+        t0 = time.perf_counter()
+        with pytest.raises(DecodeError):
+            deserialize(blob, seed=0)
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize(
+        "declared",
+        [GLOBAL_STEP_CAP + 2, 2**27, 2**64, 2**4000],
+        ids=["cap+1", "2^27", "2^64", "2^4000"],
+    )
+    def test_global_depth_past_encoder_cap_is_decode_error(self, declared):
+        blob = Bits.from01("101000") + elias_gamma_encode(declared)
+        t0 = time.perf_counter()
+        with pytest.raises(DecodeError):
+            deserialize(blob, seed=0)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_bytes_round_trip_with_padding(self):
         res = encode(PAIR, SplitRule.DYADIC, 11)

@@ -13,6 +13,7 @@ from relcode.distributions import (
     NotUnimodal,
     gaussian_pair_for_targets,
 )
+from relcode import engine
 from relcode.engine import (
     InvalidIndex,
     SplitRule,
@@ -26,7 +27,7 @@ from relcode.engine import (
     simulate_bound_masses,
 )
 from relcode.partition import REAL_LINE, Interval
-from relcode.randomness import derive_seeds, node_randoms
+from relcode.randomness import derive_seeds, node_randoms, node_uniforms
 
 from oracles import DirectGlobalRecursion, numeric_residual_mass, ruled_out_after_one_level
 
@@ -297,8 +298,9 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_public_ops_agree_with_engine(self, rule):
         # the batched driver (run compaction, output writes) against one run
-        # stepped through the same kernel pieces; global encodes run on the
-        # precomputed level schedule, which may differ in the last ulp
+        # stepped through the same kernel pieces; global encodes take their
+        # levels from the scalar residual_real_line, which may differ in the
+        # last ulp
         for seed in range(100):
             res = encode(PAIR35, rule, seed)
             x, index = encode_step_by_step(PAIR35, rule, seed)
@@ -462,6 +464,38 @@ class TestGlobalRuntime:
         seeds = derive_seeds(55, 0, 0, 4000)
         out = encode_batch(pair, SplitRule.GLOBAL, seeds)
         assert 32.0 <= out.depths.mean() <= 128.0
+
+    def test_single_encode_work_tracks_its_depth(self, monkeypatch):
+        # windows of 16, 32, 64, ... columns: one run draws fewer than twice
+        # its depth plus the first window in Philox lanes
+        lanes = []
+
+        def counting(*args):
+            out = node_uniforms(*args)
+            lanes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(engine, "node_uniforms", counting)
+        pair = gaussian_pair_for_targets(2.0, 4.0)
+        for seed in range(50):
+            lanes.clear()
+            res = encode(pair, SplitRule.GLOBAL, seed)
+            assert sum(lanes) <= 2 * (res.depth + 16)
+
+    def test_depth_limit_across_window_edges(self):
+        # the first windows cover columns 0-15, 16-47, 48-111, ..., 496-1007
+        pair = gaussian_pair_for_targets(2.0, 4.0)
+        seeds = derive_seeds(7, 0, 0, 2000)
+        full = encode_batch(pair, SplitRule.GLOBAL, seeds)
+        for d_max in (15, 16, 17, 47, 48, 49, 500):
+            lim = encode_batch(pair, SplitRule.GLOBAL, seeds, d_max=d_max)
+            inside = full.depths <= d_max
+            assert inside.any() and not inside.all()
+            assert np.array_equal(lim.samples[inside], full.samples[inside])
+            assert np.array_equal(lim.depths[inside], full.depths[inside])
+            assert lim.accepted[inside].all()
+            assert (lim.depths[~inside] == d_max).all()
+            assert not lim.accepted[~inside].any()
 
 
 class TestGlobalEquivalence:
