@@ -138,12 +138,13 @@ def encode_vector(
     per_dim_delta = np.zeros((repeats, n_dims))
     per_dim_info = np.full((repeats, n_dims), np.nan)
     per_dim_log2 = np.zeros((repeats, n_dims))
+    eval_indices = []  # one batch per dimension; run r keeps seed block r * n_dims + d
+    for d, pair in enumerate(pairs):
+        blocks = [derive_seeds(seed, _TAG_EVAL, r * n_dims + d, 1) for r in range(repeats)]
+        runs = encode_batch(pair, SplitRule.DYADIC, np.concatenate(blocks))
+        eval_indices.append(runs.heap_indices)
     for r in range(repeats):
-        indices = []
-        for d, pair in enumerate(pairs):
-            run_seed = derive_seeds(seed, _TAG_EVAL, r * n_dims + d, 1)
-            out = encode_batch(pair, SplitRule.DYADIC, run_seed)
-            indices.append(out.heap_indices[0])
+        indices = [runs[r] for runs in eval_indices]
         for d, n in enumerate(indices):
             per_dim_delta[r, d] = len(elias_delta_encode(n))
             per_dim_log2[r, d] = math.log2(n)

@@ -213,6 +213,8 @@ def fit_zeta(log_index_samples, n_max: int = DEFAULT_N_MAX) -> ZetaModel:
     lo, hi = MIN_EXPONENT, MAX_EXPONENT
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # f(lo) > target >= f(hi): no step moves a bound
+            break
         if _mean_log2(mid, n_max) > target:
             lo = mid
         else:

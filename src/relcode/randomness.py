@@ -14,6 +14,15 @@ and lets a decoder replay exactly the draws it needs without simulating
 rejected branches.  The same primitive (under a different domain constant)
 fans a benchmark base seed out into per-run seeds.
 
+One stream, two ways to compute it.  Every Philox lane (one counter block
+under one key) is independent, so :func:`philox4x64_10` runs up to
+``_INT_LANES`` broadcast lanes one at a time on Python ints and more lanes as
+numpy uint64 arrays, whose fixed cost per call outweighs the per-lane cost of
+ints below about 64 lanes; :func:`node_randoms` calls the integer rounds
+directly.  Both give the same words and the same exact map to floats.  Python
+ints do not wrap, so seeds pass :func:`seed_words` and offsets the
+``MAX_OFFSET_BITS`` check before any word reaches the rounds.
+
 Encoder and decoder share one seed contract (:func:`seed_words`): a seed is
 an integer with ``0 <= seed < 2**64``; any other value raises ValueError
 rather than being wrapped into range.
@@ -39,10 +48,9 @@ __all__ = [
     "philox4x64_10",
 ]
 
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
+# Philox4x64 multipliers and Weyl key increments (Random123 constants)
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
@@ -55,6 +63,7 @@ _DOMAIN_NODE = np.uint64(0x6E6F64652D726E67)
 _DOMAIN_SEED = np.uint64(0x736565642D726E67)
 
 MAX_OFFSET_BITS = 192
+_INT_LANES = 32  # half the lane count where numpy's rounds start to win
 
 
 @dataclass(frozen=True)
@@ -78,16 +87,37 @@ def _mulhilo(a, b):
     return hi, lo
 
 
-def philox4x64_10(c0, c1, c2, c3, k0, k1):
-    """Philox4x64 with 10 rounds; inputs are uint64 scalars or arrays."""
+def _rounds_numpy(c0, c1, c2, c3, k0, k1):
+    m0, m1, w0, w1 = map(np.uint64, (_M0, _M1, _W0, _W1))
     with np.errstate(over="ignore"):
         for _ in range(10):
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
+            hi0, lo0 = _mulhilo(m0, c0)
+            hi1, lo1 = _mulhilo(m1, c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _W0
-            k1 = k1 + _W1
+            k0 = k0 + w0
+            k1 = k1 + w1
     return c0, c1, c2, c3
+
+
+def _rounds_int(c0, c1, c2, c3, k0, k1):
+    """One lane on Python ints; every word must already be below 2**64."""
+    for _ in range(10):
+        p0 = _M0 * c0
+        p1 = _M1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        k0 = (k0 + _W0) & _MASK64
+        k1 = (k1 + _W1) & _MASK64
+    return c0, c1, c2, c3
+
+
+def philox4x64_10(c0, c1, c2, c3, k0, k1):
+    """Philox4x64 with 10 rounds; inputs are uint64 scalars or arrays,
+    outputs the four uint64 words broadcast together (scalars for scalars)."""
+    lanes = np.broadcast(c0, c1, c2, c3, k0, k1)
+    if lanes.size > _INT_LANES:
+        return _rounds_numpy(c0, c1, c2, c3, k0, k1)
+    words = np.array([_rounds_int(*map(int, lane)) for lane in lanes], np.uint64)
+    return tuple(words.reshape(lanes.size, 4).T.reshape(4, *lanes.shape))
 
 
 def _to_unit(word):
@@ -138,14 +168,9 @@ def node_randoms(seed: int, index: int) -> NodeRandoms:
     offset = index - (1 << d)
     if offset >> MAX_OFFSET_BITS:
         raise ValueError(f"node offset exceeds {MAX_OFFSET_BITS} bits")
-    u0, u1, u2 = node_uniforms(
-        seed_words(seed),
-        np.uint64(d),
-        np.uint64(offset & _MASK64),
-        np.uint64((offset >> 64) & _MASK64),
-        np.uint64(offset >> 128),
-    )
-    return NodeRandoms(float(u0), float(u1), float(u2))
+    counter = (d, offset & _MASK64, (offset >> 64) & _MASK64, offset >> 128)
+    w0, w1, w2, _ = _rounds_int(*counter, int(seed_words(seed)), int(_DOMAIN_NODE))
+    return NodeRandoms((w0 >> 11) * _U53_INV, (w1 >> 11) * _U53_INV, (w2 >> 11) * _U53_INV)
 
 
 def derive_seeds(base_seed: int, tag: int, block: int, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import time
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from relcode.codecs import (
     zeta_decode,
     zeta_encode,
 )
+from relcode.codecs import zeta
 from relcode.distributions import gaussian_pair_for_targets
-from relcode.engine import GLOBAL_STEP_CAP, SplitRule, decode, encode, encode_batch
+from relcode.engine import GLOBAL_STEP_CAP, InvalidIndex, SplitRule, decode, encode, encode_batch
 from relcode.randomness import derive_seeds
 
 PAIR = gaussian_pair_for_targets(3.0, 5.0)
@@ -228,6 +230,23 @@ class TestZeta:
         with pytest.raises(Unfittable):
             fit_zeta([55.0] * 3)
 
+    @pytest.mark.parametrize("target", [1e-6, 0.05, 0.5, 1.0, 3.0, 9.5, 25.0])
+    def test_bisection_stops_at_its_fixed_point(self, target, monkeypatch):
+        # reference: all 80 bisection steps
+        lo, hi = zeta.MIN_EXPONENT, zeta.MAX_EXPONENT
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if zeta._mean_log2(mid, zeta.DEFAULT_N_MAX) > target:
+                lo = mid
+            else:
+                hi = mid
+        mean_log2 = zeta._mean_log2
+        calls = []
+        monkeypatch.setattr(zeta, "_mean_log2", lambda *a: calls.append(a) or mean_log2(*a))
+        assert fit_zeta([target]).exponent == 0.5 * (lo + hi)
+        # two range checks, then one call per step until mid hits a bound
+        assert len(calls) <= 2 + 60
+
     def test_out_of_range(self):
         model = ZetaModel(2.0)
         with pytest.raises(OutOfRange):
@@ -386,6 +405,24 @@ class TestContainer:
         with pytest.raises(DecodeError):
             deserialize(blob, seed=0)
         assert time.perf_counter() - t0 < 0.1
+
+    @settings(max_examples=10_000, deadline=timedelta(milliseconds=200))
+    @given(
+        data=st.binary(max_size=64),
+        magic=st.booleans(),
+        drop=st.integers(0, 7),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_decoder_is_total_on_arbitrary_bytes(self, data, magic, drop, seed):
+        # half the inputs carry the magic nibble, so the payload parsers run
+        if magic and data:
+            data = bytes([0xA0 | data[0] & 0x0F]) + data[1:]
+        try:
+            bits = Bits.from_bytes(data, max(0, 8 * len(data) - drop))
+            rule, _, index, _ = deserialize(bits, seed=seed)
+            decode(PAIR.proposal, rule, seed, index)
+        except (DecodeError, InvalidIndex):
+            pass
 
     def test_bytes_round_trip_with_padding(self):
         res = encode(PAIR, SplitRule.DYADIC, 11)

@@ -2,12 +2,29 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from relcode import randomness
 from relcode.randomness import (
     derive_seeds,
     node_randoms,
     node_uniforms,
     philox4x64_10,
 )
+
+U64_MAX = 2**64 - 1
+LANES = randomness._INT_LANES
+
+
+def reference_block(counter, key):
+    """One Philox4x64-10 block from numpy's bit generator.
+
+    It increments its 256-bit counter (with carry) before the first block,
+    so it starts one below the wanted counter.
+    """
+    c = sum(int(w) << (64 * i) for i, w in enumerate(counter))
+    c = (c - 1) % 2**256
+    before = np.array([(c >> (64 * i)) & U64_MAX for i in range(4)], np.uint64)
+    gen = np.random.Philox(counter=before, key=np.array([int(k) for k in key], np.uint64))
+    return [int(w) for w in gen.random_raw(4)]
 
 
 class TestPhiloxReference:
@@ -36,6 +53,90 @@ class TestPhiloxReference:
                 np.uint64(4), np.uint64(5),
             )
             assert all(int(a[i]) == int(b) for a, b in zip(out_vec, out_one))
+
+
+class TestPhiloxPaths:
+    """The integer rounds and the numpy rounds compute one stream."""
+
+    @pytest.mark.parametrize("word", [0, 1, U64_MAX])
+    @pytest.mark.parametrize("position", range(6))
+    def test_extreme_words(self, word, position):
+        rng = np.random.default_rng(position)
+        words = [int(w) for w in rng.integers(0, 2**64, 6, dtype=np.uint64)]
+        words[position] = word
+        ref = reference_block(words[:4], words[4:])
+        assert list(randomness._rounds_int(*words)) == ref
+        numpy_words = randomness._rounds_numpy(*map(np.uint64, words))
+        assert [int(w) for w in numpy_words] == ref
+        assert [int(w) for w in philox4x64_10(*map(np.uint64, words))] == ref
+
+    @pytest.mark.parametrize("n", [0, 1, LANES - 1, LANES, LANES + 1])
+    def test_lane_counts(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        c0, c2 = rng.integers(0, 2**64, (2, n), dtype=np.uint64)
+        c0[: min(n, 2)] = [0, U64_MAX][: min(n, 2)]  # extreme words in the first lanes
+        args = (c0, np.uint64(5), c2, np.uint64(U64_MAX), np.uint64(0), np.uint64(2**63))
+        rounds_numpy = randomness._rounds_numpy
+        numpy_calls = []
+
+        def spy(*a):
+            numpy_calls.append(1)
+            return rounds_numpy(*a)
+
+        monkeypatch.setattr(randomness, "_rounds_numpy", spy)
+        out = philox4x64_10(*args)
+        assert len(numpy_calls) == (n > LANES)
+        want = rounds_numpy(*args)
+        for got, w in zip(out, want):
+            assert got.dtype == np.uint64 and got.shape == (n,)
+            assert np.array_equal(got, w)
+        for i in range(n):
+            ref = reference_block([c0[i], 5, c2[i], U64_MAX], [0, 2**63])
+            assert [int(w[i]) for w in out] == ref
+
+    @pytest.mark.parametrize("alive", [1, LANES // 16, LANES // 16 + 1])
+    def test_global_window_broadcast(self, alive, monkeypatch):
+        # the (alive, 16) first window of ``_run_global``: seeds down, depths across
+        seeds = np.array([U64_MAX, 0] + list(range(7, 7 + alive)), np.uint64)[:alive, None]
+        depths = np.arange(100, 116, dtype=np.uint64)[None, :]
+        zero = np.uint64(0)
+        got = node_uniforms(seeds, depths, zero, zero, zero)
+        monkeypatch.setattr(randomness, "_INT_LANES", -1)
+        want = node_uniforms(seeds, depths, zero, zero, zero)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.shape == (alive, 16)
+            assert np.array_equal(g, w)
+        for i in range(alive):
+            for j in range(16):
+                nr = node_randoms(int(seeds[i, 0]), 1 << (100 + j))
+                assert (got[0][i, j], got[1][i, j], got[2][i, j]) == (
+                    nr.u_sample, nr.u_accept, nr.u_branch,
+                )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (3, 1, 2, 3, 4, 5),
+            (np.uint64(3), np.array(1, np.uint64), 2, 3, 4, 5),
+            (np.arange(3, dtype=np.uint64), 1, 2, 3, 4, 5),
+            (np.arange(2, dtype=np.uint64)[:, None], np.arange(5, dtype=np.uint64), 2, 3, 4, 5),
+            (np.zeros((0, 4), np.uint64), 1, 2, 3, 4, 5),
+        ],
+        ids=["scalars", "zero_dim", "one_dim", "two_dim", "empty"],
+    )
+    def test_output_types_match(self, args, monkeypatch):
+        args = tuple(a if isinstance(a, np.ndarray) else np.uint64(a) for a in args)
+
+        def run(int_lanes):
+            monkeypatch.setattr(randomness, "_INT_LANES", int_lanes)
+            return philox4x64_10(*args), node_uniforms(*args[:5])
+
+        int_words, int_units = run(10**9)
+        numpy_words, numpy_units = run(-1)
+        for a, b in zip([*int_words, *int_units], [*numpy_words, *numpy_units]):
+            assert type(a) is type(b)
+            assert a.dtype == b.dtype and np.shape(a) == np.shape(b)
+            assert np.array_equal(a, b)
 
 
 class TestNodeRandoms:
@@ -68,6 +169,17 @@ class TestNodeRandoms:
         with pytest.raises(ValueError):
             node_randoms(0, 0)
 
+    @pytest.mark.parametrize("k", [0, 1, U64_MAX, (1 << 192) - 1])
+    def test_offset_past_ceiling(self, k):
+        # the integer rounds never see a word of 2**64 or more
+        for depth in (193, 300):
+            with pytest.raises(ValueError):
+                node_randoms(3, (1 << depth) | (1 << 192 | k))
+        with pytest.raises(ValueError):
+            node_randoms(-1, 1 << 192 | k)
+        with pytest.raises(ValueError):
+            node_randoms(2**64, 1 << 192 | k)
+
     def test_uniformity_ks(self):
         # one million sample-lane values across nodes at various depths
         n = 1_000_000
@@ -92,7 +204,7 @@ class TestNodeRandoms:
 
     def test_matches_batch_splitting(self):
         # scalar API decomposes the heap index the same way the engine does
-        for idx in (1, 5, 77, (1 << 64) + 3, (1 << 130) + 12345):
+        for idx in (1, 5, 77, (1 << 64) + 3, (1 << 130) + 12345, (1 << 193) - 1):
             d = idx.bit_length() - 1
             k = idx - (1 << d)
             m = (1 << 64) - 1
