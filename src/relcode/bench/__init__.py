@@ -1,24 +1,21 @@
-"""Benchmark harness: sweeps, unbiasedness/bias statistics, vector coding,
+"""Benchmark harness: sweeps, sampling-bias estimates, vector coding,
 plot-data emission, and the ``bench`` CLI."""
 
-from .config import SweepConfig, RunStats, CSV_HEADER, BIAS_CSV_HEADER, MODES
-from .stats import ks_unbiasedness, knn_kl_bits, kl_bias_estimate
-from .sweep import run_sweep, check_thresholds, measure_point, BETA_STEPS
+from .config import SweepConfig, CSV_HEADER, BIAS_CSV_HEADER, MODES
+from .stats import knn_kl_bits, kl_bias_estimate
+from .sweep import run_sweep, check_thresholds, BETA_STEPS
 from .vector import encode_vector, VectorReport, DimensionReport
 from .plots import emit_plots, SchemaError
 
 __all__ = [
     "SweepConfig",
-    "RunStats",
     "CSV_HEADER",
     "BIAS_CSV_HEADER",
     "MODES",
-    "ks_unbiasedness",
     "knn_kl_bits",
     "kl_bias_estimate",
     "run_sweep",
     "check_thresholds",
-    "measure_point",
     "BETA_STEPS",
     "encode_vector",
     "VectorReport",

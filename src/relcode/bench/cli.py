@@ -67,33 +67,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seeds", type=int, default=4000,
-                       help="runs per grid point")
         p.add_argument("--seed-base", type=int, default=0)
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--check", action="store_true",
                        help="exit 2 when thresholds are violated")
+
+    def grid(p, variants):
+        p.add_argument("--dkl", type=_float_list, required=True)
+        p.add_argument("--dinf", type=_float_list, required=True)
+        p.add_argument("--variants", type=_variant_list, default=variants)
+        p.add_argument("--dmax", type=_dmax, default=None)
+        p.add_argument("--force-global", action="store_true",
+                       help="run the global variant even at large dinf")
+        p.add_argument("--seeds", type=int, default=4000,
+                       help="runs per grid point")
         p.add_argument("--workers", type=int, default=0)
+        common(p)
 
     p = sub.add_parser("sweep", help="grid sweep over divergence targets")
     p.add_argument("--mode", choices=MODES, default="runtime_vs_dinf")
-    p.add_argument("--dkl", type=_float_list, required=True)
-    p.add_argument("--dinf", type=_float_list, required=True)
-    p.add_argument("--variants", type=_variant_list,
-                   default=tuple(SplitRule))
-    p.add_argument("--dmax", type=_dmax, default=None)
-    p.add_argument("--force-global", action="store_true",
-                   help="run the global variant even at large dinf")
-    common(p)
-
+    grid(p, tuple(SplitRule))
     p = sub.add_parser("unbias", help="KS unbiasedness test per variant")
-    p.add_argument("--dkl", type=_float_list, required=True)
-    p.add_argument("--dinf", type=_float_list, required=True)
-    p.add_argument("--variants", type=_variant_list,
-                   default=(SplitRule.SAMPLE, SplitRule.DYADIC))
-    p.add_argument("--dmax", type=_dmax, default=None)
-    p.add_argument("--force-global", action="store_true")
-    common(p)
+    grid(p, (SplitRule.SAMPLE, SplitRule.DYADIC))
 
     p = sub.add_parser("bias", help="depth-limited sampling bias study")
     p.add_argument("--dkl", type=float, default=3.0)
@@ -183,11 +178,8 @@ def main(argv=None) -> int:
             mode="bias_vs_extra_bits",
             dkl_grid=(args.dkl,),
             dinf_grid=(args.dinf,),
-            seeds_per_point=max(args.samples * args.groups, 100),
-            variants=(SplitRule.DYADIC,),
             seed_base=args.seed_base,
             out_path=args.out,
-            workers=args.workers,
             extra_bits=args.extra_bits,
             samples_per_group=args.samples,
             n_groups=args.groups,

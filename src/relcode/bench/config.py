@@ -1,15 +1,13 @@
-"""Benchmark parameterization and per-run measurement records."""
+"""Benchmark parameterization: sweep modes, CSV schemas and the sweep config."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from ..engine import SplitRule
 
-__all__ = ["SweepConfig", "RunStats", "MODES", "CSV_HEADER", "BIAS_CSV_HEADER"]
+__all__ = ["SweepConfig", "MODES", "CSV_HEADER", "BIAS_CSV_HEADER"]
 
 MODES = (
     "runtime_vs_dinf",
@@ -76,20 +74,3 @@ class SweepConfig:
         if len(dkl) != len(dinf):
             raise ValueError("dkl and dinf grids must align (or be length 1)")
         return list(zip(dkl, dinf))
-
-
-@dataclass
-class RunStats:
-    """Per-point, per-variant measurements with recomputable aggregates."""
-
-    steps: np.ndarray = field(default_factory=lambda: np.empty(0))
-    bits: np.ndarray = field(default_factory=lambda: np.empty(0))
-    pathcost: np.ndarray = field(default_factory=lambda: np.empty(0))
-    ks_p: float = float("nan")
-
-    @staticmethod
-    def mean_se(values: np.ndarray) -> tuple[float, float]:
-        n = values.size
-        mean = float(values.mean()) if n else float("nan")
-        se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-        return mean, se

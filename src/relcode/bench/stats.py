@@ -1,38 +1,16 @@
-"""Statistical checks for encoder output: KS unbiasedness and a
-nearest-neighbor estimate of the sampling bias in bits."""
+"""Nearest-neighbor estimates of the sampling bias of encoder output, in bits."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
-from scipy import stats
 
-from ..distributions import Distribution1D, DistributionPair
-from ..engine import SplitRule, encode_batch
-from ..randomness import derive_seeds
+from ..distributions import Distribution1D
 
-__all__ = ["ks_unbiasedness", "knn_kl_bits", "kl_bias_estimate"]
+__all__ = ["knn_kl_bits", "kl_bias_estimate"]
 
-_TAG_UNBIAS = 12
 _TINY = 1e-300
-
-
-def ks_unbiasedness(
-    pair: DistributionPair,
-    rule: SplitRule,
-    n_samples: int,
-    seed_base: int = 0,
-    d_max: Optional[int] = None,
-) -> tuple[float, float]:
-    """One-sample KS test of encoded samples against the target CDF."""
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful test")
-    seeds = derive_seeds(seed_base, _TAG_UNBIAS, 0, n_samples)
-    out = encode_batch(pair, rule, seeds, d_max=d_max)
-    res = stats.kstest(out.samples, pair.target.cdf)
-    return float(res.statistic), float(res.pvalue)
 
 
 def knn_kl_bits(x: np.ndarray, y: np.ndarray) -> float:

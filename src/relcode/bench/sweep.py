@@ -21,15 +21,11 @@ from typing import Optional
 import numpy as np
 from scipy import stats as _sstats
 
-from ..codecs import (
-    encode_dyadic_payload,
-    encode_global_payload,
-    encode_sample_payload,
-)
-from ..distributions import DistributionPair, Unsatisfiable, gaussian_pair_for_targets
-from ..engine import BatchResult, SplitRule, encode_batch
+from ..codecs import encode_payload
+from ..distributions import Unsatisfiable, gaussian_pair_for_targets
+from ..engine import SplitRule, encode_batch
 from ..randomness import derive_seeds
-from .config import BIAS_CSV_HEADER, CSV_HEADER, GLOBAL_DINF_CUTOFF, RunStats, SweepConfig
+from .config import BIAS_CSV_HEADER, CSV_HEADER, GLOBAL_DINF_CUTOFF, SweepConfig
 from .stats import kl_bias_estimate
 
 __all__ = ["run_sweep", "check_thresholds", "write_rows", "BETA_STEPS"]
@@ -42,40 +38,38 @@ BETA_STEPS = 2.0 / math.log2(4.0 / 3.0)
 LOG2_E = math.log2(math.e)
 
 
-def _payload_bits(rule: SplitRule, out: BatchResult, seeds: np.ndarray) -> np.ndarray:
-    lens = np.empty(len(out.heap_indices))
-    for i, idx in enumerate(out.heap_indices):
-        d = int(out.depths[i])
-        if rule is SplitRule.GLOBAL:
-            lens[i] = len(encode_global_payload(d))
-        elif rule is SplitRule.DYADIC:
-            lens[i] = len(encode_dyadic_payload(d, idx))
-        else:
-            lens[i] = len(encode_sample_payload(d, idx, int(seeds[i])))
-    return lens
-
-
 def measure_point(
-    pair: DistributionPair,
-    rule: SplitRule,
-    n: int,
-    seed_base: int,
-    block: int,
-    d_max: Optional[int] = None,
-) -> RunStats:
-    """Encode ``n`` runs and collect the per-run measurements."""
-    seeds = derive_seeds(seed_base, _TAG_RULE[rule], block, n)
-    out = encode_batch(pair, rule, seeds, d_max=d_max)
-    bits = _payload_bits(rule, out, seeds)
+    config: SweepConfig, block: int, dkl: float, dinf: float, rule: SplitRule
+) -> dict:
+    """One CSV row: encode the point's runs under ``rule`` and measure them.
+
+    Unsatisfiable and skipped points keep ``n = 0``, NaN measurements and a
+    reason.
+    """
+    row = dict.fromkeys(CSV_HEADER.split(","), math.nan)
+    row.update(dkl_target=dkl, dinf_target=dinf, variant=rule.value, n=0, reason="")
+    try:
+        pair = gaussian_pair_for_targets(dkl, dinf)
+    except Unsatisfiable as err:
+        return dict(row, reason=f"unsatisfiable: {err}")
+    if rule is SplitRule.GLOBAL and dinf > GLOBAL_DINF_CUTOFF and not config.force_global:
+        return dict(row, reason="skipped: expected steps ~2^dinf; rerun with force_global")
+    n = config.seeds_per_point
+    seeds = derive_seeds(config.seed_base, _TAG_RULE[rule], block, n)
+    out = encode_batch(pair, rule, seeds, d_max=config.d_max)
+    bits = [
+        len(encode_payload(rule, int(d), index, int(s)))
+        for d, index, s in zip(out.depths, out.heap_indices, seeds)
+    ]
     with np.errstate(divide="ignore"):
         pathcost = -np.log2(np.maximum(out.proposal_mass, 1e-300))
-    ks = _sstats.kstest(out.samples, pair.target.cdf)
-    return RunStats(
-        steps=out.depths.astype(np.float64),
-        bits=bits,
-        pathcost=pathcost,
-        ks_p=float(ks.pvalue),
-    )
+    for name, values in (("steps", out.depths), ("bits", bits), ("pathcost_bits", pathcost)):
+        values = np.asarray(values, dtype=np.float64)
+        row["mean_" + name] = float(values.mean())
+        row["se_" + name] = float(values.std(ddof=1) / np.sqrt(n))
+    row["n"] = n
+    row["ks_p"] = float(_sstats.kstest(out.samples, pair.target.cdf).pvalue)
+    return row
 
 
 def _fmt(x) -> str:
@@ -84,73 +78,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _stats_row(dkl, dinf, rule, n, st: RunStats, reason="") -> dict:
-    mean_steps, se_steps = RunStats.mean_se(st.steps)
-    mean_bits, se_bits = RunStats.mean_se(st.bits)
-    mean_pc, se_pc = RunStats.mean_se(st.pathcost)
-    return {
-        "dkl_target": dkl,
-        "dinf_target": dinf,
-        "variant": rule.value,
-        "n": n,
-        "mean_steps": mean_steps,
-        "se_steps": se_steps,
-        "mean_bits": mean_bits,
-        "se_bits": se_bits,
-        "mean_pathcost_bits": mean_pc,
-        "se_pathcost_bits": se_pc,
-        "ks_p": st.ks_p,
-        "reason": reason,
-    }
-
-
 def _run_grid(config: SweepConfig) -> list[dict]:
-    points = config.points()
-    pairs: list = []
-    for dkl, dinf in points:
-        try:
-            pairs.append(gaussian_pair_for_targets(dkl, dinf))
-        except Unsatisfiable as err:
-            pairs.append(str(err))
-
-    tasks = []
-    for pi, ((dkl, dinf), pair) in enumerate(zip(points, pairs)):
-        for rule in config.variants:
-            tasks.append((pi, dkl, dinf, pair, rule))
-
-    def work(task):
-        pi, dkl, dinf, pair, rule = task
-        if isinstance(pair, str):
-            return (pi, rule), _stats_row(
-                dkl, dinf, rule, 0, RunStats(), f"unsatisfiable: {pair}"
-            )
-        if (
-            rule is SplitRule.GLOBAL
-            and dinf > GLOBAL_DINF_CUTOFF
-            and not config.force_global
-        ):
-            return (pi, rule), _stats_row(
-                dkl, dinf, rule, 0, RunStats(),
-                "skipped: expected steps ~2^dinf; rerun with force_global",
-            )
-        st = measure_point(
-            pair, rule, config.seeds_per_point, config.seed_base, pi, config.d_max
-        )
-        return (pi, rule), _stats_row(dkl, dinf, rule, config.seeds_per_point, st)
-
+    tasks = [
+        (block, dkl, dinf, rule)
+        for block, (dkl, dinf) in enumerate(config.points())
+        for rule in config.variants
+    ]
     workers = config.workers or min(8, os.cpu_count() or 1)
-    results: dict = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, row in pool.map(work, tasks):
-                results[key] = row
-    else:
-        for task in tasks:
-            key, row = work(task)
-            results[key] = row
-    return [results[(pi, rule)]
-            for pi in range(len(points))
-            for rule in config.variants]
+    # map yields in task order, so the rows keep grid order
+    with ThreadPoolExecutor(max(workers, 1)) as pool:
+        return list(pool.map(lambda task: measure_point(config, *task), tasks))
 
 
 def _run_bias(config: SweepConfig) -> list[dict]:

@@ -120,17 +120,20 @@ def encode_vector(
         raise ValueError("need at least one dimension")
     models: list[Optional[ZetaModel]] = []
     failures = [""] * n_dims
-    calib_logs = []
+    eval_indices = []
     for d, pair in enumerate(pairs):
-        calib_seeds = derive_seeds(seed, _TAG_CALIB, d, calibration_runs)
-        calib = encode_batch(pair, SplitRule.DYADIC, calib_seeds)
-        logs = np.log2([float(i) for i in calib.heap_indices])
-        calib_logs.append(logs)
+        # one batch per dimension: the calibration runs, then evaluation run r
+        # under seed block r * n_dims + d
+        blocks = [derive_seeds(seed, _TAG_CALIB, d, calibration_runs)]
+        blocks += [derive_seeds(seed, _TAG_EVAL, r * n_dims + d, 1) for r in range(repeats)]
+        runs = encode_batch(pair, SplitRule.DYADIC, np.concatenate(blocks))
+        logs = np.log2([float(i) for i in runs.heap_indices[:calibration_runs]])
         try:
             models.append(fit_zeta(logs))
         except Unfittable as err:
             models.append(None)
             failures[d] = f"unfittable: {err}"
+        eval_indices.append(runs.heap_indices[calibration_runs:])
 
     delta_totals = np.empty(repeats)
     zeta_totals = np.empty(repeats)
@@ -138,11 +141,6 @@ def encode_vector(
     per_dim_delta = np.zeros((repeats, n_dims))
     per_dim_info = np.full((repeats, n_dims), np.nan)
     per_dim_log2 = np.zeros((repeats, n_dims))
-    eval_indices = []  # one batch per dimension; run r keeps seed block r * n_dims + d
-    for d, pair in enumerate(pairs):
-        blocks = [derive_seeds(seed, _TAG_EVAL, r * n_dims + d, 1) for r in range(repeats)]
-        runs = encode_batch(pair, SplitRule.DYADIC, np.concatenate(blocks))
-        eval_indices.append(runs.heap_indices)
     for r in range(repeats):
         indices = [runs[r] for runs in eval_indices]
         for d, n in enumerate(indices):

@@ -15,9 +15,6 @@ from .stream import (
     deserialize,
     encode_payload,
     decode_payload,
-    encode_global_payload,
-    encode_dyadic_payload,
-    encode_sample_payload,
 )
 
 __all__ = [
@@ -42,7 +39,4 @@ __all__ = [
     "deserialize",
     "encode_payload",
     "decode_payload",
-    "encode_global_payload",
-    "encode_dyadic_payload",
-    "encode_sample_payload",
 ]

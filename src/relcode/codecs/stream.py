@@ -31,9 +31,6 @@ __all__ = [
     "deserialize",
     "encode_payload",
     "decode_payload",
-    "encode_global_payload",
-    "encode_dyadic_payload",
-    "encode_sample_payload",
 ]
 
 _MAGIC = 0b1010
@@ -41,38 +38,28 @@ _RULE_TAG = {SplitRule.GLOBAL: 0b00, SplitRule.SAMPLE: 0b01, SplitRule.DYADIC: 0
 _TAG_RULE = {tag: rule for rule, tag in _RULE_TAG.items()}
 
 
-def encode_global_payload(depth: int) -> Bits:
-    return elias_gamma_encode(depth + 1)
-
-
-def encode_dyadic_payload(depth: int, heap_index: int) -> Bits:
+def encode_payload(
+    rule: SplitRule, depth: int, heap_index: int, seed: Optional[int] = None
+) -> Bits:
+    """Write one payload; the inverse of ``decode_payload``."""
+    if rule is SplitRule.SAMPLE and seed is None:
+        raise ValueError("sample-rule payloads need the shared seed")
     if heap_index.bit_length() - 1 != depth:
         raise ValueError("depth does not match the heap index")
-    return elias_gamma_encode(depth + 1) + Bits.of(heap_index - (1 << depth), depth)
-
-
-def encode_sample_payload(depth: int, heap_index: int, seed: int) -> Bits:
-    bits = path_bits(heap_index)
-    if len(bits) != depth:
-        raise ValueError("depth does not match the heap index")
     out = elias_gamma_encode(depth + 1)
+    if rule is SplitRule.GLOBAL:
+        return out
+    if rule is SplitRule.DYADIC:
+        return out + Bits.of(heap_index - (1 << depth), depth)
     if depth == 0:
         return out
     enc = ArithmeticEncoder()
     node = 1
-    for b in bits:
+    for b in path_bits(heap_index):
         c_zero = quantize_p0(node_randoms(seed, node).u_sample)
         enc.encode_bit(b, c_zero)
         node = 2 * node + b
     return out + enc.finish()
-
-
-def encode_payload(result: RecResult) -> Bits:
-    if result.rule is SplitRule.GLOBAL:
-        return encode_global_payload(result.depth)
-    if result.rule is SplitRule.DYADIC:
-        return encode_dyadic_payload(result.depth, result.heap_index)
-    return encode_sample_payload(result.depth, result.heap_index, result.seed)
 
 
 def decode_payload(
@@ -109,7 +96,10 @@ def decode_payload(
 
 def serialize(result: RecResult) -> Bits:
     """Container: magic nibble, 2-bit rule tag, then the rule payload."""
-    return Bits.of(_MAGIC << 2 | _RULE_TAG[result.rule], 6) + encode_payload(result)
+    head = Bits.of(_MAGIC << 2 | _RULE_TAG[result.rule], 6)
+    return head + encode_payload(
+        result.rule, result.depth, result.heap_index, result.seed
+    )
 
 
 def deserialize(

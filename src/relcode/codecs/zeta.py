@@ -136,9 +136,7 @@ class ZetaModel:
 
     def mean_log2(self) -> float:
         """Expected log2 of the index under the model."""
-        t = self._tail
-        head = float(self._head_weights @ _HEAD_LN)
-        return (head + t.log_moment(t.ln_lo, t.ln_hi)) / self._norm / LN2
+        return _mean_log2(self.exponent, self.n_max)
 
     def entropy_bits(self) -> float:
         return self.exponent * self.mean_log2() + math.log2(self._norm)

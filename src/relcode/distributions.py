@@ -3,8 +3,7 @@
 The coding engine never touches densities directly: everything it needs is
 expressed through the operations here (log density ratio, ratio mode,
 superlevel sets of the ratio, residual mass above a level, divergences).
-Only the Gaussian family is implemented; ``Distribution1D`` is the extension
-point for further families.
+Both distributions of a pair are Gaussian.
 
 All divergences and codelengths are in bits (base-2 logarithms).
 """
@@ -44,19 +43,12 @@ class Unsatisfiable(ValueError):
 
 @dataclass(frozen=True)
 class Distribution1D:
-    """A univariate distribution described by a family tag, location and scale.
-
-    Currently only ``family="gaussian"`` is supported, in which case ``loc``
-    and ``scale`` are the mean and standard deviation.
-    """
+    """A univariate Gaussian with mean ``loc`` and standard deviation ``scale``."""
 
     loc: float
     scale: float
-    family: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported family: {self.family!r}")
         if not (math.isfinite(self.loc) and math.isfinite(self.scale)):
             raise ValueError("loc and scale must be finite")
         if self.scale <= 0.0:

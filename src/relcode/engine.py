@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -275,7 +276,7 @@ def _run_global(pair, seeds, d_max, trace):
         stop = u_a <= beta
         if d0 <= limit < d0 + w:
             # the depth budget forces a return at that column
-            stop[:, int(limit) - d0] = True
+            stop[:, limit - d0] = True
         hit = stop.any(axis=1)
         if hit.any():
             rows = np.nonzero(hit)[0]
@@ -301,6 +302,10 @@ def _run_global(pair, seeds, d_max, trace):
 
 
 def _run_batch(pair, rule, seeds, d_max, trace):
+    if d_max is not None:
+        d_max = operator.index(d_max)  # TypeError for a non-integer budget
+        if d_max < 0:
+            raise ValueError("d_max must be None or a nonnegative integer")
     _check_rule(pair, rule)
     seeds = np.atleast_1d(seed_words(seeds))
     n = seeds.shape[0]
@@ -364,7 +369,10 @@ def encode_batch(
     seeds: Sequence[int],
     d_max: Optional[int] = None,
 ) -> BatchResult:
-    """Encode one sample per seed; heavy lifting is vectorized across runs."""
+    """Encode one sample per seed; heavy lifting is vectorized across runs.
+
+    ``d_max`` is None (no budget) or a nonnegative integer step budget.
+    """
     return _run_batch(pair, rule, seeds, d_max, trace=None)
 
 

@@ -34,9 +34,6 @@ class Interval:
     def empty(self) -> bool:
         return self.lo > self.hi
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def __str__(self) -> str:
         return "(empty)" if self.empty else f"[{self.lo}, {self.hi}]"
 

@@ -12,7 +12,6 @@ from relcode.bench import (
     encode_vector,
     kl_bias_estimate,
     knn_kl_bits,
-    ks_unbiasedness,
     run_sweep,
 )
 from relcode.bench.cli import main as cli_main
@@ -81,8 +80,12 @@ class TestStats:
         assert abs(mean) <= 3 * se + 0.05
 
     def test_ks_unbiasedness_happy_path(self):
-        stat, p = ks_unbiasedness(PAIR, SplitRule.DYADIC, 5000, seed_base=5)
-        assert p > 1e-3
+        cfg = small_config(
+            mode="unbiasedness", dinf_grid=(4.0,), seeds_per_point=5000,
+            variants=(SplitRule.DYADIC,), seed_base=5,
+        )
+        (row,) = run_sweep(cfg)
+        assert row["n"] == 5000 and row["ks_p"] > 1e-3
 
     def test_ks_wrong_seed_negative_control(self):
         # decoding codes with the wrong shared seed must not resemble the
@@ -125,7 +128,7 @@ class TestSweep:
         lens = []
         for s in seeds:
             res = encode(gaussian_pair_for_targets(2.0, 4.0), SplitRule.DYADIC, int(s))
-            lens.append(len(encode_payload(res)))
+            lens.append(len(encode_payload(res.rule, res.depth, res.heap_index)))
         assert row["mean_bits"] == pytest.approx(np.mean(lens), abs=1e-12)
 
     def test_unsatisfiable_point_reported(self):
@@ -291,6 +294,13 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "v.csv").exists()
+
+    def test_run_options_only_on_grid_commands(self, tmp_path):
+        # only sweep and unbias have runs and workers to set
+        for argv in (["vector", "--seeds", "5"], ["bias", "--workers", "2"]):
+            with pytest.raises(SystemExit) as err:
+                cli_main(argv)
+            assert err.value.code == 2
 
     def test_range_syntax(self, tmp_path):
         rc = cli_main([

@@ -20,10 +20,7 @@ from relcode.codecs import (
     elias_delta_encode,
     elias_gamma_decode,
     elias_gamma_encode,
-    encode_dyadic_payload,
-    encode_global_payload,
     encode_payload,
-    encode_sample_payload,
     decode_payload,
     fit_zeta,
     quantize_p0,
@@ -310,31 +307,35 @@ class TestZeta:
 
 class TestPayloads:
     def test_global_payload(self):
-        assert encode_global_payload(0).to01() == "1"
-        reader = BitReader(encode_global_payload(9))
+        assert encode_payload(SplitRule.GLOBAL, 0, 1).to01() == "1"
+        reader = BitReader(encode_payload(SplitRule.GLOBAL, 9, 512))
         assert decode_payload(reader, SplitRule.GLOBAL) == (9, 512)
 
     def test_dyadic_reference(self):
         # depth 3, index 13 (path 101): gamma(4) ++ 101
-        payload = encode_dyadic_payload(3, 13)
+        payload = encode_payload(SplitRule.DYADIC, 3, 13)
         assert payload.to01() == "00100" + "101"
         assert len(payload) == 8
         assert decode_payload(BitReader(payload), SplitRule.DYADIC) == (3, 13)
 
     def test_zero_depth_is_one_bit(self):
-        assert len(encode_dyadic_payload(0, 1)) == 1
-        assert len(encode_sample_payload(0, 1, seed=3)) == 1
+        assert len(encode_payload(SplitRule.DYADIC, 0, 1)) == 1
+        assert len(encode_payload(SplitRule.SAMPLE, 0, 1, seed=3)) == 1
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            encode_dyadic_payload(2, 13)
+            encode_payload(SplitRule.DYADIC, 2, 13)
+        with pytest.raises(ValueError):
+            encode_payload(SplitRule.GLOBAL, 2, 8)
+        with pytest.raises(ValueError, match="shared seed"):
+            encode_payload(SplitRule.SAMPLE, 3, 13)
 
     @pytest.mark.parametrize("rule", list(SplitRule))
     def test_round_trip_with_tail(self, rule):
         rng = np.random.default_rng(9)
         for seed in range(300):
             res = encode(PAIR, rule, seed)
-            payload = encode_payload(res)
+            payload = encode_payload(rule, res.depth, res.heap_index, res.seed)
             tail = Bits([int(b) for b in rng.random(11) < 0.5])
             reader = BitReader(payload + tail)
             depth_, index_ = decode_payload(reader, rule, seed=seed)
@@ -346,7 +347,7 @@ class TestPayloads:
         seeds = derive_seeds(21, 2, 0, 300)
         for s in seeds[:300]:
             res = encode(PAIR, SplitRule.SAMPLE, int(s))
-            payload = encode_sample_payload(res.depth, res.heap_index, int(s))
+            payload = encode_payload(SplitRule.SAMPLE, res.depth, res.heap_index, int(s))
             ac_bits = len(payload) - len(elias_gamma_encode(res.depth + 1))
             ideal = -math.log2(res.proposal_mass)
             if res.depth:

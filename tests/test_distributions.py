@@ -57,7 +57,7 @@ class TestDistribution1D:
             Distribution1D(0.0, 0.0)
         with pytest.raises(ValueError):
             Distribution1D(0.0, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Distribution1D(0.0, 1.0, family="cauchy")
 
     def test_quantile_inverts_cdf(self):

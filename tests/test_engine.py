@@ -180,7 +180,8 @@ class TestBranchChoice:
         assert bit == 0 and interval(st1).hi == mu + 1.0
         bit, st2 = branch(PAIR35, SplitRule.SAMPLE, st0, mu - 1.0)
         assert bit == 1 and interval(st2).lo == mu - 1.0
-        assert interval(st1).contains(mu) and interval(st2).contains(mu)
+        assert interval(st1).lo <= mu <= interval(st1).hi
+        assert interval(st2).lo <= mu <= interval(st2).hi
 
     def test_dyadic_symmetric_pair_is_fair(self):
         st0 = root_state()
@@ -317,7 +318,7 @@ class TestEncodeDecode:
         assert mass == pytest.approx(res.proposal_mass, abs=1e-12)
         for a, b in zip(res.bound_trace, res.bound_trace[1:]):
             assert a.lo <= b.lo and b.hi <= a.hi
-        assert last.contains(res.sample)
+        assert last.lo <= res.sample <= last.hi
 
     def test_depth_limit_truncates(self):
         hits = 0
@@ -342,6 +343,22 @@ class TestEncodeDecode:
             a = encode(PAIR35, SplitRule.SAMPLE, seed)
             b = encode(PAIR35, SplitRule.SAMPLE, seed, d_max=None)
             assert (a.sample, a.heap_index) == (b.sample, b.heap_index)
+
+    @pytest.mark.parametrize("rule", list(SplitRule))
+    def test_invalid_depth_budget_rejected_before_first_step(self, rule, monkeypatch):
+        # a budget is None or a nonnegative integer, read alike by every rule
+        pair = gaussian_pair_for_targets(2.0, 4.0)
+        seeds = derive_seeds(0, 0, 0, 200)
+        steps = []
+        monkeypatch.setattr(engine, "node_uniforms", lambda *a: steps.append(a))
+        with pytest.raises(ValueError):
+            encode_batch(pair, rule, seeds, d_max=-1)
+        with pytest.raises(TypeError):
+            encode_batch(pair, rule, seeds, d_max=1.5)
+        assert steps == []
+        monkeypatch.undo()
+        out = encode_batch(pair, rule, seeds, d_max=0)
+        assert (out.depths == 0).all() and out.heap_indices == [1] * 200
 
     def test_sample_rule_needs_finite_mode(self):
         pair = DistributionPair(Distribution1D(1.0, 1.0), STD)

