@@ -1,22 +1,24 @@
-"""Benchmark harness: sweeps, sampling-bias estimates, vector coding,
-plot-data emission, and the ``bench`` CLI."""
+"""Benchmark harness: sweeps, sampling-bias study, vector coding, plot-data
+emission, and the ``bench`` CLI.  Each study returns rows for ``write_rows``."""
 
-from .config import SweepConfig, CSV_HEADER, BIAS_CSV_HEADER, MODES
-from .stats import knn_kl_bits, kl_bias_estimate
-from .sweep import run_sweep, check_thresholds, BETA_STEPS
+from .bias import bias_study, check_bias, knn_kl_bits, kl_bias_estimate
+from .sweep import SweepConfig, CSV_HEADER, MODES, BETA_STEPS
+from .sweep import run_sweep, check_thresholds, write_rows
 from .vector import encode_vector, VectorReport, DimensionReport
 from .plots import emit_plots, SchemaError
 
 __all__ = [
     "SweepConfig",
     "CSV_HEADER",
-    "BIAS_CSV_HEADER",
     "MODES",
-    "knn_kl_bits",
-    "kl_bias_estimate",
     "run_sweep",
     "check_thresholds",
+    "write_rows",
     "BETA_STEPS",
+    "bias_study",
+    "check_bias",
+    "knn_kl_bits",
+    "kl_bias_estimate",
     "encode_vector",
     "VectorReport",
     "DimensionReport",

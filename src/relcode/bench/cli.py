@@ -2,20 +2,24 @@
 
 Subcommands: ``sweep`` (grid runs), ``unbias`` (KS tests), ``bias``
 (depth-limited sampling bias), ``vector`` (dimensionwise coding), and
-``plot`` (plot-data emission from a sweep CSV).  With ``--check``, exits
-with status 2 when any acceptance-style threshold is violated.
+``plot`` (plot-data emission from a sweep CSV).  Each study returns rows,
+which are printed and, with ``--out``, written as CSV.  Invalid ``sweep``
+and ``unbias`` options exit with status 2 and a usage line before the first
+encode.  With ``--check``, exits with status 2 when any acceptance-style
+threshold is violated.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from ..engine import SplitRule
 from ..distributions import gaussian_pair_for_targets
-from .config import MODES, SweepConfig
+from .bias import bias_study, check_bias
 from .plots import emit_plots
-from .sweep import check_thresholds, run_sweep
+from .sweep import MODES, SweepConfig, check_thresholds, run_sweep, write_rows
 from .vector import encode_vector
 
 __all__ = ["main", "build_parser"]
@@ -127,7 +131,8 @@ def _print_rows(rows) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "plot":
         for path in emit_plots(args.csv, args.outdir):
@@ -153,55 +158,45 @@ def main(argv=None) -> int:
         print(f"zeta_total_bits={report.zeta_total_bits:.3f}")
         print(f"round_trip_ok={report.round_trip_ok}")
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write("dim,kl_bits,log_overhead_bits,fitted_exponent,"
-                         "mean_log2_index,mean_delta_bits,mean_zeta_info_bits,"
-                         "failure\n")
-                for d in report.dims:
-                    exp = "" if d.fitted_exponent is None else f"{d.fitted_exponent:.6g}"
-                    fh.write(
-                        f"{d.dim},{d.kl_bits:.10g},{d.log_overhead_bits:.10g},"
-                        f"{exp},{d.mean_log2_index:.10g},"
-                        f"{d.mean_delta_bits:.10g},{d.mean_zeta_info_bits:.10g},"
-                        f"{d.failure}\n"
-                    )
-        ok = report.round_trip_ok and (
-            report.zeta_total_bits <= report.delta_total_bits or not args.check
-        )
+            write_rows([
+                dict(asdict(d), fitted_exponent="" if d.fitted_exponent is None
+                     else f"{d.fitted_exponent:.6g}")
+                for d in report.dims
+            ], args.out)
+        ok = report.round_trip_ok and report.zeta_total_bits <= report.delta_total_bits
         if args.check and not ok:
             print("CHECK FAILED: zeta totals exceed delta totals", file=sys.stderr)
             return 2
         return 0
 
     if args.command == "bias":
-        config = SweepConfig(
-            mode="bias_vs_extra_bits",
-            dkl_grid=(args.dkl,),
-            dinf_grid=(args.dinf,),
-            seed_base=args.seed_base,
-            out_path=args.out,
-            extra_bits=args.extra_bits,
-            samples_per_group=args.samples,
-            n_groups=args.groups,
+        rows = bias_study(
+            args.dkl, args.dinf, args.extra_bits, samples_per_group=args.samples,
+            n_groups=args.groups, seed_base=args.seed_base,
         )
+        violations = check_bias(rows) if args.check else []
     else:
-        config = SweepConfig(
-            mode="unbiasedness" if args.command == "unbias" else args.mode,
-            dkl_grid=args.dkl,
-            dinf_grid=args.dinf,
-            seeds_per_point=args.seeds,
-            variants=args.variants,
-            d_max=args.dmax,
-            seed_base=args.seed_base,
-            out_path=args.out,
-            workers=args.workers,
-            force_global=args.force_global,
-        )
+        try:
+            config = SweepConfig(
+                mode="unbiasedness" if args.command == "unbias" else args.mode,
+                dkl_grid=args.dkl,
+                dinf_grid=args.dinf,
+                seeds_per_point=args.seeds,
+                variants=args.variants,
+                d_max=args.dmax,
+                seed_base=args.seed_base,
+                workers=args.workers,
+                force_global=args.force_global,
+            )
+        except ValueError as err:
+            parser.error(str(err))
+        rows = run_sweep(config)
+        violations = check_thresholds(config, rows) if args.check else []
 
-    rows = run_sweep(config)
+    if args.out:
+        write_rows(rows, args.out)
     _print_rows(rows)
     if args.check:
-        violations = check_thresholds(config, rows)
         if violations:
             for v in violations:
                 print(f"CHECK FAILED: {v}", file=sys.stderr)

@@ -6,16 +6,20 @@ measures steps (rejections before acceptance), serialized code bits
 (actual codewords, no analytic shortcuts), the raw path cost
 -log2 P(S_D), and a KS p-value of the samples against the target.
 
-Points and variants fan out across worker threads; rows are merged in grid
-order, so output bytes depend only on the config and base seed.
+``run_sweep`` returns one row per point and variant; ``write_rows`` writes
+any study's rows as CSV.  Points and variants fan out across worker
+threads; rows are merged in grid order, so output bytes depend only on the
+config and base seed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,17 +29,72 @@ from ..codecs import encode_payload
 from ..distributions import Unsatisfiable, gaussian_pair_for_targets
 from ..engine import SplitRule, encode_batch
 from ..randomness import derive_seeds
-from .config import BIAS_CSV_HEADER, CSV_HEADER, GLOBAL_DINF_CUTOFF, SweepConfig
-from .stats import kl_bias_estimate
 
-__all__ = ["run_sweep", "check_thresholds", "write_rows", "BETA_STEPS"]
+__all__ = [
+    "SweepConfig", "MODES", "CSV_HEADER", "run_sweep", "check_thresholds",
+    "write_rows", "BETA_STEPS",
+]
+
+MODES = ("runtime_vs_dinf", "codelength_vs_dkl", "unbiasedness")
+
+CSV_HEADER = (
+    "dkl_target,dinf_target,variant,n,mean_steps,se_steps,mean_bits,se_bits,"
+    "mean_pathcost_bits,se_pathcost_bits,ks_p,reason"
+)
+
+# the global variant's expected step count doubles per bit of infinity
+# divergence, so it is skipped above this threshold unless forced
+GLOBAL_DINF_CUTOFF = 10.0
 
 _TAG_RULE = {SplitRule.GLOBAL: 1, SplitRule.SAMPLE: 2, SplitRule.DYADIC: 3}
-_TAG_BIAS = 13
 
 # step-bound slope for the sample-splitting variant, in steps per bit
 BETA_STEPS = 2.0 / math.log2(4.0 / 3.0)
 LOG2_E = math.log2(math.e)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """One grid sweep: mode, divergence grids, run counts; checked on creation."""
+
+    mode: str
+    dkl_grid: tuple[float, ...]
+    dinf_grid: tuple[float, ...]
+    seeds_per_point: int = 4000
+    variants: tuple[SplitRule, ...] = (
+        SplitRule.GLOBAL,
+        SplitRule.SAMPLE,
+        SplitRule.DYADIC,
+    )
+    d_max: Optional[int] = None
+    seed_base: int = 0
+    workers: int = 0
+    force_global: bool = False
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if not self.dkl_grid or not self.dinf_grid:
+            raise ValueError("divergence grids must be nonempty")
+        if self.seeds_per_point < 100:
+            raise ValueError("seeds_per_point must be at least 100")
+        if not self.variants:
+            raise ValueError("need at least one variant")
+        # encode_batch's rule for a budget: TypeError for a non-integer
+        if self.d_max is not None and operator.index(self.d_max) < 0:
+            raise ValueError("d_max must be None or a nonnegative integer")
+        self.points()
+
+    def points(self) -> list[tuple[float, float]]:
+        """The (dkl, dinf) grid; a length-1 grid broadcasts to the other."""
+        dkl, dinf = self.dkl_grid, self.dinf_grid
+        if len(dkl) == 1 and len(dinf) > 1:
+            dkl = dkl * len(dinf)
+        if len(dinf) == 1 and len(dkl) > 1:
+            dinf = dinf * len(dkl)
+        if len(dkl) != len(dinf):
+            raise ValueError("dkl and dinf grids must align (or be length 1)")
+        return list(zip(dkl, dinf))
 
 
 def measure_point(
@@ -78,7 +137,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _run_grid(config: SweepConfig) -> list[dict]:
+def run_sweep(config: SweepConfig) -> list[dict]:
+    """One row per grid point and variant, in grid order."""
     tasks = [
         (block, dkl, dinf, rule)
         for block, (dkl, dinf) in enumerate(config.points())
@@ -90,57 +150,13 @@ def _run_grid(config: SweepConfig) -> list[dict]:
         return list(pool.map(lambda task: measure_point(config, *task), tasks))
 
 
-def _run_bias(config: SweepConfig) -> list[dict]:
-    (dkl, dinf) = config.points()[0]
-    pair = gaussian_pair_for_targets(dkl, dinf)
-    n = config.samples_per_group * config.n_groups
-    rows = []
-    settings: list[tuple[str, Optional[int]]] = [
-        (str(extra), int(round(dkl)) + extra) for extra in config.extra_bits
-    ]
-    settings.append(("exact", None))
-    for label, d_max in settings:
-        block = 1000 if d_max is None else d_max
-        seeds = derive_seeds(config.seed_base, _TAG_BIAS, block, n)
-        out = encode_batch(pair, SplitRule.DYADIC, seeds, d_max=d_max)
-        ref_seed = int(derive_seeds(config.seed_base, _TAG_BIAS, 5000 + block, 1)[0])
-        bias, se, _ = kl_bias_estimate(
-            out.samples, pair.target, n_groups=config.n_groups, seed=ref_seed
-        )
-        rows.append({
-            "dkl_target": dkl,
-            "dinf_target": dinf,
-            "variant": SplitRule.DYADIC.value,
-            "extra_bits": label,
-            "d_max": "inf" if d_max is None else d_max,
-            "samples_per_group": config.samples_per_group,
-            "n_groups": config.n_groups,
-            "bias_bits": bias,
-            "se_bias_bits": se,
-        })
-    return rows
-
-
-def run_sweep(config: SweepConfig) -> list[dict]:
-    """Run the configured sweep; returns rows and writes CSV when asked."""
-    if config.mode == "bias_vs_extra_bits":
-        rows = _run_bias(config)
-        header = BIAS_CSV_HEADER
-    else:
-        rows = _run_grid(config)
-        header = CSV_HEADER
-    if config.out_path:
-        write_rows(rows, config.out_path, header)
-    return rows
-
-
-def write_rows(rows: list[dict], path: str, header: str = CSV_HEADER) -> None:
-    columns = header.split(",")
+def write_rows(rows: list[dict], path: str) -> None:
+    """Write nonempty ``rows`` as CSV; the columns are the first row's keys."""
+    columns = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
 
 
 def _slope(xs: list[float], ys: list[float]) -> float:
@@ -153,21 +169,6 @@ def _slope(xs: list[float], ys: list[float]) -> float:
 def check_thresholds(config: SweepConfig, rows: list[dict]) -> list[str]:
     """Acceptance-style threshold checks; returns violation messages."""
     bad: list[str] = []
-    if config.mode == "bias_vs_extra_bits":
-        numbered = [r for r in rows if r["extra_bits"] != "exact"]
-        exact = [r for r in rows if r["extra_bits"] == "exact"][0]
-        for a, b in zip(numbered, numbered[1:]):
-            tol = 2.0 * math.hypot(a["se_bias_bits"], b["se_bias_bits"])
-            if b["bias_bits"] > a["bias_bits"] + tol:
-                bad.append(
-                    f"bias rose from extra={a['extra_bits']} to {b['extra_bits']}"
-                )
-        last = numbered[-1]
-        tol = 3.0 * math.hypot(last["se_bias_bits"], exact["se_bias_bits"])
-        if abs(last["bias_bits"] - exact["bias_bits"]) > tol:
-            bad.append("bias at the largest budget is not within 3 SE of exact")
-        return bad
-
     good = [r for r in rows if not r["reason"]]
     if config.mode == "unbiasedness":
         for r in good:

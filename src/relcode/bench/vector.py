@@ -63,12 +63,9 @@ class VectorReport:
     round_trip_ok: bool
 
 
-def _code_joint(
-    indices: list[int], models: list[Optional[ZetaModel]]
-) -> tuple[Bits, list[int]]:
-    """Arithmetic-code modeled dims jointly; returns (stream, fallback dims)."""
+def _code_joint(indices: list[int], models: list[Optional[ZetaModel]]) -> Bits:
+    """Arithmetic-code modeled dims jointly, then delta-code the fallback dims."""
     enc = ArithmeticEncoder()
-    fallback = [d for d, m in enumerate(models) if m is None]
     coded_any = False
     for d, (n, model) in enumerate(zip(indices, models)):
         if model is None:
@@ -82,9 +79,10 @@ def _code_joint(
         enc.encode(c_lo, c_hi, CUM_ONE)
         coded_any = True
     stream = enc.finish() if coded_any else Bits()
-    for d in fallback:
-        stream = stream + elias_delta_encode(indices[d])
-    return stream, fallback
+    for n, model in zip(indices, models):
+        if model is None:
+            stream = stream + elias_delta_encode(n)
+    return stream
 
 
 def _decode_joint(
@@ -148,7 +146,7 @@ def encode_vector(
             per_dim_log2[r, d] = math.log2(n)
             if models[d] is not None:
                 per_dim_info[r, d] = -math.log2(models[d].pmf(n))
-        stream, _ = _code_joint(indices, models)
+        stream = _code_joint(indices, models)
         if _decode_joint(stream, models) != indices:
             round_trip_ok = False
         delta_totals[r] = per_dim_delta[r].sum()

@@ -250,19 +250,17 @@ def _run_global(pair, seeds, d_max, trace):
     window = 16
     target_elems = 1 << 20  # per-window work cap keeps memory flat
     while alive.size:
-        if d0 > GLOBAL_STEP_CAP:
-            raise NonTermination(f"no acceptance within {GLOBAL_STEP_CAP} steps")
         width = max(16, min(window, target_elems // alive.size))
         window = min(2 * window, 1 << 16)
         # from the first residual <= eps on, every run accepts: stop there
         while len(levels) < d0 + width and resid[-1] > _DEGENERATE_EPS:
             if len(levels) == GLOBAL_STEP_CAP:
-                raise NonTermination("global level schedule exceeds step cap")
+                raise NonTermination("global levels exceed the step cap")
             levels.append(levels[-1] + resid[-1])
             resid.append(pair.residual_real_line(levels[-1]))
         w = min(width, len(levels) - d0)
         if w == 0:  # a NaN residual leaves live runs with no level to test
-            raise NonTermination("global schedule exhausted with live runs")
+            raise NonTermination("global levels exhausted with live runs")
         depths = np.arange(d0, d0 + w, dtype=np.uint64)
         zeros = np.uint64(0)
         u_s, u_a, _ = node_uniforms(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relcode.bench import SweepConfig, encode_vector, run_sweep
+from relcode.bench import SweepConfig, encode_vector, run_sweep, write_rows
 from relcode.codecs import (
     ArithmeticEncoder,
     OutOfRange,
@@ -115,7 +115,7 @@ def _sweep_csv() -> str:
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sweep.csv")
-        run_sweep(SweepConfig(out_path=path, **cfg))
+        write_rows(run_sweep(SweepConfig(**cfg)), path)
         return Path(path).read_bytes().decode()
 
 

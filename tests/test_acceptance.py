@@ -12,9 +12,10 @@ from scipy import stats
 
 from relcode.bench import (
     SweepConfig,
+    bias_study,
+    check_bias,
     check_thresholds,
     encode_vector,
-    kl_bias_estimate,
     run_sweep,
 )
 from relcode.bench.sweep import BETA_STEPS, LOG2_E
@@ -239,19 +240,11 @@ def test_criterion_07_global_matches_direct_recursion():
 
 
 def test_criterion_08_depth_limited_bias():
-    cfg = SweepConfig(
-        mode="bias_vs_extra_bits",
-        dkl_grid=(3.0,),
-        dinf_grid=(5.0,),
-        seeds_per_point=2000,
-        variants=(SplitRule.DYADIC,),
+    rows = bias_study(
+        3.0, 5.0, tuple(range(1, 9)), samples_per_group=200, n_groups=10,
         seed_base=SEED + 8,
-        extra_bits=tuple(range(1, 9)),
-        samples_per_group=200,
-        n_groups=10,
     )
-    rows = run_sweep(cfg)
-    violations = check_thresholds(cfg, rows)
+    violations = check_bias(rows)
     series = ", ".join(
         f"{r['extra_bits']}:{r['bias_bits']:+.3f}" for r in rows
     )

@@ -7,12 +7,15 @@ import pytest
 from relcode.bench import (
     SchemaError,
     SweepConfig,
+    bias_study,
+    check_bias,
     check_thresholds,
     emit_plots,
     encode_vector,
     kl_bias_estimate,
     knn_kl_bits,
     run_sweep,
+    write_rows,
 )
 from relcode.bench.cli import main as cli_main
 from relcode.codecs import encode_payload
@@ -45,13 +48,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(dkl_grid=())
 
+    def test_bad_budget_and_grids_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            small_config(d_max=-1)
+        with pytest.raises(TypeError):  # encode_batch's rule for a budget
+            small_config(d_max=1.5)
+        with pytest.raises(ValueError):
+            small_config(dkl_grid=(1.0, 2.0, 3.0), dinf_grid=(4.0, 5.0))
+        assert small_config(d_max=0).d_max == 0
+
     def test_grid_broadcast(self):
         cfg = small_config(dkl_grid=(3.0,), dinf_grid=(4.0, 5.0, 6.0))
         assert cfg.points() == [(3.0, 4.0), (3.0, 5.0), (3.0, 6.0)]
         cfg = small_config(dkl_grid=(1.0, 2.0), dinf_grid=(3.0, 4.0))
         assert cfg.points() == [(1.0, 3.0), (2.0, 4.0)]
-        with pytest.raises(ValueError):
-            small_config(dkl_grid=(1.0, 2.0, 3.0), dinf_grid=(4.0, 5.0)).points()
 
 
 class TestStats:
@@ -105,8 +115,8 @@ class TestStats:
 class TestSweep:
     def test_rows_and_schema(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        cfg = small_config(out_path=str(out))
-        rows = run_sweep(cfg)
+        rows = run_sweep(small_config())
+        write_rows(rows, str(out))
         assert len(rows) == 4
         text = out.read_text().splitlines()
         assert text[0] == (
@@ -117,8 +127,8 @@ class TestSweep:
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_sweep(small_config(out_path=str(a)))
-        run_sweep(small_config(out_path=str(b), workers=4))
+        write_rows(run_sweep(small_config()), str(a))
+        write_rows(run_sweep(small_config(workers=4)), str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_bits_column_is_actual_codeword_length(self):
@@ -194,24 +204,18 @@ class TestSweep:
 class TestBiasMode:
     def test_rows_and_monotone_trend(self, tmp_path):
         out = tmp_path / "bias.csv"
-        cfg = SweepConfig(
-            mode="bias_vs_extra_bits",
-            dkl_grid=(3.0,),
-            dinf_grid=(5.0,),
-            seeds_per_point=2000,
-            variants=(SplitRule.DYADIC,),
-            seed_base=3,
-            out_path=str(out),
-            extra_bits=(1, 4, 8),
-            samples_per_group=200,
-            n_groups=10,
-        )
-        rows = run_sweep(cfg)
+        rows = bias_study(3.0, 5.0, (1, 4, 8), samples_per_group=200,
+                          n_groups=10, seed_base=3)
+        write_rows(rows, str(out))
         assert [r["extra_bits"] for r in rows] == ["1", "4", "8", "exact"]
         assert rows[0]["d_max"] == 4 and rows[-1]["d_max"] == "inf"
-        assert check_thresholds(cfg, rows) == []
+        assert check_bias(rows) == []
         header = out.read_text().splitlines()[0]
         assert header.startswith("dkl_target,dinf_target,variant,extra_bits")
+
+    def test_needs_extra_bits(self):
+        with pytest.raises(ValueError):
+            bias_study(3.0, 5.0, extra_bits=())
 
 
 class TestVector:
@@ -241,7 +245,7 @@ class TestVector:
 class TestPlots:
     def test_emit_and_determinism(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"
-        run_sweep(small_config(out_path=str(csv_path)))
+        write_rows(run_sweep(small_config()), str(csv_path))
         out1 = tmp_path / "p1"
         out2 = tmp_path / "p2"
         files1 = emit_plots(str(csv_path), str(out1))
@@ -293,7 +297,43 @@ class TestCli:
             "--out", str(tmp_path / "v.csv"), "--check",
         ])
         assert rc == 0
-        assert (tmp_path / "v.csv").exists()
+        lines = (tmp_path / "v.csv").read_text().splitlines()
+        assert lines[0] == (
+            "dim,kl_bits,log_overhead_bits,fitted_exponent,mean_log2_index,"
+            "mean_delta_bits,mean_zeta_info_bits,failure"
+        )
+        assert len(lines) == 7
+
+    def test_bias_out_and_check(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        extra = ["1", "2", "3"]
+        rc = cli_main([
+            "bias", "--extra-bits", ",".join(extra), "--samples", "100",
+            "--seed-base", "4", "--out", str(out), "--check",
+        ])
+        assert rc == 0
+        assert "all checks passed" in capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        assert lines[0] == (
+            "dkl_target,dinf_target,variant,extra_bits,d_max,samples_per_group,"
+            "n_groups,bias_bits,se_bias_bits"
+        )
+        assert len(lines) == 2 + len(extra)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dkl", "2", "--dinf", "4", "--dmax", "-1"],
+        ["unbias", "--dkl", "1,2,3", "--dinf", "4,5"],
+    ])
+    def test_bad_options_exit_2_before_encoding(self, argv, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(
+            "relcode.bench.sweep.encode_batch", lambda *a, **k: calls.append(a)
+        )
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert calls == []
 
     def test_run_options_only_on_grid_commands(self, tmp_path):
         # only sweep and unbias have runs and workers to set

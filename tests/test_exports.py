@@ -12,6 +12,8 @@ import pytest
         "relcode.distributions",
         "relcode.codecs",
         "relcode.bench",
+        "relcode.bench.sweep",
+        "relcode.bench.bias",
     ],
 )
 def test_all_names_resolve(module):
