@@ -17,7 +17,7 @@ from ..distributions import Distribution1D, gaussian_pair_for_targets
 from ..engine import SplitRule, encode_batch
 from ..randomness import derive_seeds
 
-__all__ = ["bias_study", "check_bias", "knn_kl_bits", "kl_bias_estimate"]
+__all__ = ["bias_plan", "bias_study", "check_bias", "knn_kl_bits", "kl_bias_estimate"]
 
 _TAG_BIAS = 13
 _TINY = 1e-300
@@ -76,6 +76,28 @@ def kl_bias_estimate(
     return float(ests.mean()), se, ests
 
 
+def bias_plan(
+    dkl: float,
+    dinf: float,
+    extra_bits: Sequence[int],
+    samples_per_group: int = 200,
+    n_groups: int = 10,
+):
+    """The pair and the budgets ``round(dkl) + extra`` of a bias study.
+
+    Raises ValueError, encoding nothing, for no extra bits, fewer than 20
+    samples per group or 2 groups, a negative budget or unattainable targets.
+    """
+    if not extra_bits:
+        raise ValueError("the bias study needs extra_bits")
+    if samples_per_group < 20 or n_groups < 2:
+        raise ValueError("the bias study needs 20 samples per group and 2 groups")
+    budgets = [int(round(dkl)) + extra for extra in extra_bits]
+    if min(budgets) < 0:
+        raise ValueError(f"budget round(dkl) + extra = {min(budgets)} is negative")
+    return gaussian_pair_for_targets(dkl, dinf), budgets
+
+
 def bias_study(
     dkl: float,
     dinf: float,
@@ -88,14 +110,12 @@ def bias_study(
 
     Each row encodes ``samples_per_group * n_groups`` dyadic runs at the
     Gaussian pair hitting (dkl, dinf) and estimates their bias in bits.
+    Options that :func:`bias_plan` rejects raise before the first encode.
     """
-    if not extra_bits:
-        raise ValueError("the bias study needs extra_bits")
-    pair = gaussian_pair_for_targets(dkl, dinf)
+    pair, budgets = bias_plan(dkl, dinf, extra_bits, samples_per_group, n_groups)
     n = samples_per_group * n_groups
     rows = []
-    for extra in (*extra_bits, None):
-        d_max = None if extra is None else int(round(dkl)) + extra
+    for extra, d_max in zip((*extra_bits, None), (*budgets, None)):
         block = 1000 if d_max is None else d_max
         seeds = derive_seeds(seed_base, _TAG_BIAS, block, n)
         out = encode_batch(pair, SplitRule.DYADIC, seeds, d_max=d_max)

@@ -3,10 +3,10 @@
 Subcommands: ``sweep`` (grid runs), ``unbias`` (KS tests), ``bias``
 (depth-limited sampling bias), ``vector`` (dimensionwise coding), and
 ``plot`` (plot-data emission from a sweep CSV).  Each study returns rows,
-which are printed and, with ``--out``, written as CSV.  Invalid ``sweep``
-and ``unbias`` options exit with status 2 and a usage line before the first
-encode.  With ``--check``, exits with status 2 when any acceptance-style
-threshold is violated.
+which are printed and, with ``--out``, written as CSV.  Invalid options
+exit with status 2 and a usage line before the first encode.  With
+``--check``, exits with status 2 when any acceptance-style threshold is
+violated.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 from dataclasses import asdict
 
 from ..engine import SplitRule
-from ..distributions import gaussian_pair_for_targets
-from .bias import bias_study, check_bias
+from ..distributions import Unsatisfiable, gaussian_pair_for_targets
+from .bias import bias_plan, bias_study, check_bias
 from .plots import emit_plots
 from .sweep import MODES, SweepConfig, check_thresholds, run_sweep, write_rows
 from .vector import encode_vector
@@ -144,9 +144,12 @@ def main(argv=None) -> int:
             args.kl_min + (args.kl_max - args.kl_min) * d / max(args.dims - 1, 1)
             for d in range(args.dims)
         ]
-        pairs = [
-            gaussian_pair_for_targets(kl, kl + args.dinf_offset) for kl in kls
-        ]
+        try:
+            pairs = [
+                gaussian_pair_for_targets(kl, kl + args.dinf_offset) for kl in kls
+            ]
+        except Unsatisfiable as err:
+            parser.error(str(err))
         report = encode_vector(
             pairs, args.seed_base, calibration_runs=args.calib,
             repeats=args.repeats,
@@ -170,6 +173,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "bias":
+        try:
+            bias_plan(args.dkl, args.dinf, args.extra_bits, args.samples, args.groups)
+        except ValueError as err:
+            parser.error(str(err))
         rows = bias_study(
             args.dkl, args.dinf, args.extra_bits, samples_per_group=args.samples,
             n_groups=args.groups, seed_base=args.seed_base,

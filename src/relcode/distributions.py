@@ -182,6 +182,16 @@ class DistributionPair:
         hi = np.where(lnl == -np.inf, np.inf, hi)
         return lo, hi
 
+    @cached_property
+    def _real_line_consts(self) -> tuple[float, ...]:
+        """``residual_real_line``'s per-pair constants: the ratio
+        coefficients and each law's ``(loc, scale * sqrt(2))``.  Raises
+        NotUnimodal (and so caches nothing) for a ratio that opens upward."""
+        self.check_unimodal()
+        sqrt2 = math.sqrt(2.0)
+        t, p = self.target, self.proposal
+        return (*self._coeffs, t.loc, t.scale * sqrt2, p.loc, p.scale * sqrt2)
+
     def residual_real_line(self, level: float) -> float:
         """Scalar residual mass of the whole line above ``level``.
 
@@ -190,9 +200,8 @@ class DistributionPair:
         """
         if level <= 0.0:
             return 1.0
-        c2, c1, c0 = self._coeffs
+        c2, c1, c0, mq, sq, mp, sp = self._real_line_consts
         lnl = math.log(level)
-        self.check_unimodal()
         if c2 == 0.0:
             if c1 == 0.0:
                 return 0.0 if lnl > 0.0 else 1.0 - level
@@ -206,21 +215,11 @@ class DistributionPair:
             x_a = (-c1 - root) / (2.0 * c2)
             x_b = (-c1 + root) / (2.0 * c2)
             lo, hi = min(x_a, x_b), max(x_a, x_b)
-        sqrt2 = math.sqrt(2.0)
-
-        def _cdf(x: float, m: float, s: float) -> float:
-            if x == math.inf:
-                return 1.0
-            if x == -math.inf:
-                return 0.0
-            return 0.5 * math.erfc(-(x - m) / (s * sqrt2))
-
-        q = _cdf(hi, self.target.loc, self.target.scale) - _cdf(
-            lo, self.target.loc, self.target.scale
-        )
-        p = _cdf(hi, self.proposal.loc, self.proposal.scale) - _cdf(
-            lo, self.proposal.loc, self.proposal.scale
-        )
+        # a law's CDF is 0.5 * erfc(-(x - loc) / (scale * sqrt(2))); erfc is
+        # exactly 2 at -inf and 0 at +inf, so infinite ends need no branch
+        erfc = math.erfc
+        q = 0.5 * erfc(-(hi - mq) / sq) - 0.5 * erfc(-(lo - mq) / sq)
+        p = 0.5 * erfc(-(hi - mp) / sp) - 0.5 * erfc(-(lo - mp) / sp)
         return min(max(q - level * p, 0.0), 1.0)
 
     def residual_above(self, lo, hi, level):

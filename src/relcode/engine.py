@@ -148,6 +148,14 @@ class _BatchState:
         )
         return (1 << depth) + offset
 
+    def heap_indices(self, rows: np.ndarray, depth: int) -> list:
+        """Heap indices (Python ints) of the runs ``rows`` (a boolean mask)
+        at ``depth``.  Below depth 64 the offset is ``k_lo`` alone, so the
+        index is one array op: ``(1 << depth) | k_lo``."""
+        if depth < 64:
+            return (self.k_lo[rows] | np.uint64(1 << depth)).tolist()
+        return [self.heap_index(i, depth) for i in np.flatnonzero(rows)]
+
 
 def _draw(pair: DistributionPair, st: _BatchState, d: int):
     """Node draw at depth ``d`` for every run: the proposal restricted to the
@@ -347,8 +355,10 @@ def _run_batch(pair, rule, seeds, d_max, trace):
             out_depth[ids] = d
             out_accepted[ids] = accepted[stop]
             out_mass[ids] = mass[stop]
-            for j_local, j_global in zip(np.flatnonzero(stop), ids):
-                out_index[j_global] = st.heap_index(j_local, d)
+            # ``ids`` stays an array: a temporary list of its ints would sit
+            # between the kept indices in the allocator's arenas, raising RSS
+            for j, index in zip(ids, st.heap_indices(stop, d)):
+                out_index[j] = index
             alive_ids = alive_ids[~stop]
         st = child
         d += 1

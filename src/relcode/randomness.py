@@ -14,12 +14,15 @@ and lets a decoder replay exactly the draws it needs without simulating
 rejected branches.  The same primitive (under a different domain constant)
 fans a benchmark base seed out into per-run seeds.
 
-One stream, two ways to compute it.  Every Philox lane (one counter block
-under one key) is independent, so :func:`philox4x64_10` runs up to
-``_INT_LANES`` broadcast lanes one at a time on Python ints and more lanes as
+One stream, three ways to run the rounds.  Every Philox lane (one counter
+block under one key) is independent, so :func:`philox4x64_10` runs up to
+``_INT_LANES`` broadcast lanes one at a time on Python ints, more lanes as
 numpy uint64 arrays, whose fixed cost per call outweighs the per-lane cost of
-ints below about 64 lanes; :func:`node_randoms` calls the integer rounds
-directly.  Both give the same words and the same exact map to floats.  Python
+ints below about 64 lanes, and from ``2 * _CHUNK_LANES`` lanes as numpy
+arrays over near-equal blocks of about ``_CHUNK_LANES`` lanes, whose
+temporaries stay in cache; :func:`node_randoms` calls the integer rounds
+directly.  All three give the same words (a counter-based block does not
+depend on how lanes are grouped) and the same exact map to floats.  Python
 ints do not wrap, so seeds pass :func:`seed_words` and offsets the
 ``MAX_OFFSET_BITS`` check before any word reaches the rounds.
 
@@ -33,6 +36,7 @@ terminate at depths far below 192, and global runs only ever visit offset 0.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -53,6 +57,8 @@ _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+# (low half, high half, whole) of each multiplier, for ``_mulhilo``
+_M0_WORDS, _M1_WORDS = (tuple(map(np.uint64, (m & 0xFFFFFFFF, m >> 32, m))) for m in (_M0, _M1))
 _S11 = np.uint64(11)
 _U53_INV = float(2.0**-53)
 _MASK64 = (1 << 64) - 1
@@ -64,6 +70,9 @@ _DOMAIN_SEED = np.uint64(0x736565642D726E67)
 
 MAX_OFFSET_BITS = 192
 _INT_LANES = 32  # half the lane count where numpy's rounds start to win
+# n numpy lanes run in n // _CHUNK_LANES near-equal blocks, each of fewer
+# than 2 * _CHUNK_LANES lanes, whose temporaries stay in cache
+_CHUNK_LANES = 8192
 
 
 @dataclass(frozen=True)
@@ -75,24 +84,24 @@ class NodeRandoms:
     u_branch: float
 
 
-def _mulhilo(a, b):
-    lo = a * b
-    ah, al = a >> _S32, a & _M32
-    bh, bl = b >> _S32, b & _M32
-    ll = al * bl
-    lh = al * bh
-    hl = ah * bl
-    carry = ((ll >> _S32) + (lh & _M32) + (hl & _M32)) >> _S32
-    hi = ah * bh + (lh >> _S32) + (hl >> _S32) + carry
-    return hi, lo
+def _mulhilo(a_lo, a_hi, a, b):
+    """High and low words of ``a * b`` for the constant ``a`` (halves
+    ``a_lo``, ``a_hi``) and a uint64 array ``b``: the 32-bit schoolbook
+    multiply-high, with no carry lost."""
+    b_lo, b_hi = b & _M32, b >> _S32
+    ll = a_lo * b_lo
+    t = a_hi * b_lo + (ll >> _S32)
+    mid = a_lo * b_hi + (t & _M32)
+    hi = a_hi * b_hi + (t >> _S32) + (mid >> _S32)
+    return hi, a * b
 
 
 def _rounds_numpy(c0, c1, c2, c3, k0, k1):
-    m0, m1, w0, w1 = map(np.uint64, (_M0, _M1, _W0, _W1))
+    w0, w1 = np.uint64(_W0), np.uint64(_W1)
     with np.errstate(over="ignore"):
         for _ in range(10):
-            hi0, lo0 = _mulhilo(m0, c0)
-            hi1, lo1 = _mulhilo(m1, c2)
+            hi0, lo0 = _mulhilo(*_M0_WORDS, c0)
+            hi1, lo1 = _mulhilo(*_M1_WORDS, c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
             k0 = k0 + w0
             k1 = k1 + w1
@@ -115,9 +124,34 @@ def philox4x64_10(c0, c1, c2, c3, k0, k1):
     outputs the four uint64 words broadcast together (scalars for scalars)."""
     lanes = np.broadcast(c0, c1, c2, c3, k0, k1)
     if lanes.size > _INT_LANES:
-        return _rounds_numpy(c0, c1, c2, c3, k0, k1)
+        return _rounds_chunked(lanes.shape, c0, c1, c2, c3, k0, k1)
     words = np.array([_rounds_int(*map(int, lane)) for lane in lanes], np.uint64)
     return tuple(words.reshape(lanes.size, 4).T.reshape(4, *lanes.shape))
+
+
+def _rounds_chunked(shape, *args):
+    """The numpy rounds over ``n // _CHUNK_LANES`` near-equal blocks of the
+    broadcast ``shape``: groups of rows, or column blocks within each row
+    when a row spans a block.  One block is one call, whose words return as
+    they are; more are written into four preallocated word arrays (one
+    ``(4, *shape)`` array raised the batch benchmark's peak RSS by 1 MiB).
+    For 1-D and 2-D shapes broadcast inputs stay stride-0 views."""
+    blocks = math.prod(shape) // _CHUNK_LANES
+    if blocks < 2:
+        return _rounds_numpy(*args)
+    out = tuple(np.empty(shape, np.uint64) for _ in range(4))
+    cols = shape[-1]
+    grids = [word.reshape(-1, cols) for word in out]
+    views = [np.broadcast_to(a, shape).reshape(-1, cols) for a in args]
+    rows = grids[0].shape[0]
+    row_parts, col_parts = min(rows, blocks), max(1, cols // _CHUNK_LANES)
+    for i in range(row_parts):
+        row_span = slice(rows * i // row_parts, rows * (i + 1) // row_parts)
+        for j in range(col_parts):
+            block = (row_span, slice(cols * j // col_parts, cols * (j + 1) // col_parts))
+            for grid, word in zip(grids, _rounds_numpy(*(v[block] for v in views))):
+                grid[block] = word
+    return out
 
 
 def _to_unit(word):

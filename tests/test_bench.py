@@ -323,17 +323,32 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--dkl", "2", "--dinf", "4", "--dmax", "-1"],
         ["unbias", "--dkl", "1,2,3", "--dinf", "4,5"],
+        ["bias", "--samples", "10"],
+        ["bias", "--extra-bits=-5"],
+        ["bias", "--groups", "1"],
+        ["vector", "--kl-min", "0", "--dims", "3"],
     ])
     def test_bad_options_exit_2_before_encoding(self, argv, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(
-            "relcode.bench.sweep.encode_batch", lambda *a, **k: calls.append(a)
-        )
+        for module in ("sweep", "bias", "vector"):
+            monkeypatch.setattr(
+                f"relcode.bench.{module}.encode_batch", lambda *a, **k: calls.append(a)
+            )
         with pytest.raises(SystemExit) as err:
             cli_main(argv)
         assert err.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert calls == []
+
+    def test_bias_error_after_first_encode_is_not_a_usage_error(self, monkeypatch):
+        # only the option checks become usage errors; a fault inside the study
+        # keeps its traceback
+        def fail(*a, **k):
+            raise ValueError("fault inside encode_batch")
+
+        monkeypatch.setattr("relcode.bench.bias.encode_batch", fail)
+        with pytest.raises(ValueError, match="fault inside encode_batch"):
+            cli_main(["bias", "--extra-bits", "1", "--samples", "20", "--groups", "2"])
 
     def test_run_options_only_on_grid_commands(self, tmp_path):
         # only sweep and unbias have runs and workers to set

@@ -415,6 +415,43 @@ class TestEncodeDecode:
             assert lo <= x <= hi
 
 
+class TestDeepHeapIndices:
+    """Runs that stop at depth 64 or more carry offset bits past ``k_lo``;
+    shallower ones are assembled from ``k_lo`` alone."""
+
+    # a target 12 sigma from the proposal: sample and dyadic runs go deep
+    FAR = DistributionPair(Distribution1D(-12.0, 0.3), STD)
+
+    @pytest.mark.parametrize("rule", [SplitRule.SAMPLE, SplitRule.DYADIC])
+    def test_batch_past_depth_64(self, rule):
+        seeds = range(300)
+        out = encode_batch(self.FAR, rule, seeds)
+        assert (out.depths >= 64).sum() >= 100 and (out.depths < 128).all()
+        for seed, x, d, index in zip(seeds, out.samples, out.depths, out.heap_indices):
+            assert type(index) is int and index.bit_length() - 1 == d
+            assert decode(STD, rule, seed, index) == x
+        # one-run encodes take ~30 ms each here, so every tenth seed
+        for seed in seeds[::10]:
+            res = encode(self.FAR, rule, seed)
+            assert (res.heap_index, res.sample) == (out.heap_indices[seed], out.samples[seed])
+
+    @pytest.mark.parametrize("depth", [0, 1, 63, 64, 127, 128, 191])
+    def test_assembly_matches_heap_index(self, depth):
+        rng = np.random.default_rng(depth)
+        offsets = [0, (1 << depth) - 1] + [
+            int.from_bytes(rng.bytes(24), "little") % (1 << depth) for _ in range(30)
+        ]
+        st = _BatchState(len(offsets), np.zeros(len(offsets), np.uint64))
+        for name, shift in (("k_lo", 0), ("k_mid", 64), ("k_hi", 128)):
+            words = [(k >> shift) & (2**64 - 1) for k in offsets]
+            setattr(st, name, np.array(words, np.uint64))
+        rows = np.arange(len(offsets)) % 3 != 1
+        got = st.heap_indices(rows, depth)
+        assert all(type(h) is int for h in got)
+        want = [st.heap_index(i, depth) for i in np.flatnonzero(rows)]
+        assert got == want == [(1 << depth) + k for k, r in zip(offsets, rows) if r]
+
+
 class TestSeedContract:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_rejected(self, seed):

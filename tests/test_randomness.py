@@ -12,6 +12,7 @@ from relcode.randomness import (
 
 U64_MAX = 2**64 - 1
 LANES = randomness._INT_LANES
+CHUNK = randomness._CHUNK_LANES
 
 
 def reference_block(counter, key):
@@ -112,6 +113,54 @@ class TestPhiloxPaths:
                 assert (got[0][i, j], got[1][i, j], got[2][i, j]) == (
                     nr.u_sample, nr.u_accept, nr.u_branch,
                 )
+
+    @staticmethod
+    def _check_chunked(args, shape, monkeypatch):
+        """``philox4x64_10`` on ``args`` against one unchunked numpy call and,
+        on sampled lanes (block edges among them), against numpy's Philox."""
+        rounds_numpy = randomness._rounds_numpy
+        block_lanes = []
+
+        def spy(*a):
+            block_lanes.append(np.broadcast(*a).size)
+            return rounds_numpy(*a)
+
+        monkeypatch.setattr(randomness, "_rounds_numpy", spy)
+        out = philox4x64_10(*args)
+        n = int(np.prod(shape))
+        assert (len(block_lanes) > 1) == (n >= 2 * CHUNK)
+        assert sum(block_lanes) == n and max(block_lanes) < 2 * CHUNK
+        want = rounds_numpy(*args)
+        for got, w in zip(out, want):
+            assert got.dtype == w.dtype == np.uint64 and got.shape == w.shape == shape
+            assert np.array_equal(got, w)
+        flat = [np.broadcast_to(a, shape).reshape(-1) for a in args]
+        edges = np.cumsum(block_lanes)[:-1].tolist()
+        lanes = {0, n - 1, *edges, *(e - 1 for e in edges)}
+        lanes |= set(np.random.default_rng(n).integers(0, n, 8).tolist())
+        for i in sorted(lanes):
+            ref = reference_block([w[i] for w in flat[:4]], [w[i] for w in flat[4:]])
+            assert [int(w.reshape(-1)[i]) for w in out] == ref
+
+    @pytest.mark.parametrize(
+        "n", [2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 1234]
+    )
+    def test_chunk_edges(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        c0, c2 = rng.integers(0, 2**64, (2, n), dtype=np.uint64)
+        c0[:2] = [0, U64_MAX]
+        args = (c0, np.uint64(5), c2, np.uint64(U64_MAX), np.uint64(0), np.uint64(2**63))
+        self._check_chunked(args, (n,), monkeypatch)
+
+    @pytest.mark.parametrize("alive, w", [(5, 4000), (3, 2 * CHUNK + 77)])
+    def test_chunked_global_window_broadcast(self, alive, w, monkeypatch):
+        # an (alive, w) window of ``_run_global`` of two blocks or more, as
+        # groups of rows (4000 columns) or as blocks within each row
+        seeds = np.array([U64_MAX, 0, 7, 8, 9][:alive], np.uint64)[:, None]
+        depths = np.arange(100, 100 + w, dtype=np.uint64)[None, :]
+        zero = np.uint64(0)
+        args = (depths, zero, zero, zero, seeds, randomness._DOMAIN_NODE)
+        self._check_chunked(args, (alive, w), monkeypatch)
 
     @pytest.mark.parametrize(
         "args",
