@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb and slow: quadrature, grid search,
 bisection, and a closure-based implementation of the ruled-out-mass
-recursion.  None of it shares code paths with the library's closed forms.
+recursion.  None of it shares code paths with the library's closed forms,
+except the zeta model's moments, which read its exact float evaluation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from relcode.codecs import zeta
 from relcode.distributions import DistributionPair
 from relcode.randomness import node_randoms
 
@@ -55,6 +57,16 @@ def numeric_residual_mass(pair, lo, hi, level) -> float:
         a, b, limit=400,
     )
     return val
+
+
+def zeta_mean_log2(model: zeta.ZetaModel) -> float:
+    """Expected log2 of the index under the model: the float fit_zeta matches."""
+    return zeta._mean_log2(model.exponent, model.n_max)
+
+
+def zeta_entropy_bits(model: zeta.ZetaModel) -> float:
+    """Entropy of the model in bits: exponent * E[log2 n] + log2(normalizer)."""
+    return model.exponent * zeta_mean_log2(model) + math.log2(model._norm)
 
 
 def grid_ratio_argmax(pair, lo=-10.0, hi=10.0, step=1e-4) -> float:

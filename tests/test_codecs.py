@@ -33,6 +33,8 @@ from relcode.distributions import gaussian_pair_for_targets
 from relcode.engine import GLOBAL_STEP_CAP, InvalidIndex, SplitRule, decode, encode, encode_batch
 from relcode.randomness import derive_seeds
 
+from oracles import zeta_entropy_bits, zeta_mean_log2
+
 PAIR = gaussian_pair_for_targets(3.0, 5.0)
 
 
@@ -216,7 +218,7 @@ class TestZeta:
         w = n ** -lam
         dense_mean = float((w * np.log2(n)).sum() / w.sum())
         assert dense_mean == pytest.approx(1.0, abs=1e-4)
-        assert model.mean_log2() == pytest.approx(1.0, abs=1e-6)
+        assert zeta_mean_log2(model) == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_point_mass(self):
         model = fit_zeta([0.0] * 8)
@@ -243,6 +245,86 @@ class TestZeta:
         assert fit_zeta([target]).exponent == 0.5 * (lo + hi)
         # two range checks, then one call per step until mid hits a bound
         assert len(calls) <= 2 + 60
+
+    @staticmethod
+    def _exact_fit(target):
+        # reference: fit_zeta's bisection with every step evaluated exactly
+        lo, hi = zeta.MIN_EXPONENT, zeta.MAX_EXPONENT
+        mids = []
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            mids.append(mid)
+            if zeta._mean_log2(mid, zeta.DEFAULT_N_MAX) > target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi), mids
+
+    def _assert_fits_match_exact_loop(self, targets):
+        for target in targets:
+            expected, _ = self._exact_fit(target)
+            assert fit_zeta([target]).exponent.hex() == expected.hex(), target
+
+    def test_fit_matches_exact_bisection_on_random_targets(self):
+        top, bottom = zeta._fittable_range(zeta.DEFAULT_N_MAX)
+        rng = np.random.default_rng(9)
+        uniform = rng.uniform(bottom, top, 250)
+        log_uniform = np.exp(rng.uniform(math.log(bottom), math.log(top), 250))
+        targets = [float(t) for t in np.concatenate([uniform, log_uniform])]
+        self._assert_fits_match_exact_loop([t for t in targets if bottom < t < top])
+
+    def test_fit_matches_exact_bisection_at_visited_midpoints(self):
+        # targets equal to f(mid) for mids the exact loop visits, and 1 ulp
+        # either side: the comparisons with the smallest possible margins
+        targets = []
+        for base in (0.3, 4.0):
+            _, mids = self._exact_fit(base)
+            for mid in mids[::4] + mids[-8:]:
+                f = zeta._mean_log2(mid, zeta.DEFAULT_N_MAX)
+                targets += [math.nextafter(f, 0.0), f, math.nextafter(f, math.inf)]
+        self._assert_fits_match_exact_loop(targets)
+
+    def test_fit_matches_exact_bisection_at_range_ends(self):
+        top, bottom = zeta._fittable_range(zeta.DEFAULT_N_MAX)
+        below_top = [math.nextafter(top, 0.0), math.nextafter(math.nextafter(top, 0.0), 0.0)]
+        below_top += [top * (1.0 - 10.0**-k) for k in range(3, 16)]
+        above_bottom = [math.nextafter(bottom, math.inf)]
+        above_bottom += [bottom * (1.0 + 10.0**-k) for k in range(1, 16)]
+        self._assert_fits_match_exact_loop(below_top + above_bottom)
+
+    def test_mean_log2_bounds_contain_exact_value(self):
+        # the allowance assumes log and exp within 8 ulp; both measure under 1
+        u = 2.0**-53
+        ln_ref = np.array([math.log(n) for n in range(2, zeta.HEAD + 1)])
+        assert zeta._HEAD_LN[0] == 0.0
+        assert np.all(np.abs(zeta._HEAD_LN[1:] / ln_ref - 1.0) <= 8 * u)
+        for s in (zeta.MIN_EXPONENT, 2.5, zeta.MAX_EXPONENT):
+            arg = -s * zeta._HEAD_LN[::97]
+            exp_ref = np.array([math.exp(a) for a in arg])
+            assert np.all(np.abs(np.exp(arg) / exp_ref - 1.0) <= 8 * u)
+        exponents = 1.0 + np.logspace(-6, math.log10(19.0), 2000)
+        for s in [zeta.MIN_EXPONENT, zeta.MAX_EXPONENT, *map(float, exponents)]:
+            lo, hi = zeta._mean_log2_bounds(s, zeta.DEFAULT_N_MAX)
+            assert lo <= zeta._mean_log2(s, zeta.DEFAULT_N_MAX) <= hi, s
+            assert hi - lo < 1e-10 * hi
+
+    def test_vector_fits_make_few_exact_evaluations(self, monkeypatch):
+        from relcode.bench.vector import encode_vector
+
+        # the bench vector defaults: 50 dimensions, KL 0.05 to 0.5 bits
+        pairs = [
+            gaussian_pair_for_targets(kl, kl + 0.75)
+            for kl in (0.05 + 0.45 * d / 49 for d in range(50))
+        ]
+        mean_log2 = zeta._mean_log2
+        calls = []
+        monkeypatch.setattr(zeta, "_mean_log2", lambda *a: calls.append(a) or mean_log2(*a))
+        zeta._fittable_range.cache_clear()
+        report = encode_vector(pairs, 0, calibration_runs=256)
+        assert all(d.fitted_exponent is not None for d in report.dims)
+        assert len(calls) <= 1400
 
     def test_out_of_range(self):
         model = ZetaModel(2.0)
@@ -289,7 +371,7 @@ class TestZeta:
         lengths = np.fromiter(
             (len(zeta_encode(int(n), model)) for n in draws), dtype=float
         )
-        assert lengths.mean() <= model.entropy_bits() + 2.0
+        assert lengths.mean() <= zeta_entropy_bits(model) + 2.0
 
     def test_fitted_model_beats_delta_on_low_divergence_indices(self):
         # amortized cost (-log2 pmf, what a joint arithmetic coder pays per
