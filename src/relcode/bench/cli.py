@@ -42,7 +42,17 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in _float_list(text))
+    values = _float_list(text)
+    if not all(v.is_integer() for v in values):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers")
+    return tuple(int(v) for v in values)
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return value
 
 
 def _variant_list(text: str) -> tuple[SplitRule, ...]:
@@ -104,12 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("vector", help="dimensionwise vector coding")
-    p.add_argument("--dims", type=int, default=50)
+    p.add_argument("--dims", type=_count, default=50)
     p.add_argument("--kl-min", type=float, default=0.05)
     p.add_argument("--kl-max", type=float, default=0.5)
     p.add_argument("--dinf-offset", type=float, default=0.75)
-    p.add_argument("--calib", type=int, default=256)
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--calib", type=_count, default=256)
+    p.add_argument("--repeats", type=_count, default=10)
     common(p)
 
     p = sub.add_parser("plot", help="emit plot data from a sweep CSV")

@@ -116,6 +116,8 @@ def encode_vector(
     n_dims = len(pairs)
     if n_dims == 0:
         raise ValueError("need at least one dimension")
+    if calibration_runs < 1 or repeats < 1:
+        raise ValueError("need at least one calibration run and one repeat")
     models: list[Optional[ZetaModel]] = []
     failures = [""] * n_dims
     eval_indices = []

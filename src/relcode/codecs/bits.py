@@ -100,9 +100,9 @@ class BitReader:
     true consumption is accounted separately).
     """
 
-    def __init__(self, bits: Bits, pos: int = 0):
+    def __init__(self, bits: Bits):
         self._text = bits.to01()
-        self.pos = pos
+        self.pos = 0
 
     @property
     def remaining(self) -> int:
@@ -125,6 +125,3 @@ class BitReader:
 
     def advance(self, n: int) -> None:
         self.pos += n
-
-    def tail(self) -> Bits:
-        return Bits.from01(self._text[self.pos:])

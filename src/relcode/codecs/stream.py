@@ -102,11 +102,9 @@ def serialize(result: RecResult) -> Bits:
     )
 
 
-def deserialize(
-    bits: Bits, seed: Optional[int] = None, pos: int = 0
-) -> tuple[SplitRule, int, int, int]:
+def deserialize(bits: Bits, seed: Optional[int] = None) -> tuple[SplitRule, int, int, int]:
     """Parse one container; returns (rule, depth, heap index, end position)."""
-    reader = BitReader(bits, pos)
+    reader = BitReader(bits)
     if reader.read_int(4) != _MAGIC:
         raise DecodeError("bad magic")
     tag = reader.read_int(2)

@@ -1,6 +1,7 @@
 """Truncated power-law models for tree indices, with fitting and coding.
 
-The model is pmf(n) proportional to n**(-exponent) on 1..n_max.  Mass is
+The model is pmf(n) proportional to n**(-exponent) on 1..N_MAX, the fixed
+support of the format (N_MAX = 2**62, docs/FORMAT.md).  Mass is
 exact over a dense head (n <= 2**16) and approximated by midpoint integrals
 beyond it; all cumulative queries go through the same head+tail machinery,
 so encoder and decoder agree exactly.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ __all__ = ["ZetaModel", "Unfittable", "OutOfRange", "fit_zeta", "zeta_encode", "
 
 LN2 = math.log(2.0)
 HEAD = 1 << 16
-DEFAULT_N_MAX = 1 << 62
+N_MAX = 1 << 62
 CUM_BITS = 48
 CUM_ONE = 1 << CUM_BITS
 # codewords cap at 49 bits: below pmf ~ 2**-48 the float CDF's ulp could
@@ -54,54 +55,38 @@ class Unfittable(ValueError):
 
 
 class OutOfRange(ValueError):
-    """Index outside 1..n_max."""
+    """Index outside 1..N_MAX."""
 
 
-class _Tail:
-    """Midpoint-integral tail sums for n > HEAD, numerically stable in the
-    exponent-near-1 regime via expm1/log1p."""
+# midpoint-integral tail over n > HEAD, between these log endpoints
+_LN_LO = math.log(HEAD + 0.5)
+_LN_HI = math.log(N_MAX + 0.5)
 
-    def __init__(self, exponent: float, n_max: int):
-        self.eps = exponent - 1.0
-        self.ln_lo = math.log(HEAD + 0.5)
-        self.ln_hi = math.log(n_max + 0.5)
 
-    def mass(self, ln_a: float, ln_b: float) -> float:
-        # integral of x**-(1+eps) over [a, b], endpoints given as logs
-        if ln_b <= ln_a:
-            return 0.0
-        return (
-            math.exp(-self.eps * ln_a)
-            * -math.expm1(-self.eps * (ln_b - ln_a))
-            / self.eps
-        )
+def _tail_mass(eps: float, ln_a: float, ln_b: float) -> float:
+    """Integral of x**-(1+eps) over [a, b], endpoints given as logs; stable
+    as eps -> 0 via expm1."""
+    if ln_b <= ln_a:
+        return 0.0
+    return math.exp(-eps * ln_a) * -math.expm1(-eps * (ln_b - ln_a)) / eps
 
-    def log_moment(self, ln_a: float, ln_b: float) -> float:
-        # integral of x**-(1+eps) * ln(x) over [a, b]
-        if ln_b <= ln_a:
-            return 0.0
-        eps = self.eps
-        fa = math.exp(-eps * ln_a) * (eps * ln_a + 1.0)
-        fb = math.exp(-eps * ln_b) * (eps * ln_b + 1.0)
-        return (fa - fb) / (eps * eps)
+
+def _tail_log_moment(eps: float) -> float:
+    """Integral of x**-(1+eps) * ln(x) over the whole tail."""
+    fa = math.exp(-eps * _LN_LO) * (eps * _LN_LO + 1.0)
+    fb = math.exp(-eps * _LN_HI) * (eps * _LN_HI + 1.0)
+    return (fa - fb) / (eps * eps)
 
 
 @dataclass(frozen=True)
 class ZetaModel:
-    """pmf(n) proportional to n**-exponent over 1..n_max."""
+    """pmf(n) proportional to n**-exponent over 1..N_MAX."""
 
     exponent: float
-    n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self) -> None:
         if not self.exponent > 1.0:
             raise ValueError("exponent must exceed 1")
-        if self.n_max <= HEAD:
-            raise ValueError(f"n_max must exceed the dense head ({HEAD})")
-
-    @cached_property
-    def _tail(self) -> _Tail:
-        return _Tail(self.exponent, self.n_max)
 
     @cached_property
     def _head_weights(self) -> np.ndarray:
@@ -117,28 +102,25 @@ class ZetaModel:
 
     @cached_property
     def _norm(self) -> float:
-        t = self._tail
-        return float(self._head_cum[-1]) + t.mass(t.ln_lo, t.ln_hi)
+        return float(self._head_cum[-1]) + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI)
 
     def cdf_before(self, n: int) -> float:
         """Total mass of indices strictly below n (0 for n = 1)."""
         if n < 1:
             raise OutOfRange("indices start at 1")
-        if n > self.n_max:
-            n = self.n_max + 1
+        n = min(n, N_MAX + 1)
         if n <= HEAD + 1:
             return float(self._head_cum[n - 1]) / self._norm
-        t = self._tail
-        return (
-            float(self._head_cum[-1]) + t.mass(t.ln_lo, math.log(n - 0.5))
-        ) / self._norm
+        tail = _tail_mass(self.exponent - 1.0, _LN_LO, math.log(n - 0.5))
+        return (float(self._head_cum[-1]) + tail) / self._norm
 
     def pmf(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise OutOfRange(f"index {n} outside 1..n_max")
+        if not 1 <= n <= N_MAX:
+            raise OutOfRange(f"index {n} outside 1..N_MAX")
         if n <= HEAD:
             return float(self._head_weights[n - 1]) / self._norm
-        return self._tail.mass(math.log(n - 0.5), math.log(n + 0.5)) / self._norm
+        eps = self.exponent - 1.0
+        return _tail_mass(eps, math.log(n - 0.5), math.log(n + 0.5)) / self._norm
 
     def search_before(self, target: float) -> int:
         """Largest n with cdf_before(n) <= target (inverse CDF)."""
@@ -148,19 +130,17 @@ class ZetaModel:
         if scaled < float(self._head_cum[-1]):
             n = int(np.searchsorted(self._head_cum, scaled, side="right"))
         else:
-            t = self._tail
-            y = (scaled - float(self._head_cum[-1])) * t.eps * math.exp(
-                t.eps * t.ln_lo
-            )
-            if y >= -math.expm1(-t.eps * (t.ln_hi - t.ln_lo)):
-                n = self.n_max
+            eps = self.exponent - 1.0
+            y = (scaled - float(self._head_cum[-1])) * eps * math.exp(eps * _LN_LO)
+            if y >= -math.expm1(-eps * (_LN_HI - _LN_LO)):
+                n = N_MAX
             else:
-                ln_x = t.ln_lo - math.log1p(-y) / t.eps
+                ln_x = _LN_LO - math.log1p(-y) / eps
                 n = int(math.exp(ln_x) + 0.5)
-        n = min(max(n, 1), self.n_max)
+        n = min(max(n, 1), N_MAX)
         while n > 1 and self.cdf_before(n) > target:
             n -= 1
-        while n < self.n_max and self.cdf_before(n + 1) <= target:
+        while n < N_MAX and self.cdf_before(n + 1) <= target:
             n += 1
         return n
 
@@ -173,16 +153,16 @@ class ZetaModel:
         n = self.search_before((value + 1) / CUM_ONE)
         while n > 1 and self.quantized_cum(n) > value:
             n -= 1
-        while n < self.n_max and self.quantized_cum(n + 1) <= value:
+        while n < N_MAX and self.quantized_cum(n + 1) <= value:
             n += 1
         return n
 
 
-def _mean_log2(exponent: float, n_max: int) -> float:
-    t = _Tail(exponent, n_max)
+def _mean_log2(exponent: float) -> float:
+    eps = exponent - 1.0
     w = np.exp(-exponent * _HEAD_LN)
-    z = float(w.sum()) + t.mass(t.ln_lo, t.ln_hi)
-    num = float(w @ _HEAD_LN) + t.log_moment(t.ln_lo, t.ln_hi)
+    z = float(w.sum()) + _tail_mass(eps, _LN_LO, _LN_HI)
+    num = float(w @ _HEAD_LN) + _tail_log_moment(eps)
     return num / z / LN2
 
 
@@ -211,8 +191,8 @@ def _psi(y: float) -> float:
     return (-math.expm1(-y) - y * math.exp(-y)) / (y * y)
 
 
-def _mean_log2_bounds(exponent: float, n_max: int) -> tuple[float, float]:
-    """An interval that contains the float ``_mean_log2(exponent, n_max)``.
+def _mean_log2_bounds(exponent: float) -> tuple[float, float]:
+    """An interval that contains the float ``_mean_log2(exponent)``.
 
     For exponents s in [MIN_EXPONENT, MAX_EXPONENT].  The exact path computes
     S0 = sum n**-s and S1 = sum n**-s ln n over n <= HEAD in float64, adds the
@@ -273,9 +253,9 @@ def _mean_log2_bounds(exponent: float, n_max: int) -> tuple[float, float]:
             c1 = c * (da * (la - harmonic) - db * (lb - harmonic))
             s0 += c0
             s1 += c1
-    t = _Tail(s, n_max)
-    z = s0 + t.mass(t.ln_lo, t.ln_hi)
-    num = s1 + t.log_moment(t.ln_lo, t.ln_hi)
+    eps = s - 1.0
+    z = s0 + _tail_mass(eps, _LN_LO, _LN_HI)
+    num = s1 + _tail_log_moment(eps)
     # absolute allowances; the last corrections c0, c1 bound the remainders
     rel = ((18.0 * s * lb + 17.0) * _U + _GAMMA + _EVAL_SLACK) * 1.01
     dz = rel * s0 + abs(c0)
@@ -288,13 +268,13 @@ def _mean_log2_bounds(exponent: float, n_max: int) -> tuple[float, float]:
     )
 
 
-@lru_cache(maxsize=16)
-def _fittable_range(n_max: int) -> tuple[float, float]:
+@cache
+def _fittable_range() -> tuple[float, float]:
     """The exact mean log2-index at MIN_EXPONENT and at MAX_EXPONENT."""
-    return _mean_log2(MIN_EXPONENT, n_max), _mean_log2(MAX_EXPONENT, n_max)
+    return _mean_log2(MIN_EXPONENT), _mean_log2(MAX_EXPONENT)
 
 
-def fit_zeta(log_index_samples, n_max: int = DEFAULT_N_MAX) -> ZetaModel:
+def fit_zeta(log_index_samples) -> ZetaModel:
     """Moment-match the exponent to the observed mean log2-index.
 
     Solves E[log2 n] = mean(samples) over exponents in (1, 20] by bisection
@@ -303,7 +283,7 @@ def fit_zeta(log_index_samples, n_max: int = DEFAULT_N_MAX) -> ZetaModel:
     model's range raise :class:`Unfittable` and callers fall back to delta
     coding.
 
-    A step asks whether ``_mean_log2(mid, n_max) > target``.  When the
+    A step asks whether ``_mean_log2(mid) > target``.  When the
     interval from ``_mean_log2_bounds`` lies wholly above the target, or at
     or below it, that answers the question for the exact float too; only
     otherwise (about a third of the steps, the last ones) is the exact value
@@ -315,24 +295,24 @@ def fit_zeta(log_index_samples, n_max: int = DEFAULT_N_MAX) -> ZetaModel:
     if not np.isfinite(samples).all() or (samples < 0).any():
         raise ValueError("log2-index samples must be finite and nonnegative")
     target = float(samples.mean())
-    top, bottom = _fittable_range(n_max)
+    top, bottom = _fittable_range()
     if target >= top:
         raise Unfittable(
             f"mean log2-index {target:.3f} exceeds the truncated model's range"
         )
     if target <= bottom:
-        return ZetaModel(MAX_EXPONENT, n_max)
+        return ZetaModel(MAX_EXPONENT)
     lo, hi = MIN_EXPONENT, MAX_EXPONENT
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # f(lo) > target >= f(hi): no step moves a bound
             break
-        f_lo, f_hi = _mean_log2_bounds(mid, n_max)
-        if f_lo > target or (f_hi > target and _mean_log2(mid, n_max) > target):
+        f_lo, f_hi = _mean_log2_bounds(mid)
+        if f_lo > target or (f_hi > target and _mean_log2(mid) > target):
             lo = mid
         else:
             hi = mid
-    return ZetaModel(0.5 * (lo + hi), n_max)
+    return ZetaModel(0.5 * (lo + hi))
 
 
 def _codeword(model: ZetaModel, n: int) -> tuple[int, int]:
@@ -349,8 +329,8 @@ def _codeword(model: ZetaModel, n: int) -> tuple[int, int]:
 
 def zeta_encode(n: int, model: ZetaModel) -> Bits:
     """Shannon-Fano-Elias codeword for ``n`` under the model (prefix-free)."""
-    if not 1 <= n <= model.n_max:
-        raise OutOfRange(f"index {n} outside 1..n_max")
+    if not 1 <= n <= N_MAX:
+        raise OutOfRange(f"index {n} outside 1..N_MAX")
     value, length = _codeword(model, n)
     return Bits.of(value, length)
 

@@ -54,14 +54,6 @@ class Distribution1D:
         if self.scale <= 0.0:
             raise ValueError("scale must be strictly positive")
 
-    def pdf(self, x):
-        z = (x - self.loc) / self.scale
-        return np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
-
-    def logpdf(self, x):
-        z = (x - self.loc) / self.scale
-        return -0.5 * z * z - math.log(self.scale * math.sqrt(2.0 * math.pi))
-
     def cdf(self, x):
         return ndtr((x - self.loc) / self.scale)
 

@@ -34,9 +34,6 @@ class Interval:
     def empty(self) -> bool:
         return self.lo > self.hi
 
-    def __str__(self) -> str:
-        return "(empty)" if self.empty else f"[{self.lo}, {self.hi}]"
-
 
 REAL_LINE = Interval(-math.inf, math.inf)
 

@@ -209,6 +209,8 @@ def node_randoms(seed: int, index: int) -> NodeRandoms:
 
 def derive_seeds(base_seed: int, tag: int, block: int, n: int) -> np.ndarray:
     """``n`` decorrelated 64-bit run seeds for one benchmark block."""
+    if n < 0:
+        raise ValueError(f"negative seed count {n}")
     k0 = seed_words(base_seed)
     w0, _, _, _ = philox4x64_10(
         np.uint64(tag & _MASK64),

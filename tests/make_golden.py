@@ -36,6 +36,7 @@ from relcode.codecs import (
     serialize,
     zeta_encode,
 )
+from relcode.codecs.zeta import N_MAX
 from relcode.distributions import Distribution1D, DistributionPair, gaussian_pair_for_targets
 from relcode.engine import SplitRule, encode, encode_batch, simulate_bound_masses
 
@@ -132,7 +133,7 @@ def _codec_ints() -> list[int]:
 
 def _zeta_codewords(model: ZetaModel) -> dict:
     out = {}
-    for n in list(range(1, 65)) + [10**k for k in range(2, 19)] + [model.n_max]:
+    for n in list(range(1, 65)) + [10**k for k in range(2, 19)] + [N_MAX]:
         try:
             out[str(n)] = _bits(zeta_encode(n, model))
         except OutOfRange:

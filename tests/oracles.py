@@ -20,16 +20,27 @@ from relcode.randomness import node_randoms
 LN2 = math.log(2.0)
 
 
+def gaussian_pdf(d, x):
+    """Density of the Gaussian ``d`` at ``x`` (scalar or array)."""
+    z = (x - d.loc) / d.scale
+    return np.exp(-0.5 * z * z) / (d.scale * math.sqrt(2.0 * math.pi))
+
+
+def gaussian_logpdf(d, x):
+    z = (x - d.loc) / d.scale
+    return -0.5 * z * z - math.log(d.scale * math.sqrt(2.0 * math.pi))
+
+
 def _q(pair, x):
-    return pair.target.pdf(x)
+    return gaussian_pdf(pair.target, x)
 
 
 def _p(pair, x):
-    return pair.proposal.pdf(x)
+    return gaussian_pdf(pair.proposal, x)
 
 
 def _r(pair, x):
-    return pair.target.pdf(x) / pair.proposal.pdf(x)
+    return _q(pair, x) / _p(pair, x)
 
 
 def _span(pair):
@@ -61,7 +72,7 @@ def numeric_residual_mass(pair, lo, hi, level) -> float:
 
 def zeta_mean_log2(model: zeta.ZetaModel) -> float:
     """Expected log2 of the index under the model: the float fit_zeta matches."""
-    return zeta._mean_log2(model.exponent, model.n_max)
+    return zeta._mean_log2(model.exponent)
 
 
 def zeta_entropy_bits(model: zeta.ZetaModel) -> float:
@@ -71,7 +82,7 @@ def zeta_entropy_bits(model: zeta.ZetaModel) -> float:
 
 def grid_ratio_argmax(pair, lo=-10.0, hi=10.0, step=1e-4) -> float:
     xs = np.arange(lo, hi, step)
-    vals = pair.target.logpdf(xs) - pair.proposal.logpdf(xs)
+    vals = gaussian_logpdf(pair.target, xs) - gaussian_logpdf(pair.proposal, xs)
     return float(xs[int(np.argmax(vals))])
 
 
@@ -79,7 +90,8 @@ def bisect_level_edge(pair, level, lo, hi, tol=1e-12) -> float:
     """Root of r(x) - level on [lo, hi] (r monotone on the bracket)."""
 
     def f(x):
-        return (pair.target.logpdf(x) - pair.proposal.logpdf(x)) - math.log(level)
+        log_ratio = gaussian_logpdf(pair.target, x) - gaussian_logpdf(pair.proposal, x)
+        return log_ratio - math.log(level)
 
     f_lo = f(lo)
     for _ in range(200):

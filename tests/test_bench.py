@@ -241,6 +241,19 @@ class TestVector:
         assert report.zeta_total_bits <= 3.0
         assert report.delta_total_bits == 6.0
 
+    @pytest.mark.parametrize("dims, calib, repeats", [
+        (0, 256, 1), (2, 0, 1), (2, -3, 1), (2, 256, 0),
+    ])
+    def test_bad_run_counts_raise_before_encoding(self, dims, calib, repeats, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "relcode.bench.vector.encode_batch", lambda *a, **k: calls.append(a)
+        )
+        pairs = [gaussian_pair_for_targets(0.2, 0.95)] * dims
+        with pytest.raises(ValueError):
+            encode_vector(pairs, 0, calibration_runs=calib, repeats=repeats)
+        assert calls == []
+
 
 class TestPlots:
     def test_emit_and_determinism(self, tmp_path):
@@ -327,6 +340,11 @@ class TestCli:
         ["bias", "--extra-bits=-5"],
         ["bias", "--groups", "1"],
         ["vector", "--kl-min", "0", "--dims", "3"],
+        ["vector", "--dims", "0"],
+        ["vector", "--calib", "0"],
+        ["vector", "--calib", "-3"],
+        ["vector", "--repeats", "0"],
+        ["bias", "--extra-bits", "1.5,2.9"],
     ])
     def test_bad_options_exit_2_before_encoding(self, argv, monkeypatch, capsys):
         calls = []

@@ -177,7 +177,7 @@ class TestArithmeticCoder:
             assert [dec.decode_bit(quantize_p0(p)) for p in probs] == bits
             assert dec.bits_consumed() == len(code)
             reader.advance(dec.bits_consumed())
-            assert reader.tail() == tail
+            assert reader.pos == len(code)
 
     def test_general_intervals(self):
         cum = [0, 5, 9, 40, 100]
@@ -206,8 +206,8 @@ class TestZeta:
         dense = float((n ** -lam).sum())
         a = float(1 << 22) - 0.5
         remainder = a ** (1 - lam) / (lam - 1)
-        model = ZetaModel(lam, n_max=1 << 62)
-        # the model truncates at n_max; the reference sums everything, and
+        model = ZetaModel(lam)
+        # the model truncates at N_MAX; the reference sums everything, and
         # the strict-truncation difference is below the quadrature slack
         assert model._norm == pytest.approx(dense + remainder, abs=2e-6)
 
@@ -235,7 +235,7 @@ class TestZeta:
         lo, hi = zeta.MIN_EXPONENT, zeta.MAX_EXPONENT
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if zeta._mean_log2(mid, zeta.DEFAULT_N_MAX) > target:
+            if zeta._mean_log2(mid) > target:
                 lo = mid
             else:
                 hi = mid
@@ -256,7 +256,7 @@ class TestZeta:
             if mid == lo or mid == hi:
                 break
             mids.append(mid)
-            if zeta._mean_log2(mid, zeta.DEFAULT_N_MAX) > target:
+            if zeta._mean_log2(mid) > target:
                 lo = mid
             else:
                 hi = mid
@@ -268,7 +268,7 @@ class TestZeta:
             assert fit_zeta([target]).exponent.hex() == expected.hex(), target
 
     def test_fit_matches_exact_bisection_on_random_targets(self):
-        top, bottom = zeta._fittable_range(zeta.DEFAULT_N_MAX)
+        top, bottom = zeta._fittable_range()
         rng = np.random.default_rng(9)
         uniform = rng.uniform(bottom, top, 250)
         log_uniform = np.exp(rng.uniform(math.log(bottom), math.log(top), 250))
@@ -282,12 +282,12 @@ class TestZeta:
         for base in (0.3, 4.0):
             _, mids = self._exact_fit(base)
             for mid in mids[::4] + mids[-8:]:
-                f = zeta._mean_log2(mid, zeta.DEFAULT_N_MAX)
+                f = zeta._mean_log2(mid)
                 targets += [math.nextafter(f, 0.0), f, math.nextafter(f, math.inf)]
         self._assert_fits_match_exact_loop(targets)
 
     def test_fit_matches_exact_bisection_at_range_ends(self):
-        top, bottom = zeta._fittable_range(zeta.DEFAULT_N_MAX)
+        top, bottom = zeta._fittable_range()
         below_top = [math.nextafter(top, 0.0), math.nextafter(math.nextafter(top, 0.0), 0.0)]
         below_top += [top * (1.0 - 10.0**-k) for k in range(3, 16)]
         above_bottom = [math.nextafter(bottom, math.inf)]
@@ -306,8 +306,8 @@ class TestZeta:
             assert np.all(np.abs(np.exp(arg) / exp_ref - 1.0) <= 8 * u)
         exponents = 1.0 + np.logspace(-6, math.log10(19.0), 2000)
         for s in [zeta.MIN_EXPONENT, zeta.MAX_EXPONENT, *map(float, exponents)]:
-            lo, hi = zeta._mean_log2_bounds(s, zeta.DEFAULT_N_MAX)
-            assert lo <= zeta._mean_log2(s, zeta.DEFAULT_N_MAX) <= hi, s
+            lo, hi = zeta._mean_log2_bounds(s)
+            assert lo <= zeta._mean_log2(s) <= hi, s
             assert hi - lo < 1e-10 * hi
 
     def test_vector_fits_make_few_exact_evaluations(self, monkeypatch):
@@ -329,7 +329,7 @@ class TestZeta:
     def test_out_of_range(self):
         model = ZetaModel(2.0)
         with pytest.raises(OutOfRange):
-            zeta_encode(model.n_max + 1, model)
+            zeta_encode(zeta.N_MAX + 1, model)
 
     def test_codeword_length_bound(self):
         model = ZetaModel(2.0)
@@ -338,7 +338,7 @@ class TestZeta:
     def test_normalized_to_machine_precision(self):
         for lam in (1.05, 1.7, 4.0, 20.0):
             model = ZetaModel(lam)
-            assert abs(model.cdf_before(model.n_max + 1) - 1.0) < 1e-12
+            assert abs(model.cdf_before(zeta.N_MAX + 1) - 1.0) < 1e-12
 
     def test_round_trip_fitted_models(self):
         rng = np.random.default_rng(4)
@@ -422,7 +422,7 @@ class TestPayloads:
             reader = BitReader(payload + tail)
             depth_, index_ = decode_payload(reader, rule, seed=seed)
             assert (depth_, index_) == (res.depth, res.heap_index)
-            assert reader.tail() == tail
+            assert reader.pos == len(payload)
 
     def test_sample_payload_len_tracks_path_cost(self):
         # arithmetic-coded bound sequence: within 2+1 bits of -log2 P(S_D)

@@ -29,7 +29,12 @@ from relcode.engine import (
 from relcode.partition import REAL_LINE, Interval
 from relcode.randomness import derive_seeds, node_randoms, node_uniforms
 
-from oracles import DirectGlobalRecursion, numeric_residual_mass, ruled_out_after_one_level
+from oracles import (
+    DirectGlobalRecursion,
+    gaussian_pdf,
+    numeric_residual_mass,
+    ruled_out_after_one_level,
+)
 
 STD = Distribution1D(0.0, 1.0)
 NARROW = DistributionPair(Distribution1D(0.0, 0.5), STD)
@@ -140,7 +145,7 @@ class TestAcceptProb:
         lo, hi = interval(st1).lo, interval(st1).hi
         a, b = max(lo, -8.0), min(hi, 8.0)
         rem, _ = quad(
-            lambda y: max(r(y) - lvl, 0.0) * NARROW.proposal.pdf(y), a, b,
+            lambda y: max(r(y) - lvl, 0.0) * gaussian_pdf(NARROW.proposal, y), a, b,
             limit=300,
         )
         alpha_mu = min(r(mu) - lvl, rem / proposal_mass(st1))
@@ -474,6 +479,12 @@ class TestSeedContract:
             with pytest.raises(ValueError):
                 derive_seeds(base, 0, 0, 3)
         assert derive_seeds(2**64 - 1, 0, 0, 3).shape == (3,)
+
+    def test_derive_seeds_rejects_negative_count(self):
+        for n in (-1, -3):
+            with pytest.raises(ValueError):
+                derive_seeds(0, 0, 0, n)
+        assert derive_seeds(0, 0, 0, 0).shape == (0,)
 
     def test_range_ends_round_trip(self):
         seeds = [0, 2**63, 2**64 - 1]
