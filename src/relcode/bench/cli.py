@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the global variant even at large dinf")
         p.add_argument("--seeds", type=int, default=4000,
                        help="runs per grid point")
-        p.add_argument("--workers", type=int, default=0)
         common(p)
 
     p = sub.add_parser("sweep", help="grid sweep over divergence targets")
@@ -202,7 +201,6 @@ def main(argv=None) -> int:
                 variants=args.variants,
                 d_max=args.dmax,
                 seed_base=args.seed_base,
-                workers=args.workers,
                 force_global=args.force_global,
             )
         except ValueError as err:

@@ -7,9 +7,8 @@ measures steps (rejections before acceptance), serialized code bits
 -log2 P(S_D), and a KS p-value of the samples against the target.
 
 ``run_sweep`` returns one row per point and variant; ``write_rows`` writes
-any study's rows as CSV.  Points and variants fan out across worker
-threads; rows are merged in grid order, so output bytes depend only on the
-config and base seed.
+any study's rows as CSV.  Points and variants run in one thread, in grid
+order, so output bytes depend only on the config and base seed.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,7 +65,6 @@ class SweepConfig:
     )
     d_max: Optional[int] = None
     seed_base: int = 0
-    workers: int = 0
     force_global: bool = False
 
     def __post_init__(self) -> None:
@@ -76,11 +72,14 @@ class SweepConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not self.dkl_grid or not self.dinf_grid:
             raise ValueError("divergence grids must be nonempty")
-        if self.seeds_per_point < 100:
+        # counts and budgets go through operator.index, as in derive_seeds
+        # and encode_batch: TypeError for a non-integer
+        if operator.index(self.seeds_per_point) < 100:
             raise ValueError("seeds_per_point must be at least 100")
         if not self.variants:
             raise ValueError("need at least one variant")
-        # encode_batch's rule for a budget: TypeError for a non-integer
+        if not all(isinstance(rule, SplitRule) for rule in self.variants):
+            raise ValueError("variants must be SplitRule members")
         if self.d_max is not None and operator.index(self.d_max) < 0:
             raise ValueError("d_max must be None or a nonnegative integer")
         self.points()
@@ -139,15 +138,11 @@ def _fmt(x) -> str:
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """One row per grid point and variant, in grid order."""
-    tasks = [
-        (block, dkl, dinf, rule)
+    return [
+        measure_point(config, block, dkl, dinf, rule)
         for block, (dkl, dinf) in enumerate(config.points())
         for rule in config.variants
     ]
-    workers = config.workers or min(8, os.cpu_count() or 1)
-    # map yields in task order, so the rows keep grid order
-    with ThreadPoolExecutor(max(workers, 1)) as pool:
-        return list(pool.map(lambda task: measure_point(config, *task), tasks))
 
 
 def write_rows(rows: list[dict], path: str) -> None:

@@ -46,6 +46,8 @@ def encode_payload(
         raise ValueError("sample-rule payloads need the shared seed")
     if heap_index.bit_length() - 1 != depth:
         raise ValueError("depth does not match the heap index")
+    if rule is SplitRule.GLOBAL and heap_index != 1 << depth:
+        raise ValueError("global heap indices are 1 << depth")
     out = elias_gamma_encode(depth + 1)
     if rule is SplitRule.GLOBAL:
         return out

@@ -30,8 +30,8 @@ every encode: each step is a draw (``_draw``), the clipped accept test
 The global rule keeps the whole line active, so its runs share one level
 sequence and need no per-run interval state; ``_run_global`` tests a window
 of steps at once and computes the levels each call needs, no deeper than its
-deepest run.  The module holds no mutable state, so concurrent calls (the
-sweep's thread pool) need no locks.
+deepest run.  The module holds no mutable state, so concurrent calls need
+no locks.
 """
 
 from __future__ import annotations

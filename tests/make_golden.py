@@ -112,7 +112,6 @@ def _sweep_csv() -> str:
         seeds_per_point=300,
         variants=(SplitRule.SAMPLE, SplitRule.DYADIC),
         seed_base=7,
-        workers=1,
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sweep.csv")

@@ -45,6 +45,12 @@ class TestConfig:
             small_config(mode="nope")
         with pytest.raises(ValueError):
             small_config(seeds_per_point=10)
+        for n in (150.5, 300.0):  # derive_seeds' rule for a count
+            with pytest.raises(TypeError):
+                small_config(seeds_per_point=n)
+        for variants in (("dyadic",), (SplitRule.SAMPLE, "global"), (None,)):
+            with pytest.raises(ValueError, match="SplitRule"):
+                small_config(variants=variants)
         with pytest.raises(ValueError):
             small_config(dkl_grid=())
 
@@ -124,12 +130,6 @@ class TestSweep:
             "se_bits,mean_pathcost_bits,se_pathcost_bits,ks_p,reason"
         )
         assert len(text) == 5
-
-    def test_deterministic_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_rows(run_sweep(small_config()), str(a))
-        write_rows(run_sweep(small_config(workers=4)), str(b))
-        assert a.read_bytes() == b.read_bytes()
 
     def test_bits_column_is_actual_codeword_length(self):
         cfg = small_config(variants=(SplitRule.DYADIC,), dinf_grid=(4.0,))
@@ -369,8 +369,13 @@ class TestCli:
             cli_main(["bias", "--extra-bits", "1", "--samples", "20", "--groups", "2"])
 
     def test_run_options_only_on_grid_commands(self, tmp_path):
-        # only sweep and unbias have runs and workers to set
-        for argv in (["vector", "--seeds", "5"], ["bias", "--workers", "2"]):
+        # only sweep and unbias have runs to set
+        for argv in (
+            ["vector", "--seeds", "5"],
+            ["bias", "--workers", "2"],
+            ["sweep", "--dkl", "2", "--dinf", "4", "--seeds", "100", "--workers", "2"],
+            ["unbias", "--dkl", "2", "--dinf", "4", "--seeds", "100", "--workers", "2"],
+        ):
             with pytest.raises(SystemExit) as err:
                 cli_main(argv)
             assert err.value.code == 2

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -411,6 +412,13 @@ class TestPayloads:
             encode_payload(SplitRule.GLOBAL, 2, 8)
         with pytest.raises(ValueError, match="shared seed"):
             encode_payload(SplitRule.SAMPLE, 3, 13)
+        # a global index is 1 << depth: a right-branch bit would be dropped
+        # from the payload and decode to another index
+        for depth, index in ((2, 5), (2, 7), (40, (1 << 40) + 1)):
+            with pytest.raises(ValueError, match="global"):
+                encode_payload(SplitRule.GLOBAL, depth, index)
+        with pytest.raises(ValueError, match="global"):
+            serialize(replace(encode(PAIR, SplitRule.GLOBAL, 0), depth=2, heap_index=5))
 
     @pytest.mark.parametrize("rule", list(SplitRule))
     def test_round_trip_with_tail(self, rule):

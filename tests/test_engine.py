@@ -486,6 +486,12 @@ class TestSeedContract:
                 derive_seeds(0, 0, 0, n)
         assert derive_seeds(0, 0, 0, 0).shape == (0,)
 
+    def test_derive_seeds_rejects_fractional_count(self):
+        for n in (150.5, 2.0, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                derive_seeds(0, 1, 0, n)
+        assert np.array_equal(derive_seeds(0, 1, 0, np.int64(3)), derive_seeds(0, 1, 0, 3))
+
     def test_range_ends_round_trip(self):
         seeds = [0, 2**63, 2**64 - 1]
         out = encode_batch(PAIR35, SplitRule.SAMPLE, np.array(seeds, np.uint64))
