@@ -1,12 +1,12 @@
 """Dimensionwise vector coding with per-dimension overhead accounting.
 
 Each dimension runs the dyadic-split encoder independently under a
-lane-separated seed.  Heap indices are serialized two ways: self-delimiting
-delta codes per dimension, and a single arithmetic-coded stream under
-per-dimension power-law models whose exponents are fitted on a calibration
-set of runs.  Joint coding is what makes the fitted models pay off: indices
-of low-divergence dimensions cost well under one bit, which no
-self-delimiting code can express.
+lane-separated seed, and the runs of all dimensions share one batch.  Heap
+indices are serialized two ways: self-delimiting delta codes per dimension,
+and a single arithmetic-coded stream under per-dimension power-law models
+whose exponents are fitted on a calibration set of runs.  Joint coding is
+what makes the fitted models pay off: indices of low-divergence dimensions
+cost well under one bit, which no self-delimiting code can express.
 """
 
 from __future__ import annotations
@@ -118,22 +118,27 @@ def encode_vector(
         raise ValueError("need at least one dimension")
     if calibration_runs < 1 or repeats < 1:
         raise ValueError("need at least one calibration run and one repeat")
+    # one batch: the calibration runs of every dimension, dimension by
+    # dimension, then evaluation run r of dimension d under seed block
+    # r * n_dims + d, repeat by repeat
+    dims = np.arange(n_dims)
+    seeds = np.concatenate([
+        derive_seeds(seed, _TAG_CALIB, dims, calibration_runs).ravel(),
+        derive_seeds(seed, _TAG_EVAL, np.arange(repeats * n_dims), 1).ravel(),
+    ])
+    run_dims = np.concatenate([np.repeat(dims, calibration_runs), np.tile(dims, repeats)])
+    run_pairs = np.array(pairs, dtype=object)[run_dims]
+    heap_indices = encode_batch(run_pairs, SplitRule.DYADIC, seeds).heap_indices
+    n_calib = n_dims * calibration_runs
     models: list[Optional[ZetaModel]] = []
     failures = [""] * n_dims
-    eval_indices = []
-    for d, pair in enumerate(pairs):
-        # one batch per dimension: the calibration runs, then evaluation run r
-        # under seed block r * n_dims + d
-        blocks = [derive_seeds(seed, _TAG_CALIB, d, calibration_runs)]
-        blocks += [derive_seeds(seed, _TAG_EVAL, r * n_dims + d, 1) for r in range(repeats)]
-        runs = encode_batch(pair, SplitRule.DYADIC, np.concatenate(blocks))
-        logs = np.log2([float(i) for i in runs.heap_indices[:calibration_runs]])
+    for d in range(n_dims):
+        calib = heap_indices[d * calibration_runs:(d + 1) * calibration_runs]
         try:
-            models.append(fit_zeta(logs))
+            models.append(fit_zeta(np.log2([float(i) for i in calib])))
         except Unfittable as err:
             models.append(None)
             failures[d] = f"unfittable: {err}"
-        eval_indices.append(runs.heap_indices[calibration_runs:])
 
     delta_totals = np.empty(repeats)
     zeta_totals = np.empty(repeats)
@@ -142,7 +147,7 @@ def encode_vector(
     per_dim_info = np.full((repeats, n_dims), np.nan)
     per_dim_log2 = np.zeros((repeats, n_dims))
     for r in range(repeats):
-        indices = [runs[r] for runs in eval_indices]
+        indices = heap_indices[n_calib + r * n_dims:n_calib + (r + 1) * n_dims]
         for d, n in enumerate(indices):
             per_dim_delta[r, d] = len(elias_delta_encode(n))
             per_dim_log2[r, d] = math.log2(n)

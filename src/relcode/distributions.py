@@ -132,9 +132,9 @@ class DistributionPair:
         return self.log_ratio_nats(self.ratio_mode) / LN2
 
     def check_unimodal(self) -> None:
-        """Raise NotUnimodal when the ratio opens upward (``c2 > 0``), so that
-        its superlevel sets are not intervals."""
-        if self._coeffs[0] > 0.0:
+        """Raise NotUnimodal when the ratio opens upward (``c2 > 0``, in any
+        row), so that its superlevel sets are not intervals."""
+        if np.count_nonzero(self._coeffs[0] > 0.0):
             raise NotUnimodal(
                 "superlevel sets are not intervals (target wider than proposal)"
             )
@@ -148,28 +148,25 @@ class DistributionPair:
         self.check_unimodal()
         c2, c1, c0 = self._coeffs
         level = np.asarray(level, dtype=np.float64)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             lnl = np.log(level)
-        if c2 == 0.0:
-            if c1 == 0.0:
-                # identical distributions: r == 1 everywhere
-                full = lnl <= 0.0
-                lo = np.where(full, -np.inf, np.inf)
-                hi = np.where(full, np.inf, -np.inf)
-            elif c1 > 0.0:
-                lo = np.where(lnl == -np.inf, -np.inf, (lnl - c0) / c1)
-                hi = np.full_like(lo, np.inf)
-            else:
-                hi = np.where(lnl == -np.inf, np.inf, (lnl - c0) / c1)
-                lo = np.full_like(hi, -np.inf)
-            return lo, hi
-        disc = c1 * c1 - 4.0 * c2 * (c0 - lnl)
-        with np.errstate(invalid="ignore"):
+            disc = c1 * c1 - 4.0 * c2 * (c0 - lnl)
             root = np.sqrt(np.maximum(disc, 0.0))
             x_a = (-c1 - root) / (2.0 * c2)
             x_b = (-c1 + root) / (2.0 * c2)
         lo = np.where(disc < 0.0, np.inf, np.minimum(x_a, x_b))
         hi = np.where(disc < 0.0, -np.inf, np.maximum(x_a, x_b))
+        flat = c2 == 0.0
+        if np.count_nonzero(flat):
+            # a linear log-ratio (c1 != 0) has a half-line as its level set;
+            # identical laws (r == 1) have the whole line or nothing
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x0 = (lnl - c0) / c1
+            full = lnl <= 0.0
+            lo_flat = np.where((c1 < 0.0) | full, -np.inf, np.inf)
+            hi_flat = np.where((c1 > 0.0) | full, np.inf, -np.inf)
+            lo = np.where(flat, np.where(c1 > 0.0, x0, lo_flat), lo)
+            hi = np.where(flat, np.where(c1 < 0.0, x0, hi_flat), hi)
         lo = np.where(lnl == -np.inf, -np.inf, lo)
         hi = np.where(lnl == -np.inf, np.inf, hi)
         return lo, hi
@@ -220,7 +217,12 @@ class DistributionPair:
         Computes Q(A) - level * P(A) where A is [lo, hi] intersected with
         {r >= level}, clamped to [0, 1].
         """
-        ls_lo, ls_hi = self.level_bounds(level)
+        return self.residual_within(lo, hi, level, self.level_bounds(level))
+
+    def residual_within(self, lo, hi, level, bounds):
+        """:meth:`residual_above` given the level set's ``bounds`` from
+        :meth:`level_bounds`, so that intervals at one level share them."""
+        ls_lo, ls_hi = bounds
         a = np.maximum(np.asarray(lo, dtype=np.float64), ls_lo)
         b = np.minimum(np.asarray(hi, dtype=np.float64), ls_hi)
         nonempty = a < b
@@ -234,6 +236,46 @@ class DistributionPair:
         )
         out = np.where(nonempty, qmass - level * pmass, 0.0)
         return np.clip(out, 0.0, 1.0)
+
+
+class _LawRows(Distribution1D):
+    """Gaussians with per-run ``loc`` and ``scale`` arrays; each row was
+    checked when its own law was built."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+class _PairRows(DistributionPair):
+    """One pair per run, held as rows of per-run parameters.
+
+    ``rows`` is a ``(8, n)`` array: the ratio coefficients ``c2, c1, c0``,
+    the ratio mode (NaN without a finite one), and each law's loc and scale.
+    Every service inherited from :class:`DistributionPair` runs on the rows
+    elementwise, by the same expressions as for one pair.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        c2, c1, c0, mode, mq, sq, mp, sp = rows
+        object.__setattr__(self, "target", _LawRows(mq, sq))
+        object.__setattr__(self, "proposal", _LawRows(mp, sp))
+        # fill the cached properties the kernel reads
+        self.__dict__.update(rows=rows, _coeffs=(c2, c1, c0), ratio_mode=mode)
+
+    @classmethod
+    def of(cls, pairs: list[DistributionPair], ids: np.ndarray) -> _PairRows:
+        """Rows for runs whose pair is ``pairs[ids[i]]``: one row per
+        distinct pair, indexed out per run."""
+        table = np.array([
+            (*p._coeffs, p.ratio_mode if p.has_finite_mode else math.nan,
+             p.target.loc, p.target.scale, p.proposal.loc, p.proposal.scale)
+            for p in pairs
+        ]).T
+        return cls(table[:, ids])
+
+    def take(self, runs) -> _PairRows:
+        """The rows of the selected runs (an index array or boolean mask)."""
+        return _PairRows(self.rows[:, runs])
 
 
 def _kl_gap_nats(s: float) -> float:

@@ -26,6 +26,9 @@ every encode: each step is a draw (``_draw``), the clipped accept test
 (``_accept_prob``) and, on rejection, the level raise and descent
 (``_branch_arrays``).  ``encode`` is the single-run wrapper around it and
 ``simulate_bound_masses`` runs its draws and descents with no accept test.
+A batch may code one pair per run: the distinct pairs' parameters are then
+indexed out into per-run rows, on which the same kernel expressions run
+elementwise.
 
 The global rule keeps the whole line active, so its runs share one level
 sequence and need no per-run interval state; ``_run_global`` tests a window
@@ -40,11 +43,11 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import DistributionPair, Distribution1D, NoFiniteMode
+from .distributions import DistributionPair, Distribution1D, NoFiniteMode, _PairRows
 from .partition import Interval, REAL_LINE, path_bits
 from .randomness import node_randoms, node_uniforms, seed_words
 
@@ -119,10 +122,42 @@ def _check_rule(pair: DistributionPair, rule: SplitRule) -> None:
     pair.check_unimodal()
 
 
-class _BatchState:
-    """Per-run arrays for the alive subset of a vectorized encode."""
+def _batch_pair(pair, rule: SplitRule, n: int) -> DistributionPair:
+    """The pair of a batch of ``n`` runs: ``pair`` itself, the one distinct
+    pair of a sequence, or else the sequence's :class:`_PairRows`, which the
+    global rule refuses (its runs share one level sequence).  Every distinct
+    pair is checked against the rule before the first step."""
+    if isinstance(pair, DistributionPair):
+        _check_rule(pair, rule)
+        return pair
+    if len(pair) != n:
+        raise ValueError(f"{len(pair)} pairs for {n} seeds")
+    # distinct objects in one pass over their ids, then distinct values
+    # among those objects, numbered in order of first appearance
+    _, first, inverse = np.unique(
+        np.fromiter(map(id, pair), np.uint64, n), return_index=True, return_inverse=True
+    )
+    numbers: dict = {}
+    for i in np.sort(first):
+        numbers.setdefault(pair[i], len(numbers))
+    distinct = list(numbers)
+    if len(distinct) > 1 and rule is SplitRule.GLOBAL:
+        raise ValueError("the global rule codes one pair per batch")
+    for p in distinct:
+        _check_rule(p, rule)
+    if len(distinct) == 1:
+        return distinct[0]
+    ids = np.array([numbers[pair[i]] for i in first])[inverse]
+    return _PairRows.of(distinct, ids)
 
-    def __init__(self, n: int, seeds: np.ndarray):
+
+class _BatchState:
+    """Per-run arrays for the alive subset of a vectorized encode, and its
+    pair: one for every run, or a :class:`_PairRows` of per-run rows."""
+
+    def __init__(self, pair: DistributionPair, seeds: np.ndarray):
+        n = seeds.shape[0]
+        self.pair = pair
         self.seeds = seeds
         self.lo = np.full(n, -np.inf)
         self.hi = np.full(n, np.inf)
@@ -135,9 +170,11 @@ class _BatchState:
         self.k_hi = np.zeros(n, np.uint64)
 
     def take(self, rows: np.ndarray) -> _BatchState:
-        """A new state holding the selected runs; ``self`` is left intact."""
+        """A new state holding the selected runs, with their pair rows if
+        the runs have their own pairs; ``self`` is left intact."""
         new = object.__new__(_BatchState)
-        new.__dict__ = {name: arr[rows] for name, arr in vars(self).items()}
+        new.__dict__ = {name: arr[rows] for name, arr in vars(self).items() if name != "pair"}
+        new.pair = self.pair.take(rows) if isinstance(self.pair, _PairRows) else self.pair
         return new
 
     def heap_index(self, i: int, depth: int) -> int:
@@ -157,7 +194,7 @@ class _BatchState:
         return [self.heap_index(i, depth) for i in np.flatnonzero(rows)]
 
 
-def _draw(pair: DistributionPair, st: _BatchState, d: int):
+def _draw(st: _BatchState, d: int):
     """Node draw at depth ``d`` for every run: the proposal restricted to the
     active interval, sampled by its quantile.
 
@@ -167,7 +204,7 @@ def _draw(pair: DistributionPair, st: _BatchState, d: int):
     u_s, u_a, u_b = node_uniforms(st.seeds, np.uint64(d), st.k_lo, st.k_mid, st.k_hi)
     mass = st.f_hi - st.f_lo
     t = st.f_lo + u_s * mass
-    return pair.proposal.quantile(t), t, mass, u_a, u_b
+    return st.pair.proposal.quantile(t), t, mass, u_a, u_b
 
 
 def _accept_prob(pair: DistributionPair, x, level, resid, mass):
@@ -182,12 +219,14 @@ def _accept_prob(pair: DistributionPair, x, level, resid, mass):
     return np.where(resid <= _DEGENERATE_EPS, 1.0, beta)
 
 
-def _branch_arrays(pair, rule, st: _BatchState, x, t, u_branch):
+def _branch_arrays(rule, st: _BatchState, x, t, u_branch):
     """Raise the level, split and descend for every (rejected) run in ``st``.
 
     Returns the child's residual mass at the new level, NaN where both
-    dyadic children have none (numerical exhaustion).
+    dyadic children have none (numerical exhaustion).  The state's
+    attributes are rebound, never written into.
     """
+    pair = st.pair
     with np.errstate(divide="ignore", invalid="ignore"):
         level_next = st.level + (1.0 - st.ruled) / (st.f_hi - st.f_lo)
     one = np.uint64(1)
@@ -207,8 +246,10 @@ def _branch_arrays(pair, rule, st: _BatchState, x, t, u_branch):
     elif rule is SplitRule.DYADIC:
         f_mid = 0.5 * (st.f_lo + st.f_hi)
         c = pair.proposal.quantile(f_mid)
-        res_left = pair.residual_above(st.lo, c, level_next)
-        res_right = pair.residual_above(c, st.hi, level_next)
+        # both children lie at one level: solve its level set once
+        bounds = pair.level_bounds(level_next)
+        res_left = pair.residual_within(st.lo, c, level_next, bounds)
+        res_right = pair.residual_within(c, st.hi, level_next, bounds)
         total = res_left + res_right
         exhausted = total <= 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -312,14 +353,14 @@ def _run_batch(pair, rule, seeds, d_max, trace):
         d_max = operator.index(d_max)  # TypeError for a non-integer budget
         if d_max < 0:
             raise ValueError("d_max must be None or a nonnegative integer")
-    _check_rule(pair, rule)
     seeds = np.atleast_1d(seed_words(seeds))
     n = seeds.shape[0]
+    pair = _batch_pair(pair, rule, n)
     if trace is not None and n != 1:
         raise ValueError("trace capture only supported for single runs")
     if rule is SplitRule.GLOBAL:
         return _run_global(pair, seeds, d_max, trace)
-    st = _BatchState(n, seeds)
+    st = _BatchState(pair, seeds)
     alive_ids = np.arange(n)
     out_sample = np.empty(n)
     out_depth = np.zeros(n, np.int64)
@@ -333,15 +374,16 @@ def _run_batch(pair, rule, seeds, d_max, trace):
             raise NonTermination(f"no acceptance within {HARD_STEP_CAP} steps")
         if trace is not None:
             trace.append(Interval(float(st.lo[0]), float(st.hi[0])))
-        x, t, mass, u_a, u_b = _draw(pair, st, d)
-        accepted = u_a <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)
+        x, t, mass, u_a, u_b = _draw(st, d)
+        accepted = u_a <= _accept_prob(st.pair, x, st.level, 1.0 - st.ruled, mass)
         stop = accepted | (d >= limit)
         rejected = np.flatnonzero(~stop)
-        child = st.take(rejected)
+        # with no run stopping, the child views the parent's arrays, which
+        # the descent rebinds and never writes into
+        rows = slice(None) if rejected.size == stop.size else rejected
+        child = st.take(rows)
         if rejected.size:
-            res_child = _branch_arrays(
-                pair, rule, child, x[rejected], t[rejected], u_b[rejected]
-            )
+            res_child = _branch_arrays(rule, child, x[rows], t[rows], u_b[rows])
             # numerical exhaustion: terminate accepting the current draw
             exhausted = np.isnan(res_child)
             if exhausted.any():
@@ -372,14 +414,17 @@ def _run_batch(pair, rule, seeds, d_max, trace):
 
 
 def encode_batch(
-    pair: DistributionPair,
+    pair: Union[DistributionPair, Sequence[DistributionPair]],
     rule: SplitRule,
     seeds: Sequence[int],
     d_max: Optional[int] = None,
 ) -> BatchResult:
     """Encode one sample per seed; heavy lifting is vectorized across runs.
 
-    ``d_max`` is None (no budget) or a nonnegative integer step budget.
+    ``pair`` is one pair for every run, or a sequence of one pair per seed
+    (the global rule takes one pair).  Every pair is checked against the
+    rule before the first step.  ``d_max`` is None (no budget) or a
+    nonnegative integer step budget.
     """
     return _run_batch(pair, rule, seeds, d_max, trace=None)
 
@@ -458,12 +503,12 @@ def simulate_bound_masses(
     """
     _check_rule(pair, rule)
     seeds = np.atleast_1d(seed_words(seeds))
-    st = _BatchState(seeds.shape[0], seeds)
+    st = _BatchState(pair, seeds)
     masses = np.empty((seeds.shape[0], max_depth + 1))
     masses[:, 0] = 1.0
     for d in range(max_depth):
-        x, t, _, _, u_b = _draw(pair, st, d)
-        res_child = _branch_arrays(pair, rule, st, x, t, u_b)
+        x, t, _, _, u_b = _draw(st, d)
+        res_child = _branch_arrays(rule, st, x, t, u_b)
         # an exhausted run has no residual mass left
         st.ruled = np.where(np.isnan(res_child), 1.0, st.ruled)
         masses[:, d + 1] = st.f_hi - st.f_lo

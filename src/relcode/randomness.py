@@ -176,22 +176,23 @@ def node_uniforms(seeds, depths, off_lo, off_mid, off_hi):
     return _to_unit(w0), _to_unit(w1), _to_unit(w2)
 
 
-def seed_words(seeds):
+def seed_words(seeds, what: str = "seed"):
     """Seeds as Philox key words, under the one seed contract.
 
     Takes one integer (returns an ``np.uint64``) or a 1-D sequence or array
     of integers (returns a uint64 array).  Raises ValueError for any seed
-    outside ``0 <= seed < 2**64``; none is wrapped or masked.
+    outside ``0 <= seed < 2**64``; none is wrapped or masked.  ``what``
+    names the value in that error, for other words under the same contract.
     """
     if isinstance(seeds, (int, np.integer)):
         if not 0 <= seeds <= _MASK64:
-            raise ValueError(f"seed {seeds} outside 0 <= seed < 2**64")
+            raise ValueError(f"{what} {seeds} outside 0 <= {what} < 2**64")
         return np.uint64(seeds)
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
-            raise ValueError(f"seed {seeds.min()} outside 0 <= seed < 2**64")
+            raise ValueError(f"{what} {seeds.min()} outside 0 <= {what} < 2**64")
         return seeds.astype(np.uint64)
-    return np.array([seed_words(operator.index(s)) for s in seeds], dtype=np.uint64)
+    return np.array([seed_words(operator.index(s), what) for s in seeds], dtype=np.uint64)
 
 
 def node_randoms(seed: int, index: int) -> NodeRandoms:
@@ -207,18 +208,20 @@ def node_randoms(seed: int, index: int) -> NodeRandoms:
     return NodeRandoms((w0 >> 11) * _U53_INV, (w1 >> 11) * _U53_INV, (w2 >> 11) * _U53_INV)
 
 
-def derive_seeds(base_seed: int, tag: int, block: int, n: int) -> np.ndarray:
-    """``n`` decorrelated 64-bit run seeds for one benchmark block."""
+def derive_seeds(base_seed: int, tag: int, block, n: int) -> np.ndarray:
+    """``n`` decorrelated 64-bit run seeds for one benchmark block, or for a
+    1-D array of blocks one row of ``n`` per block.  ``tag`` and each block
+    lie in ``[0, 2**64)`` like a seed; others raise ValueError."""
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"negative seed count {n}")
     k0 = seed_words(base_seed)
     w0, _, _, _ = philox4x64_10(
-        np.uint64(tag & _MASK64),
-        np.uint64(block & _MASK64),
+        seed_words(operator.index(tag), "tag"),
+        np.asarray(seed_words(block, "block"))[..., None],
         np.arange(n, dtype=np.uint64),
         np.uint64(0),
         k0,
         _DOMAIN_SEED,
     )
-    return np.atleast_1d(w0)
+    return w0

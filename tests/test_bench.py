@@ -19,7 +19,12 @@ from relcode.bench import (
 )
 from relcode.bench.cli import main as cli_main
 from relcode.codecs import encode_payload
-from relcode.distributions import Distribution1D, DistributionPair, gaussian_pair_for_targets
+from relcode.distributions import (
+    Distribution1D,
+    DistributionPair,
+    NotUnimodal,
+    gaussian_pair_for_targets,
+)
 from relcode.engine import SplitRule, encode
 from relcode.randomness import derive_seeds
 
@@ -253,6 +258,24 @@ class TestVector:
         with pytest.raises(ValueError):
             encode_vector(pairs, 0, calibration_runs=calib, repeats=repeats)
         assert calls == []
+
+    def test_bad_last_pair_raises_before_encoding(self, monkeypatch):
+        import relcode.bench.vector as bench_vector
+        import relcode.engine as engine
+
+        calls, steps = [], []
+        encode_batch, node_uniforms = bench_vector.encode_batch, engine.node_uniforms
+        monkeypatch.setattr(
+            bench_vector, "encode_batch", lambda *a, **k: calls.append(encode_batch(*a, **k))
+        )
+        monkeypatch.setattr(
+            engine, "node_uniforms", lambda *a: steps.append(a) or node_uniforms(*a)
+        )
+        wide = DistributionPair(Distribution1D(0.5, 1.5), Distribution1D(0.0, 1.0))
+        pairs = [gaussian_pair_for_targets(0.2, 0.95)] * 7 + [wide]
+        with pytest.raises(NotUnimodal):
+            encode_vector(pairs, 0, calibration_runs=64, repeats=2)
+        assert calls == [] and steps == []
 
 
 class TestPlots:

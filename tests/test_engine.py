@@ -29,6 +29,7 @@ from relcode.engine import (
 from relcode.partition import REAL_LINE, Interval
 from relcode.randomness import derive_seeds, node_randoms, node_uniforms
 
+from make_golden import _pairs as golden_pairs
 from oracles import (
     DirectGlobalRecursion,
     gaussian_pdf,
@@ -47,8 +48,8 @@ class _NoResidualAbove(DistributionPair):
     """A pair whose residual mass vanishes above a level, which forces the
     dyadic descent into numerical exhaustion (both children empty)."""
 
-    def residual_above(self, lo, hi, level):
-        out = super().residual_above(lo, hi, level)
+    def residual_within(self, lo, hi, level, bounds):
+        out = super().residual_within(lo, hi, level, bounds)
         return np.where(np.asarray(level) > 4.0, 0.0, out)
 
 
@@ -59,13 +60,13 @@ NO_RESIDUAL_ABOVE_4 = _NoResidualAbove(PAIR35.target, PAIR35.proposal)
 # test and ``_branch_arrays`` raises the level and descends.
 
 
-def root_state(seed=0):
-    return _BatchState(1, np.array([seed], np.uint64))
+def root_state(pair, seed=0):
+    return _BatchState(pair, np.array([seed], np.uint64))
 
 
 def state_at(pair, lo, hi, level, ruled):
     """A size-1 kernel state on ``[lo, hi]`` at the given level."""
-    st = root_state()
+    st = root_state(pair)
     st.lo[:], st.hi[:] = lo, hi
     st.f_lo[:], st.f_hi[:] = pair.proposal.cdf(lo), pair.proposal.cdf(hi)
     st.level[:], st.ruled[:] = level, ruled
@@ -92,7 +93,7 @@ def branch(pair, rule, st, x, u_branch=0.5):
     """
     child = st.take(np.arange(1))
     t = np.atleast_1d(pair.proposal.cdf(x))
-    _branch_arrays(pair, rule, child, np.array([x]), t, np.array([u_branch]))
+    _branch_arrays(rule, child, np.array([x]), t, np.array([u_branch]))
     return int(child.k_lo[0] & np.uint64(1)), child
 
 
@@ -101,32 +102,32 @@ def encode_step_by_step(pair, rule, seed):
 
     Returns the accepted sample and its heap index.
     """
-    st = root_state(seed)
+    st = root_state(pair, seed)
     d = 0
     while True:
-        x, t, mass, u_a, u_b = _draw(pair, st, d)
+        x, t, mass, u_a, u_b = _draw(st, d)
         if u_a[0] <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)[0]:
             return float(x[0]), st.heap_index(0, d)
         child = st.take(np.arange(1))
-        if np.isnan(_branch_arrays(pair, rule, child, x, t, u_b)[0]):
+        if np.isnan(_branch_arrays(rule, child, x, t, u_b)[0]):
             return float(x[0]), st.heap_index(0, d)
         st, d = child, d + 1
 
 
 class TestAcceptProb:
     def test_root_is_clipped_ratio(self):
-        st0 = root_state()
+        st0 = root_state(PAIR35)
         for x in (-1.0, 0.5, PAIR35.ratio_mode):
             r = float(np.exp(PAIR35.log_ratio_nats(x)))
             assert accept_prob(PAIR35, st0, x) == pytest.approx(min(r, 1.0), abs=1e-12)
 
     def test_identical_always_accepts(self):
-        st0 = root_state()
+        st0 = root_state(SAME)
         for x in (-2.0, 0.0, 3.0):
             assert accept_prob(SAME, st0, x) == 1.0
 
     def test_degenerate_state_accepts(self):
-        st = root_state()
+        st = root_state(PAIR35)
         st.ruled[:] = 1.0 - 1e-13
         assert accept_prob(PAIR35, st, 0.0) == 1.0
 
@@ -135,7 +136,7 @@ class TestAcceptProb:
         # direct evaluation of the general recursion: after one level raise,
         # the accounted density inside the active interval is min(r, L1)
         x0 = 1.3
-        bit, st1 = branch(NARROW, SplitRule.DYADIC, root_state(), x0, u_branch=0.3)
+        bit, st1 = branch(NARROW, SplitRule.DYADIC, root_state(NARROW), x0, u_branch=0.3)
         mu = NARROW.ratio_mode
 
         def r(y):
@@ -157,14 +158,14 @@ class TestAcceptProb:
 class TestAdvanceLevel:
     # the global descent keeps the interval, so it isolates the level update
     def test_first_level(self):
-        _, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(), 0.0)
+        _, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(PAIR35), 0.0)
         level, ruled = float(st1.level[0]), float(st1.ruled[0])
         assert level == 1.0
         ref = ruled_out_after_one_level(PAIR35)
         assert ruled == pytest.approx(ref, abs=1e-6)
 
     def test_narrow_quadrature(self):
-        _, st1 = branch(NARROW, SplitRule.GLOBAL, root_state(), 0.0)
+        _, st1 = branch(NARROW, SplitRule.GLOBAL, root_state(NARROW), 0.0)
         level, ruled = float(st1.level[0]), float(st1.ruled[0])
         assert level == 1.0
         assert ruled == pytest.approx(ruled_out_after_one_level(NARROW), abs=1e-6)
@@ -172,7 +173,7 @@ class TestAdvanceLevel:
 
 class TestBranchChoice:
     def test_global_keeps_interval(self):
-        bit, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(), 0.7)
+        bit, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(PAIR35), 0.7)
         assert bit == 0
         assert interval(st1) == REAL_LINE
         assert st1.heap_index(0, 1) == 2
@@ -180,7 +181,7 @@ class TestBranchChoice:
 
     def test_sample_keeps_mode_side(self):
         mu = PAIR35.ratio_mode
-        st0 = root_state()
+        st0 = root_state(PAIR35)
         bit, st1 = branch(PAIR35, SplitRule.SAMPLE, st0, mu + 1.0)
         assert bit == 0 and interval(st1).hi == mu + 1.0
         bit, st2 = branch(PAIR35, SplitRule.SAMPLE, st0, mu - 1.0)
@@ -189,7 +190,7 @@ class TestBranchChoice:
         assert interval(st2).lo <= mu <= interval(st2).hi
 
     def test_dyadic_symmetric_pair_is_fair(self):
-        st0 = root_state()
+        st0 = root_state(NARROW)
         # split of the full line lands at the mode, so residuals are equal;
         # the branch coin must flip exactly at 1/2
         bit_lo, _ = branch(NARROW, SplitRule.DYADIC, st0, 2.0, u_branch=0.499999)
@@ -198,7 +199,7 @@ class TestBranchChoice:
 
     def test_dyadic_probability_vs_quadrature(self):
         pair = PAIR35
-        st0 = root_state()
+        st0 = root_state(pair)
         level1 = 1.0
         c = float(pair.proposal.quantile(0.5))
         res_r = numeric_residual_mass(pair, c, math.inf, level1)
@@ -245,10 +246,10 @@ class TestStateConsistency:
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_residual_invariant_along_trajectories(self, rule):
         for seed in range(30):
-            st = root_state(seed)
+            st = root_state(PAIR35, seed)
             for d in range(6):
-                x, t, _, _, u_b = _draw(PAIR35, st, d)
-                if np.isnan(_branch_arrays(PAIR35, rule, st, x, t, u_b)[0]):
+                x, t, _, _, u_b = _draw(st, d)
+                if np.isnan(_branch_arrays(rule, st, x, t, u_b)[0]):
                     break
                 iv = interval(st)
                 assert 1.0 - st.ruled[0] == pytest.approx(
@@ -261,11 +262,11 @@ class TestStateConsistency:
 
     def test_levels_and_ruled_mass_monotone(self):
         out = encode(PAIR35, SplitRule.DYADIC, seed=3)
-        st = root_state(12)
+        st = root_state(PAIR35, 12)
         levels, ruled = [float(st.level[0])], [float(st.ruled[0])]
         for d in range(10):
-            x, t, _, _, u_b = _draw(PAIR35, st, d)
-            _branch_arrays(PAIR35, SplitRule.DYADIC, st, x, t, u_b)
+            x, t, _, _, u_b = _draw(st, d)
+            _branch_arrays(SplitRule.DYADIC, st, x, t, u_b)
             levels.append(float(st.level[0]))
             ruled.append(float(st.ruled[0]))
         assert levels == sorted(levels)
@@ -394,6 +395,11 @@ class TestEncodeDecode:
             assert encode_step_by_step(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, seed) == (
                 x, index
             )
+        # a lone run exhausts at a step where no run accepts: its index must
+        # still come from the parent's offsets
+        for seed in np.flatnonzero(out.depths == 2)[:20]:
+            res = encode(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, int(seed))
+            assert (res.sample, res.heap_index) == (out.samples[seed], out.heap_indices[seed])
 
     def test_decode_never_sees_target(self):
         import inspect
@@ -418,6 +424,84 @@ class TestEncodeDecode:
         for seed in range(20):
             x = decode(STD, SplitRule.DYADIC, seed, 5)
             assert lo <= x <= hi
+
+
+def assert_same_runs(got, want, rows=slice(None)):
+    """``got``'s runs ``rows`` equal ``want``'s runs bit for bit."""
+    assert got.samples[rows].tobytes() == want.samples.tobytes()
+    assert np.array_equal(got.depths[rows], want.depths)
+    assert list(np.array(got.heap_indices, object)[rows]) == want.heap_indices
+    assert np.array_equal(got.accepted[rows], want.accepted)
+    assert got.proposal_mass[rows].tobytes() == want.proposal_mass.tobytes()
+
+
+class TestPairBatches:
+    """``encode_batch`` with one pair per run."""
+
+    # linear log-ratios (c2 == 0): no finite mode, so dyadic only
+    SHIFTED = [DistributionPair(Distribution1D(m, 1.0), STD) for m in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("rule", [SplitRule.SAMPLE, SplitRule.DYADIC])
+    @pytest.mark.parametrize("d_max", [None, 2])
+    def test_repeated_pair_equals_one_pair(self, rule, d_max):
+        seeds = derive_seeds(8, 0, 0, 300)
+        for pair in golden_pairs().values():
+            assert_same_runs(
+                encode_batch([pair] * 300, rule, seeds, d_max=d_max),
+                encode_batch(pair, rule, seeds, d_max=d_max),
+            )
+
+    @pytest.mark.parametrize("rule", [SplitRule.SAMPLE, SplitRule.DYADIC])
+    @pytest.mark.parametrize("d_max", [None, 2])
+    def test_mixed_pairs_equal_each_runs_own_encode(self, rule, d_max):
+        pairs = list(golden_pairs().values())
+        if rule is SplitRule.DYADIC:
+            pairs += self.SHIFTED
+        n = 1200
+        seeds = derive_seeds(9, 0, 0, n)
+        ids = np.random.default_rng(3).integers(len(pairs), size=n)
+        out = encode_batch([pairs[i] for i in ids], rule, seeds, d_max=d_max)
+        for j, pair in enumerate(pairs):
+            rows = np.flatnonzero(ids == j)
+            assert rows.size > 50
+            assert_same_runs(out, encode_batch(pair, rule, seeds[rows], d_max=d_max), rows)
+        for i in range(0, n, 97):
+            res = encode(pairs[ids[i]], rule, int(seeds[i]), d_max=d_max)
+            assert (res.sample, res.heap_index) == (out.samples[i], out.heap_indices[i])
+
+    def test_global_needs_one_pair(self, monkeypatch):
+        seeds = derive_seeds(10, 0, 0, 40)
+        steps = []
+        monkeypatch.setattr(engine, "node_uniforms", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match="one pair"):
+            encode_batch([PAIR35] * 39 + [NARROW], SplitRule.GLOBAL, seeds)
+        assert steps == []
+        monkeypatch.undo()
+        # equal pairs are one pair, whichever objects carry them
+        pairs = [gaussian_pair_for_targets(2.0, 4.0) for _ in range(40)]
+        assert_same_runs(
+            encode_batch(pairs, SplitRule.GLOBAL, seeds),
+            encode_batch(pairs[0], SplitRule.GLOBAL, seeds),
+        )
+
+    def test_length_mismatch_raises(self):
+        seeds = derive_seeds(11, 0, 0, 10)
+        for count in (9, 11, 0):
+            with pytest.raises(ValueError, match="pairs for 10 seeds"):
+                encode_batch(([PAIR35, NARROW] * 6)[:count], SplitRule.DYADIC, seeds)
+
+    @pytest.mark.parametrize("rule, bad, error", [
+        (SplitRule.DYADIC, DistributionPair(Distribution1D(0.5, 1.5), STD), NotUnimodal),
+        (SplitRule.SAMPLE, DistributionPair(Distribution1D(0.5, 1.5), STD), NoFiniteMode),
+        (SplitRule.SAMPLE, DistributionPair(Distribution1D(1.0, 1.0), STD), NoFiniteMode),
+    ])
+    def test_bad_last_pair_raises_before_first_step(self, rule, bad, error, monkeypatch):
+        seeds = derive_seeds(12, 0, 0, 201)
+        steps = []
+        monkeypatch.setattr(engine, "node_uniforms", lambda *a: steps.append(a))
+        with pytest.raises(error):
+            encode_batch([PAIR35, NARROW] * 100 + [bad], rule, seeds)
+        assert steps == []
 
 
 class TestDeepHeapIndices:
@@ -446,7 +530,7 @@ class TestDeepHeapIndices:
         offsets = [0, (1 << depth) - 1] + [
             int.from_bytes(rng.bytes(24), "little") % (1 << depth) for _ in range(30)
         ]
-        st = _BatchState(len(offsets), np.zeros(len(offsets), np.uint64))
+        st = _BatchState(PAIR35, np.zeros(len(offsets), np.uint64))
         for name, shift in (("k_lo", 0), ("k_mid", 64), ("k_hi", 128)):
             words = [(k >> shift) & (2**64 - 1) for k in offsets]
             setattr(st, name, np.array(words, np.uint64))

@@ -22,11 +22,11 @@ MODE_FAR_RIGHT = DistributionPair(Distribution1D(45.0, 0.5), STD)
 def descend(pair, rule, s, x=0.0, u_branch=0.5):
     """The engine's descent from ``s`` after a rejection at ``x``:
     returns (branch bit, kept child)."""
-    st = _BatchState(1, np.zeros(1, np.uint64))
+    st = _BatchState(pair, np.zeros(1, np.uint64))
     st.lo[:], st.hi[:] = s.lo, s.hi
     st.f_lo[:], st.f_hi[:] = STD.cdf(s.lo), STD.cdf(s.hi)
     t = np.atleast_1d(STD.cdf(x))
-    _branch_arrays(pair, rule, st, np.array([x]), t, np.array([u_branch]))
+    _branch_arrays(rule, st, np.array([x]), t, np.array([u_branch]))
     return int(st.k_lo[0]), Interval(float(st.lo[0]), float(st.hi[0]))
 
 

@@ -276,6 +276,29 @@ class TestDeriveSeeds:
         c = derive_seeds(1, 2, 4, 1000)
         assert not np.array_equal(a, c)
 
+    def test_block_array_gives_one_row_per_block(self):
+        blocks = np.array([0, 1, 7, 2**40, 2**64 - 1], np.uint64)
+        for n in (0, 1, 5, 40):
+            rows = derive_seeds(9, 4, blocks, n)
+            assert rows.shape == (5, n)
+            for b, row in zip(blocks, rows):
+                assert np.array_equal(row, derive_seeds(9, 4, int(b), n))
+        as_list = derive_seeds(9, 4, [3, 5], 2)
+        assert np.array_equal(as_list, derive_seeds(9, 4, np.array([3, 5]), 2))
+
+    @pytest.mark.parametrize("tag, block", [
+        (-1, 0), (2**64, 0), (2**64 + 5, 0), (0, -1), (0, 2**64),
+        (0, [0, 2**64]), (0, [3, -1]), (0, np.array([0, -2], np.int64)),
+    ])
+    def test_out_of_range_tag_or_block_raises(self, tag, block):
+        with pytest.raises(ValueError):
+            derive_seeds(0, tag, block, 3)
+
+    def test_range_ends_of_tag_and_block(self):
+        top = 2**64 - 1
+        assert derive_seeds(0, top, top, 3).shape == (3,)
+        assert not np.array_equal(derive_seeds(0, top, 0, 3), derive_seeds(0, 5, 0, 3))
+
     def test_independent_of_node_stream(self):
         # same words fed to both primitives give unrelated values
         s = int(derive_seeds(3, 1, 0, 1)[0])
