@@ -146,29 +146,32 @@ class DistributionPair:
         NotUnimodal when the ratio opens upward and the set is not an interval.
         """
         self.check_unimodal()
-        c2, c1, c0 = self._coeffs
-        level = np.asarray(level, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lnl = np.log(level)
-            disc = c1 * c1 - 4.0 * c2 * (c0 - lnl)
-            root = np.sqrt(np.maximum(disc, 0.0))
-            x_a = (-c1 - root) / (2.0 * c2)
-            x_b = (-c1 + root) / (2.0 * c2)
-        lo = np.where(disc < 0.0, np.inf, np.minimum(x_a, x_b))
-        hi = np.where(disc < 0.0, -np.inf, np.maximum(x_a, x_b))
+            return self._level_bounds(level)
+
+    def _level_bounds(self, level):
+        """:meth:`level_bounds` of a pair known to be unimodal, under the
+        caller's error state.  Level 0 (``lnl = -inf``) needs no case of its
+        own: the infinities give the whole line on every branch."""
+        c2, c1, c0 = self._coeffs
+        lnl = np.log(level)
+        disc = c1 * c1 - 4.0 * c2 * (c0 - lnl)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        x_a = (-c1 - root) / (2.0 * c2)
+        x_b = (-c1 + root) / (2.0 * c2)
+        empty = disc < 0.0
+        lo = np.where(empty, np.inf, np.minimum(x_a, x_b))
+        hi = np.where(empty, -np.inf, np.maximum(x_a, x_b))
         flat = c2 == 0.0
         if np.count_nonzero(flat):
             # a linear log-ratio (c1 != 0) has a half-line as its level set;
             # identical laws (r == 1) have the whole line or nothing
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x0 = (lnl - c0) / c1
+            x0 = (lnl - c0) / c1
             full = lnl <= 0.0
             lo_flat = np.where((c1 < 0.0) | full, -np.inf, np.inf)
             hi_flat = np.where((c1 > 0.0) | full, np.inf, -np.inf)
             lo = np.where(flat, np.where(c1 > 0.0, x0, lo_flat), lo)
             hi = np.where(flat, np.where(c1 < 0.0, x0, hi_flat), hi)
-        lo = np.where(lnl == -np.inf, -np.inf, lo)
-        hi = np.where(lnl == -np.inf, np.inf, hi)
         return lo, hi
 
     @cached_property
@@ -221,21 +224,30 @@ class DistributionPair:
 
     def residual_within(self, lo, hi, level, bounds):
         """:meth:`residual_above` given the level set's ``bounds`` from
-        :meth:`level_bounds`, so that intervals at one level share them."""
+        :meth:`level_bounds`, so that intervals at one level share them.
+
+        ``lo`` and ``hi`` may stack several intervals per level, as
+        ``(k, n)`` arrays against ``(n,)`` levels."""
         ls_lo, ls_hi = bounds
-        a = np.maximum(np.asarray(lo, dtype=np.float64), ls_lo)
-        b = np.minimum(np.asarray(hi, dtype=np.float64), ls_hi)
-        nonempty = a < b
-        a = np.where(nonempty, a, 0.0)
-        b = np.where(nonempty, b, 0.0)
-        qmass = ndtr((b - self.target.loc) / self.target.scale) - ndtr(
-            (a - self.target.loc) / self.target.scale
-        )
-        pmass = ndtr((b - self.proposal.loc) / self.proposal.scale) - ndtr(
-            (a - self.proposal.loc) / self.proposal.scale
-        )
-        out = np.where(nonempty, qmass - level * pmass, 0.0)
-        return np.clip(out, 0.0, 1.0)
+        # the ends [a, b] of A = [lo, hi] intersected with the level set, in
+        # one array, so that each law's CDF takes one pass over both ends
+        ab = np.array((np.maximum(lo, ls_lo), np.minimum(hi, ls_hi)))
+        nonempty = ab[0] < ab[1]
+        # Q's CDFs in one new array (its division reuses it), P's in the
+        # ends' own, so a large call holds two arrays of the ends' shape
+        q = (ab - self.target.loc) / self.target.scale
+        ndtr(q, out=q)
+        ab -= self.proposal.loc
+        ab /= self.proposal.scale
+        ndtr(ab, out=ab)
+        # Q(A) - level * P(A), zero where A is empty, clamped to [0, 1]
+        q[1] -= q[0]
+        ab[1] -= ab[0]
+        ab[1] *= level
+        q[1] -= ab[1]
+        out = np.where(nonempty, q[1], 0.0)
+        del ab, q
+        return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
 class _LawRows(Distribution1D):

@@ -30,6 +30,14 @@ A batch may code one pair per run: the distinct pairs' parameters are then
 indexed out into per-run rows, on which the same kernel expressions run
 elementwise.
 
+A one-run step is numpy dispatch on 1-element arrays, so its fixed work is
+kept small: the kernel enters one ``np.errstate`` per call (``_quiet``), so
+a dyadic step enters none and a sample step only the one inside
+``residual_above``; both dyadic children take their residuals in one call
+over stacked intervals; and as an offset at depth ``d`` is below ``2**d``, a
+descent below depth 63 shifts only ``k_lo`` of the offset's three uint64
+words.
+
 The global rule keeps the whole line active, so its runs share one level
 sequence and need no per-run interval state; ``_run_global`` tests a window
 of steps at once and computes the levels each call needs, no deeper than its
@@ -40,6 +48,7 @@ no locks.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -68,6 +77,8 @@ HARD_STEP_CAP = 10**6
 # so very deep legitimate runs occur in large batches; its cap is wider
 GLOBAL_STEP_CAP = 10**8
 _DEGENERATE_EPS = 1e-12
+_ONE, _S63 = np.uint64(1), np.uint64(63)
+_log = logging.getLogger("relcode")
 
 
 class SplitRule(str, enum.Enum):
@@ -177,6 +188,13 @@ class _BatchState:
         new.pair = self.pair.take(rows) if isinstance(self.pair, _PairRows) else self.pair
         return new
 
+    def share(self) -> _BatchState:
+        """A new state over this one's arrays and pair, for a descent that
+        rebinds its attributes and never writes into them."""
+        new = object.__new__(_BatchState)
+        new.__dict__ = self.__dict__.copy()
+        return new
+
     def heap_index(self, i: int, depth: int) -> int:
         offset = (
             (int(self.k_hi[i]) << 128)
@@ -194,6 +212,13 @@ class _BatchState:
         return [self.heap_index(i, depth) for i in np.flatnonzero(rows)]
 
 
+def _quiet():
+    """The kernel's floating-point error state, entered once per call: the
+    infinities and NaNs of degenerate intervals are expected, and each is
+    handled where it arises."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _draw(st: _BatchState, d: int):
     """Node draw at depth ``d`` for every run: the proposal restricted to the
     active interval, sampled by its quantile.
@@ -201,7 +226,7 @@ def _draw(st: _BatchState, d: int):
     Returns ``(x, t, mass, u_accept, u_branch)`` with ``t`` the draw's CDF
     coordinate and ``mass`` the interval's proposal mass.
     """
-    u_s, u_a, u_b = node_uniforms(st.seeds, np.uint64(d), st.k_lo, st.k_mid, st.k_hi)
+    u_s, u_a, u_b = node_uniforms(st.seeds, d, st.k_lo, st.k_mid, st.k_hi)
     mass = st.f_hi - st.f_lo
     t = st.f_lo + u_s * mass
     return st.pair.proposal.quantile(t), t, mass, u_a, u_b
@@ -211,33 +236,32 @@ def _accept_prob(pair: DistributionPair, x, level, resid, mass):
     """Clipped acceptance probability ``clip(mass * (r(x) - level) / resid, 0, 1)``.
 
     Returns 1 where the residual mass is exhausted to machine precision
-    (``resid <= 1e-12``): the accept-immediately convention.
+    (``resid <= 1e-12``): the accept-immediately convention.  Runs under
+    the caller's :func:`_quiet` error state.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r = np.exp(pair.log_ratio_nats(x))
-        beta = np.clip(mass * (r - level) / resid, 0.0, 1.0)
+    r = np.exp(pair.log_ratio_nats(x))
+    beta = np.minimum(np.maximum(mass * (r - level) / resid, 0.0), 1.0)
     return np.where(resid <= _DEGENERATE_EPS, 1.0, beta)
 
 
-def _branch_arrays(rule, st: _BatchState, x, t, u_branch):
-    """Raise the level, split and descend for every (rejected) run in ``st``.
+def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
+    """Raise the level, split and descend for every (rejected) run in ``st``
+    at depth ``d``.
 
     Returns the child's residual mass at the new level, NaN where both
     dyadic children have none (numerical exhaustion).  The state's
-    attributes are rebound, never written into.
+    attributes are rebound, never written into.  Runs under the caller's
+    :func:`_quiet` error state.
     """
     pair = st.pair
-    with np.errstate(divide="ignore", invalid="ignore"):
-        level_next = st.level + (1.0 - st.ruled) / (st.f_hi - st.f_lo)
-    one = np.uint64(1)
-    s63 = np.uint64(63)
+    level_next = st.level + (1.0 - st.ruled) / (st.f_hi - st.f_lo)
     if rule is SplitRule.GLOBAL:
-        bit = np.zeros(x.shape, np.uint64)
+        # the active interval stays the whole line and the offset stays 0
         res_child = pair.residual_above(st.lo, st.hi, level_next)
+        go_right = None
     elif rule is SplitRule.SAMPLE:
-        mode = pair.ratio_mode
-        keep_low = x > mode
-        bit = np.where(keep_low, 0, 1).astype(np.uint64)
+        keep_low = x > pair.ratio_mode
+        go_right = ~keep_low
         st.hi = np.where(keep_low, x, st.hi)
         st.f_hi = np.where(keep_low, t, st.f_hi)
         st.lo = np.where(keep_low, st.lo, x)
@@ -246,34 +270,36 @@ def _branch_arrays(rule, st: _BatchState, x, t, u_branch):
     elif rule is SplitRule.DYADIC:
         f_mid = 0.5 * (st.f_lo + st.f_hi)
         c = pair.proposal.quantile(f_mid)
-        # both children lie at one level: solve its level set once
-        bounds = pair.level_bounds(level_next)
-        res_left = pair.residual_within(st.lo, c, level_next, bounds)
-        res_right = pair.residual_within(c, st.hi, level_next, bounds)
+        # both children lie at one level: solve its level set once, and take
+        # their residuals in one call over the stacked intervals [lo, c], [c, hi]
+        ends = np.array((st.lo, c, st.hi))
+        res_left, res_right = pair.residual_within(
+            ends[:2], ends[1:], level_next, pair._level_bounds(level_next)
+        )
+        del ends  # before the state's new arrays are made
         total = res_left + res_right
         exhausted = total <= 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p_right = np.where(exhausted, 0.0, res_right / np.where(exhausted, 1.0, total))
-        go_right = u_branch < p_right
-        bit = np.where(go_right, 1, 0).astype(np.uint64)
+        # an exhausted run's 0 / 0 is NaN, and u < NaN is False as u < 0 is
+        go_right = u_branch < res_right / total
         st.lo = np.where(go_right, c, st.lo)
         st.f_lo = np.where(go_right, f_mid, st.f_lo)
         st.hi = np.where(go_right, st.hi, c)
         st.f_hi = np.where(go_right, st.f_hi, f_mid)
-        res_child = np.where(go_right, res_right, res_left)
-        res_child = np.where(exhausted, np.nan, res_child)
+        res_child = np.where(exhausted, np.nan, np.where(go_right, res_right, res_left))
     else:  # pragma: no cover
         raise ValueError(f"unknown rule {rule}")
-    carry0 = st.k_lo >> s63
-    st.k_lo = (st.k_lo << one) | bit
-    carry1 = st.k_mid >> s63
-    st.k_mid = (st.k_mid << one) | carry0
-    overflow = st.k_hi >> s63
-    st.k_hi = (st.k_hi << one) | carry1
-    if overflow.any():
-        raise NonTermination("tree offset exceeded 192 bits")
+    if go_right is not None:
+        if d >= 63:
+            # an offset at depth d is below 2**d, so bits carry out of k_lo
+            # only from here on
+            overflow = st.k_hi >> _S63
+            st.k_hi = (st.k_hi << _ONE) | (st.k_mid >> _S63)
+            st.k_mid = (st.k_mid << _ONE) | (st.k_lo >> _S63)
+            if overflow.any():
+                raise NonTermination("tree offset exceeded 192 bits")
+        st.k_lo = (st.k_lo << _ONE) | go_right.astype(np.uint64)
     st.level = level_next
-    st.ruled = np.clip(1.0 - res_child, 0.0, 1.0)  # NaN marks exhausted runs
+    st.ruled = np.minimum(np.maximum(1.0 - res_child, 0.0), 1.0)  # NaN marks exhausted runs
     return res_child
 
 
@@ -317,9 +343,10 @@ def _run_global(pair, seeds, d_max, trace):
         )
         x = pair.proposal.quantile(u_s)
         # the whole line has proposal mass 1, and 1.0 * (r - level) is exact
-        beta = _accept_prob(
-            pair, x, np.array(levels[d0:d0 + w]), np.array(resid[d0:d0 + w]), 1.0
-        )
+        with _quiet():
+            beta = _accept_prob(
+                pair, x, np.array(levels[d0:d0 + w]), np.array(resid[d0:d0 + w]), 1.0
+            )
         stop = u_a <= beta
         if d0 <= limit < d0 + w:
             # the depth budget forces a return at that column
@@ -369,41 +396,61 @@ def _run_batch(pair, rule, seeds, d_max, trace):
     out_index = [0] * n
     limit = math.inf if d_max is None else d_max
     d = 0
-    while alive_ids.size:
-        if d > HARD_STEP_CAP:
-            raise NonTermination(f"no acceptance within {HARD_STEP_CAP} steps")
-        if trace is not None:
-            trace.append(Interval(float(st.lo[0]), float(st.hi[0])))
-        x, t, mass, u_a, u_b = _draw(st, d)
-        accepted = u_a <= _accept_prob(st.pair, x, st.level, 1.0 - st.ruled, mass)
-        stop = accepted | (d >= limit)
-        rejected = np.flatnonzero(~stop)
-        # with no run stopping, the child views the parent's arrays, which
-        # the descent rebinds and never writes into
-        rows = slice(None) if rejected.size == stop.size else rejected
-        child = st.take(rows)
-        if rejected.size:
-            res_child = _branch_arrays(rule, child, x[rows], t[rows], u_b[rows])
-            # numerical exhaustion: terminate accepting the current draw
-            exhausted = np.isnan(res_child)
-            if exhausted.any():
-                stop[rejected] = accepted[rejected] = exhausted
-                child = child.take(~exhausted)
-        if stop.any():
-            # every stopping run is written from the parent state, whose heap
-            # offsets do not yet carry this step's branch bit
-            ids = alive_ids[stop]
-            out_sample[ids] = x[stop]
-            out_depth[ids] = d
-            out_accepted[ids] = accepted[stop]
-            out_mass[ids] = mass[stop]
-            # ``ids`` stays an array: a temporary list of its ints would sit
-            # between the kept indices in the allocator's arenas, raising RSS
-            for j, index in zip(ids, st.heap_indices(stop, d)):
-                out_index[j] = index
-            alive_ids = alive_ids[~stop]
-        st = child
-        d += 1
+    exhausted_runs = 0
+    with _quiet():
+        while alive_ids.size:
+            if d > HARD_STEP_CAP:
+                raise NonTermination(f"no acceptance within {HARD_STEP_CAP} steps")
+            if trace is not None:
+                trace.append(Interval(float(st.lo[0]), float(st.hi[0])))
+            x, t, mass, u_a, u_b = _draw(st, d)
+            accepted = u_a <= _accept_prob(st.pair, x, st.level, 1.0 - st.ruled, mass)
+            # the descent sets a large batch's peak memory: it holds no
+            # full-size draw array it does not need
+            del u_a
+            # at the depth budget every run stops
+            stop = accepted if d < limit else np.ones_like(accepted)
+            rejected = (~stop).nonzero()[0]
+            stopping = rejected.size < stop.size
+            child = None  # every run stops
+            if rejected.size:
+                if stopping:
+                    child, rows = st.take(rejected), rejected
+                else:
+                    # the child shares the parent's arrays, which the
+                    # descent rebinds and never writes into
+                    child, rows = st.share(), slice(None)
+                t, u_b = t[rows], u_b[rows]
+                res_child = _branch_arrays(rule, child, d, x[rows], t, u_b)
+                # numerical exhaustion: terminate accepting the current draw
+                exhausted = np.isnan(res_child)
+                count = np.count_nonzero(exhausted)
+                if count:
+                    exhausted_runs += count
+                    stop[rejected] = accepted[rejected] = exhausted
+                    stopping = True
+                    child = child.take(~exhausted)
+            if stopping:
+                # every stopping run is written from the parent state, whose
+                # heap offsets do not yet carry this step's branch bit
+                ids = alive_ids[stop]
+                out_sample[ids] = x[stop]
+                out_depth[ids] = d
+                out_accepted[ids] = accepted[stop]
+                out_mass[ids] = mass[stop]
+                # ``ids`` stays an array: a temporary list of its ints would
+                # sit between the kept indices in the allocator's arenas,
+                # raising RSS
+                for j, index in zip(ids, st.heap_indices(stop, d)):
+                    out_index[j] = index
+                alive_ids = alive_ids[~stop]
+            st = child
+            d += 1
+    if exhausted_runs:
+        _log.warning(
+            "%d of %d %s runs found no residual mass in either child and "
+            "accepted their current draw", exhausted_runs, n, rule.value,
+        )
     return BatchResult(
         samples=out_sample,
         depths=out_depth,
@@ -506,10 +553,11 @@ def simulate_bound_masses(
     st = _BatchState(pair, seeds)
     masses = np.empty((seeds.shape[0], max_depth + 1))
     masses[:, 0] = 1.0
-    for d in range(max_depth):
-        x, t, _, _, u_b = _draw(st, d)
-        res_child = _branch_arrays(rule, st, x, t, u_b)
-        # an exhausted run has no residual mass left
-        st.ruled = np.where(np.isnan(res_child), 1.0, st.ruled)
-        masses[:, d + 1] = st.f_hi - st.f_lo
+    with _quiet():
+        for d in range(max_depth):
+            x, t, _, _, u_b = _draw(st, d)
+            res_child = _branch_arrays(rule, st, d, x, t, u_b)
+            # an exhausted run has no residual mass left
+            st.ruled = np.where(np.isnan(res_child), 1.0, st.ruled)
+            masses[:, d + 1] = st.f_hi - st.f_lo
     return masses

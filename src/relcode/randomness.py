@@ -16,15 +16,17 @@ fans a benchmark base seed out into per-run seeds.
 
 One stream, three ways to run the rounds.  Every Philox lane (one counter
 block under one key) is independent, so :func:`philox4x64_10` runs up to
-``_INT_LANES`` broadcast lanes one at a time on Python ints, more lanes as
-numpy uint64 arrays, whose fixed cost per call outweighs the per-lane cost of
-ints below about 64 lanes, and from ``2 * _CHUNK_LANES`` lanes as numpy
-arrays over near-equal blocks of about ``_CHUNK_LANES`` lanes, whose
-temporaries stay in cache; :func:`node_randoms` calls the integer rounds
-directly.  All three give the same words (a counter-based block does not
-depend on how lanes are grouped) and the same exact map to floats.  Python
-ints do not wrap, so seeds pass :func:`seed_words` and offsets the
-``MAX_OFFSET_BITS`` check before any word reaches the rounds.
+``_INT_LANES`` broadcast lanes one at a time on Python ints (one lane, the
+step of a single code, by an early exit that builds its four words in one
+array), more lanes as numpy uint64 arrays, whose fixed cost per call
+outweighs the per-lane cost of ints below about 64 lanes, and from
+``2 * _CHUNK_LANES`` lanes as numpy arrays over near-equal blocks of about
+``_CHUNK_LANES`` lanes, whose temporaries stay in cache;
+:func:`node_randoms` calls the integer rounds directly.  All three give the
+same words (a counter-based block does not depend on how lanes are grouped)
+and the same exact map to floats.  Python ints do not wrap, so seeds pass
+:func:`seed_words` and offsets the ``MAX_OFFSET_BITS`` check before any word
+reaches the rounds.
 
 Encoder and decoder share one seed contract (:func:`seed_words`): a seed is
 an integer with ``0 <= seed < 2**64``; any other value raises ValueError
@@ -123,6 +125,9 @@ def philox4x64_10(c0, c1, c2, c3, k0, k1):
     """Philox4x64 with 10 rounds; inputs are uint64 scalars or arrays,
     outputs the four uint64 words broadcast together (scalars for scalars)."""
     lanes = np.broadcast(c0, c1, c2, c3, k0, k1)
+    if lanes.size == 1:
+        words = _rounds_int(*map(int, next(lanes)))
+        return tuple(np.array(words, np.uint64).reshape(4, *lanes.shape))
     if lanes.size > _INT_LANES:
         return _rounds_chunked(lanes.shape, c0, c1, c2, c3, k0, k1)
     words = np.array([_rounds_int(*map(int, lane)) for lane in lanes], np.uint64)

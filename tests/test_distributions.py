@@ -120,8 +120,11 @@ class TestRatioMode:
 
 class TestLevelSet:
     def test_zero_level_is_everything(self):
-        ls = level_set(NARROW, 0.0)
-        assert (ls.lo, ls.hi) == (-math.inf, math.inf)
+        # a quadratic log-ratio, a linear one rising and falling, and none
+        linear = [DistributionPair(Distribution1D(m, 1.0), STD) for m in (1.0, -1.0)]
+        for pair in [NARROW, SHIFTED, *linear, SAME]:
+            ls = level_set(pair, 0.0)
+            assert (ls.lo, ls.hi) == (-math.inf, math.inf)
 
     def test_unit_level_matches_bisection(self):
         ls = level_set(NARROW, 1.0)

@@ -1,4 +1,6 @@
+import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from relcode.distributions import (
     DistributionPair,
     NoFiniteMode,
     NotUnimodal,
+    _PairRows,
     gaussian_pair_for_targets,
 )
 from relcode import engine
@@ -21,6 +24,7 @@ from relcode.engine import (
     _BatchState,
     _branch_arrays,
     _draw,
+    _quiet,
     decode,
     encode,
     encode_batch,
@@ -57,7 +61,8 @@ NO_RESIDUAL_ABOVE_4 = _NoResidualAbove(PAIR35.target, PAIR35.proposal)
 
 # The per-step checks below drive the encoder kernel itself on size-1
 # states: ``_draw`` samples a node, ``_accept_prob`` is the clipped accept
-# test and ``_branch_arrays`` raises the level and descends.
+# test and ``_branch_arrays`` raises the level and descends.  Both run under
+# the kernel's error state, ``_quiet``, as inside an encode.
 
 
 def root_state(pair, seed=0):
@@ -82,7 +87,8 @@ def proposal_mass(st):
 
 
 def accept_prob(pair, st, x):
-    beta = _accept_prob(pair, np.array([x]), st.level, 1.0 - st.ruled, st.f_hi - st.f_lo)
+    with _quiet():
+        beta = _accept_prob(pair, np.array([x]), st.level, 1.0 - st.ruled, st.f_hi - st.f_lo)
     return float(beta[0])
 
 
@@ -93,7 +99,8 @@ def branch(pair, rule, st, x, u_branch=0.5):
     """
     child = st.take(np.arange(1))
     t = np.atleast_1d(pair.proposal.cdf(x))
-    _branch_arrays(rule, child, np.array([x]), t, np.array([u_branch]))
+    with _quiet():
+        _branch_arrays(rule, child, 0, np.array([x]), t, np.array([u_branch]))
     return int(child.k_lo[0] & np.uint64(1)), child
 
 
@@ -104,14 +111,15 @@ def encode_step_by_step(pair, rule, seed):
     """
     st = root_state(pair, seed)
     d = 0
-    while True:
-        x, t, mass, u_a, u_b = _draw(st, d)
-        if u_a[0] <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)[0]:
-            return float(x[0]), st.heap_index(0, d)
-        child = st.take(np.arange(1))
-        if np.isnan(_branch_arrays(rule, child, x, t, u_b)[0]):
-            return float(x[0]), st.heap_index(0, d)
-        st, d = child, d + 1
+    with _quiet():
+        while True:
+            x, t, mass, u_a, u_b = _draw(st, d)
+            if u_a[0] <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)[0]:
+                return float(x[0]), st.heap_index(0, d)
+            child = st.take(np.arange(1))
+            if np.isnan(_branch_arrays(rule, child, d, x, t, u_b)[0]):
+                return float(x[0]), st.heap_index(0, d)
+            st, d = child, d + 1
 
 
 class TestAcceptProb:
@@ -249,7 +257,9 @@ class TestStateConsistency:
             st = root_state(PAIR35, seed)
             for d in range(6):
                 x, t, _, _, u_b = _draw(st, d)
-                if np.isnan(_branch_arrays(rule, st, x, t, u_b)[0]):
+                with _quiet():
+                    res_child = _branch_arrays(rule, st, d, x, t, u_b)
+                if np.isnan(res_child[0]):
                     break
                 iv = interval(st)
                 assert 1.0 - st.ruled[0] == pytest.approx(
@@ -266,7 +276,8 @@ class TestStateConsistency:
         levels, ruled = [float(st.level[0])], [float(st.ruled[0])]
         for d in range(10):
             x, t, _, _, u_b = _draw(st, d)
-            _branch_arrays(SplitRule.DYADIC, st, x, t, u_b)
+            with _quiet():
+                _branch_arrays(SplitRule.DYADIC, st, d, x, t, u_b)
             levels.append(float(st.level[0]))
             ruled.append(float(st.ruled[0]))
         assert levels == sorted(levels)
@@ -383,12 +394,27 @@ class TestEncodeDecode:
             with pytest.raises(NotUnimodal):
                 simulate_bound_masses(wide, rule, [0], 3)
 
-    def test_numerical_exhaustion_accepts_current_draw(self):
+    def test_numerical_exhaustion_accepts_current_draw(self, caplog):
         # no residual mass above level 4: every dyadic run still alive at
         # depth 2 finds both children empty and stops where it is
-        out = encode_batch(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, range(200))
+        with caplog.at_level(logging.WARNING, logger="relcode"):
+            out = encode_batch(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, range(200))
         assert out.accepted.all()
         assert out.depths.max() == 2
+        # one warning for the call, with the count of exhausted runs: up to
+        # depth 2 the runs follow PAIR35's, so those that go deeper there
+        # are the exhausted ones
+        ref = encode_batch(PAIR35, SplitRule.DYADIC, range(200))
+        exhausted = int(((out.depths == 2) & (ref.depths > 2)).sum())
+        assert exhausted > 0
+        assert [(r.name, r.levelname) for r in caplog.records] == [("relcode", "WARNING")]
+        assert caplog.records[0].getMessage().startswith(f"{exhausted} of 200 dyadic runs")
+        # runs that never exhaust log nothing (seed 0 accepts at depth 2)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="relcode"):
+            encode_batch(PAIR35, SplitRule.DYADIC, range(200))
+            encode(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, 0)
+        assert caplog.records == []
         for seed, x, d, index in zip(range(200), out.samples, out.depths, out.heap_indices):
             assert index.bit_length() - 1 == d
             assert decode(STD, SplitRule.DYADIC, seed, index) == x
@@ -539,6 +565,101 @@ class TestDeepHeapIndices:
         assert all(type(h) is int for h in got)
         want = [st.heap_index(i, depth) for i in np.flatnonzero(rows)]
         assert got == want == [(1 << depth) + k for k, r in zip(offsets, rows) if r]
+
+
+def residual_reference(pair, lo, hi, level):
+    """``residual_above`` by its plain expressions: ends zeroed on empty
+    intersections, each CDF a fresh array, and np.clip."""
+    ls_lo, ls_hi = pair.level_bounds(level)
+    a, b = np.maximum(lo, ls_lo), np.minimum(hi, ls_hi)
+    nonempty = a < b
+    a, b = np.where(nonempty, a, 0.0), np.where(nonempty, b, 0.0)
+    qmass = pair.target.cdf(b) - pair.target.cdf(a)
+    pmass = pair.proposal.cdf(b) - pair.proposal.cdf(a)
+    return np.clip(np.where(nonempty, qmass - level * pmass, 0.0), 0.0, 1.0)
+
+
+class TestKernelShortcuts:
+    """The dyadic branch's stacked residuals and the offsets' shift below
+    depth 63 give what the plain computations give, bit for bit."""
+
+    LINEAR = DistributionPair(Distribution1D(1.0, 1.0), STD)  # c2 == 0, c1 == 1
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_stacked_residuals_equal_separate_calls(self, mixed):
+        rng = np.random.default_rng(3)
+        n = 64
+        lo, c, hi = np.sort(rng.normal(0.0, 2.0, (3, n)), axis=0)
+        lo[:8], hi[4:12] = -np.inf, np.inf  # infinite ends
+        c[16:20] = lo[16:20]  # an empty left child
+        # level 0 (the whole line), ordinary levels, and levels above the
+        # ratio's maximum (an empty level set)
+        level = np.concatenate([[0.0] * 4, rng.uniform(0.5, 6.0, n - 12), [1e3] * 8])
+        if mixed:
+            pairs = [PAIR35, SAME, NARROW, self.LINEAR]
+            pair = _PairRows.of(pairs, np.arange(n) % len(pairs))
+        else:
+            pair = PAIR35
+        bounds = pair.level_bounds(level)
+        stacked = pair.residual_within(np.array((lo, c)), np.array((c, hi)), level, bounds)
+        assert stacked.shape == (2, n)
+        for row, (a, b) in zip(stacked, [(lo, c), (c, hi)]):
+            one = pair.residual_within(a, b, level, bounds)
+            assert row.tobytes() == one.tobytes()
+            assert row.tobytes() == residual_reference(pair, a, b, level).tobytes()
+        assert (stacked[:, -8:] == 0.0).all() and (stacked[:, :4] > 0.0).any()
+
+    def test_offsets_through_depth_63(self):
+        # offsets at depth 61 with their top bits set, stepped to depth 66:
+        # below depth 63 only k_lo shifts, from depth 64 bits carry over
+        tops = [(1 << 61) - 1, 1 << 60, (1 << 61) - 2, 0b101 << 58]
+        n = len(tops)
+        st = _BatchState(PAIR35, np.zeros(n, np.uint64))
+        st.k_lo = np.array(tops, np.uint64)
+        want = tops
+        rng = np.random.default_rng(0)
+        for d in range(61, 67):
+            # the root's interval and level each step keep both children's
+            # residuals positive, so a branch uniform of -1 goes right, 2 left
+            st.lo, st.hi = np.full(n, -np.inf), np.full(n, np.inf)
+            st.f_lo, st.f_hi = np.zeros(n), np.ones(n)
+            st.level, st.ruled = np.zeros(n), np.zeros(n)
+            bits = rng.permutation([0, 1] * (n // 2))
+            with _quiet():
+                _branch_arrays(SplitRule.DYADIC, st, d, np.zeros(n), np.full(n, 0.5),
+                               np.where(bits == 1, -1.0, 2.0))
+            want = [(k << 1) | int(b) for k, b in zip(want, bits)]
+            got = st.heap_indices(np.ones(n, bool), d + 1)
+            assert got == [(1 << d + 1) + k for k in want]
+            assert got == [st.heap_index(i, d + 1) for i in range(n)]
+        assert st.k_mid.any() and not st.k_hi.any()
+
+
+class TestCallBudget:
+    """A one-run encode is numpy dispatch on 1-element arrays, so its cost
+    follows the Python-level calls of each step."""
+
+    # calls per dyadic step at (3, 5), measured on Python 3.11 and numpy 2.4
+    # (numpy's dispatch wrappers are among the calls counted)
+    DYADIC_CALLS_PER_STEP = 60
+
+    def test_calls_per_dyadic_step(self):
+        encode(PAIR35, SplitRule.DYADIC, 0)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        depths = []
+        sys.setprofile(count)
+        try:
+            for seed in range(50):
+                depths.append(encode(PAIR35, SplitRule.DYADIC, seed).depth)
+        finally:
+            sys.setprofile(None)
+        per_step = calls / (sum(depths) + len(depths))
+        assert per_step <= 1.1 * self.DYADIC_CALLS_PER_STEP, per_step
 
 
 class TestSeedContract:

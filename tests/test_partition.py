@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relcode.distributions import Distribution1D, DistributionPair
-from relcode.engine import InvalidIndex, SplitRule, _BatchState, _branch_arrays, decode
+from relcode.engine import InvalidIndex, SplitRule, _BatchState, _branch_arrays, _quiet, decode
 from relcode.partition import Interval, REAL_LINE, depth, path_bits
 
 STD = Distribution1D(0.0, 1.0)
@@ -26,7 +26,8 @@ def descend(pair, rule, s, x=0.0, u_branch=0.5):
     st.lo[:], st.hi[:] = s.lo, s.hi
     st.f_lo[:], st.f_hi[:] = STD.cdf(s.lo), STD.cdf(s.hi)
     t = np.atleast_1d(STD.cdf(x))
-    _branch_arrays(rule, st, np.array([x]), t, np.array([u_branch]))
+    with _quiet():
+        _branch_arrays(rule, st, 0, np.array([x]), t, np.array([u_branch]))
     return int(st.k_lo[0]), Interval(float(st.lo[0]), float(st.hi[0]))
 
 

@@ -188,6 +188,55 @@ class TestPhiloxPaths:
             assert np.array_equal(a, b)
 
 
+class TestOneLaneExit:
+    """One lane runs ``_rounds_int`` once, whatever the shapes of its words."""
+
+    @pytest.mark.parametrize("word", [0, U64_MAX])
+    @pytest.mark.parametrize("position", [None, *range(6)])
+    def test_words_match_rounds_int(self, word, position, monkeypatch):
+        # every word at ``word``, or one word at it among random ones
+        rng = np.random.default_rng(11 if position is None else position)
+        words = [int(w) for w in rng.integers(0, 2**64, 6, dtype=np.uint64)]
+        for i in range(6) if position is None else [position]:
+            words[i] = word
+        monkeypatch.setattr(randomness, "_rounds_numpy", None)  # never reached
+        got = philox4x64_10(*map(np.uint64, words))
+        assert all(type(w) is np.uint64 for w in got)
+        assert [int(w) for w in got] == list(randomness._rounds_int(*words))
+
+    @pytest.mark.parametrize(
+        "shapes, shape",
+        [
+            ([(1,), (), (), (), (), ()], (1,)),
+            ([(), (), (), (), (1,), ()], (1,)),
+            ([(1, 1), (), (), (), (), ()], (1, 1)),
+            ([(1, 1), (1,), (1,), (1,), (1,), ()], (1, 1)),
+        ],
+    )
+    def test_shapes_kept(self, shapes, shape):
+        args = [np.full(s, U64_MAX - i, np.uint64) for i, s in enumerate(shapes)]
+        got = philox4x64_10(*args)
+        want = randomness._rounds_numpy(*args)
+        for g, w in zip(got, want):
+            assert type(g) is np.ndarray and g.dtype == np.uint64 and g.shape == shape
+            assert g.tobytes() == np.broadcast_to(w, shape).tobytes()
+        units = node_uniforms(*args[:5])
+        assert all(u.dtype == np.float64 and u.shape == shape for u in units)
+
+    @pytest.mark.parametrize("n", [40, 20_000])
+    def test_node_uniforms_lane_of_wide_call(self, n):
+        # 40 lanes run the numpy rounds in one block, 20,000 in chunks
+        rng = np.random.default_rng(n)
+        seeds, off_lo, off_mid, off_hi = rng.integers(0, 2**64, (4, n), dtype=np.uint64)
+        seeds[:2] = off_lo[:2] = [0, U64_MAX]
+        depth = np.uint64(130)
+        wide = node_uniforms(seeds, depth, off_lo, off_mid, off_hi)
+        for i in [0, 1, n // 2, n - 1]:
+            seed, lo, mid, hi = (a[i:i + 1] for a in (seeds, off_lo, off_mid, off_hi))
+            one = node_uniforms(seed, depth, lo, mid, hi)
+            assert [u.tobytes() for u in one] == [u[i:i + 1].tobytes() for u in wide]
+
+
 class TestNodeRandoms:
     def test_deterministic(self):
         a = node_randoms(123, 456)
