@@ -9,13 +9,14 @@ so encoder and decoder agree exactly.
 ``fit_zeta`` moment-matches the exponent to an observed mean log2-index by
 bisection: the untruncated max-entropy closed form always lands at or below
 exponent 1, where the power law is not normalizable, so the truncated-
-support fit is what keeps the max-entropy intent well defined.  Each
-bisection step needs only the sign of ``_mean_log2(mid) - target``.  It takes
-that sign from a cheap interval that provably contains the float
-``_mean_log2`` returns (``_mean_log2_bounds``: a 31-term head plus Euler-
-Maclaurin, widened by a rounding-error analysis of the exact path), and runs
-the 65,536-term exact evaluation only when the interval holds the target.
-So every step, and the fitted exponent, equals the all-exact bisection's.
+support fit is what keeps the max-entropy intent well defined.  The model
+mean is never evaluated term by term.  Each step reads a certified interval
+around it (``_mean_log2_bounds``: a 31-term head plus Euler-Maclaurin,
+widened by a rounding-error analysis of the 65,536-term float sum), and the
+fit ends at the first midpoint whose interval contains the target.  So the
+fitted model's mean is the target to within that interval's width, about
+3e-11 relative.  The format fixes a model by its exponent alone
+(docs/FORMAT.md), so how the exponent was fitted is not part of it.
 
 ``zeta_encode`` is one-shot Shannon-Fano-Elias coding (codeword length
 within 2 bits of the information content).  Sequences of indices are better
@@ -71,11 +72,26 @@ def _tail_mass(eps: float, ln_a: float, ln_b: float) -> float:
     return math.exp(-eps * ln_a) * -math.expm1(-eps * (ln_b - ln_a)) / eps
 
 
+def _psi(y: float) -> float:
+    """(1 - e**-y (1 + y)) / y**2 for y > 0, to a few ulp."""
+    if y < 0.25:
+        # alternating series sum_k (-1)**k (k+1)/(k+2)! y**k: 12 terms leave
+        # less than 1e-17, where the closed form loses digits to cancellation
+        term, total = 0.5, 0.0
+        for k in range(12):
+            total += term
+            term *= -y * (k + 2) / ((k + 1) * (k + 3))
+        return total
+    return (-math.expm1(-y) - y * math.exp(-y)) / (y * y)
+
+
 def _tail_log_moment(eps: float) -> float:
-    """Integral of x**-(1+eps) * ln(x) over the whole tail."""
-    fa = math.exp(-eps * _LN_LO) * (eps * _LN_LO + 1.0)
-    fb = math.exp(-eps * _LN_HI) * (eps * _LN_HI + 1.0)
-    return (fa - fb) / (eps * eps)
+    """Integral of x**-(1+eps) * ln(x) over the whole tail; stable as
+    eps -> 0 via expm1 and the series form of ``_psi``."""
+    width = _LN_HI - _LN_LO
+    y = eps * width
+    e1 = -math.expm1(-y) / y
+    return math.exp(-eps * _LN_LO) * width * (_LN_LO * e1 + width * _psi(y))
 
 
 @dataclass(frozen=True)
@@ -89,15 +105,14 @@ class ZetaModel:
             raise ValueError("exponent must exceed 1")
 
     @cached_property
-    def _head_weights(self) -> np.ndarray:
-        return np.exp(-self.exponent * _HEAD_LN)
-
-    @cached_property
     def _head_cum(self) -> np.ndarray:
         # _head_cum[i] = sum of weights of 1..i; leading zero entry
         out = np.empty(HEAD + 1)
         out[0] = 0.0
-        np.cumsum(self._head_weights, out=out[1:])
+        w = out[1:]
+        np.multiply(_HEAD_LN, -self.exponent, out=w)
+        np.exp(w, out=w)
+        np.cumsum(w, out=w)
         return out
 
     @cached_property
@@ -118,7 +133,8 @@ class ZetaModel:
         if not 1 <= n <= N_MAX:
             raise OutOfRange(f"index {n} outside 1..N_MAX")
         if n <= HEAD:
-            return float(self._head_weights[n - 1]) / self._norm
+            # numpy's exp, as in _head_cum: math.exp can differ by an ulp
+            return float(np.exp(-self.exponent * _HEAD_LN[n - 1 : n])[0]) / self._norm
         eps = self.exponent - 1.0
         return _tail_mass(eps, math.log(n - 0.5), math.log(n + 0.5)) / self._norm
 
@@ -158,19 +174,12 @@ class ZetaModel:
         return n
 
 
-def _mean_log2(exponent: float) -> float:
-    eps = exponent - 1.0
-    w = np.exp(-exponent * _HEAD_LN)
-    z = float(w.sum()) + _tail_mass(eps, _LN_LO, _LN_HI)
-    num = float(w @ _HEAD_LN) + _tail_log_moment(eps)
-    return num / z / LN2
-
-
 _U = 2.0**-53  # float64 unit roundoff
 # gamma_n = n u / (1 - n u): the error of any n-term float sum or dot,
 # relative to the sum of the terms' magnitudes, in any order (Higham, ch. 3)
 _GAMMA = HEAD * _U / (1.0 - HEAD * _U)
 _EM_CUT = 32  # the head below this is summed term by term
+_EM_HEAD = tuple((n, math.log(n)) for n in range(2, _EM_CUT))
 _LN_CUT = math.log(_EM_CUT)
 _LN_HEAD = math.log(HEAD)
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2k / (2k)!
@@ -178,21 +187,10 @@ _EVAL_SLACK = 2e-13  # relative rounding error allowed for the two cheap sums
 _PAD = 16 * _U  # the final roundings of both paths
 
 
-def _psi(y: float) -> float:
-    """(1 - e**-y (1 + y)) / y**2 for y > 0, to a few ulp."""
-    if y < 0.25:
-        # alternating series sum_k (-1)**k (k+1)/(k+2)! y**k: 12 terms leave
-        # less than 1e-17, where the closed form loses digits to cancellation
-        term, total = 0.5, 0.0
-        for k in range(12):
-            total += term
-            term *= -y * (k + 2) / ((k + 1) * (k + 3))
-        return total
-    return (-math.expm1(-y) - y * math.exp(-y)) / (y * y)
-
-
 def _mean_log2_bounds(exponent: float) -> tuple[float, float]:
-    """An interval that contains the float ``_mean_log2(exponent)``.
+    """An interval that contains the model's mean log2-index as the exact
+    path evaluates it (``mean_log2`` in tests/oracles.py, the reference the
+    interval is tested against).
 
     For exponents s in [MIN_EXPONENT, MAX_EXPONENT].  The exact path computes
     S0 = sum n**-s and S1 = sum n**-s ln n over n <= HEAD in float64, adds the
@@ -228,10 +226,10 @@ def _mean_log2_bounds(exponent: float) -> tuple[float, float]:
     """
     s = exponent
     s0, s1 = 1.0, 0.0
-    for n in range(2, _EM_CUT):
+    for n, ln_n in _EM_HEAD:
         w = n**-s
         s0 += w
-        s1 += w * math.log(n)
+        s1 += w * ln_n
     la, lb, width = _LN_CUT, _LN_HEAD, _LN_HEAD - _LN_CUT
     y = (s - 1.0) * width
     scale = math.exp((1.0 - s) * la) * width
@@ -270,8 +268,10 @@ def _mean_log2_bounds(exponent: float) -> tuple[float, float]:
 
 @cache
 def _fittable_range() -> tuple[float, float]:
-    """The exact mean log2-index at MIN_EXPONENT and at MAX_EXPONENT."""
-    return _mean_log2(MIN_EXPONENT), _mean_log2(MAX_EXPONENT)
+    """The mean log2-index's upper bound at MIN_EXPONENT and lower bound at
+    MAX_EXPONENT: a target at or above the first is :class:`Unfittable`, and
+    one at or below the second fits MAX_EXPONENT."""
+    return _mean_log2_bounds(MIN_EXPONENT)[1], _mean_log2_bounds(MAX_EXPONENT)[0]
 
 
 def fit_zeta(log_index_samples) -> ZetaModel:
@@ -281,13 +281,14 @@ def fit_zeta(log_index_samples) -> ZetaModel:
     (the model mean is strictly decreasing in the exponent).  Degenerate
     all-ones index streams land on the upper cap; means beyond the truncated
     model's range raise :class:`Unfittable` and callers fall back to delta
-    coding.
+    coding.  Both ends are decided by ``_fittable_range``.
 
-    A step asks whether ``_mean_log2(mid) > target``.  When the
-    interval from ``_mean_log2_bounds`` lies wholly above the target, or at
-    or below it, that answers the question for the exact float too; only
-    otherwise (about a third of the steps, the last ones) is the exact value
-    computed.  The result is the exponent the all-exact bisection returns.
+    Each step reads the certified interval from ``_mean_log2_bounds`` at the
+    midpoint: wholly above the target, the exponent is larger; at or below
+    it, smaller; otherwise the interval contains the target and the midpoint
+    is returned.  So the returned model's mean is within the interval's
+    width (about 3e-11 relative) of the target, unless the bracket closes to
+    adjacent floats first, and no step evaluates the 65,536-term mean.
     """
     samples = np.asarray(log_index_samples, dtype=np.float64)
     if samples.size == 0:
@@ -303,16 +304,17 @@ def fit_zeta(log_index_samples) -> ZetaModel:
     if target <= bottom:
         return ZetaModel(MAX_EXPONENT)
     lo, hi = MIN_EXPONENT, MAX_EXPONENT
-    for _ in range(80):
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # f(lo) > target >= f(hi): no step moves a bound
-            break
+        if mid == lo or mid == hi:
+            return ZetaModel(mid)
         f_lo, f_hi = _mean_log2_bounds(mid)
-        if f_lo > target or (f_hi > target and _mean_log2(mid) > target):
+        if f_lo > target:
             lo = mid
-        else:
+        elif f_hi <= target:
             hi = mid
-    return ZetaModel(0.5 * (lo + hi))
+        else:
+            return ZetaModel(mid)
 
 
 def _codeword(model: ZetaModel, n: int) -> tuple[int, int]:

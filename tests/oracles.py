@@ -3,7 +3,9 @@
 Everything here is deliberately dumb and slow: quadrature, grid search,
 bisection, and a closure-based implementation of the ruled-out-mass
 recursion.  None of it shares code paths with the library's closed forms,
-except the zeta model's moments, which read its exact float evaluation.
+except the zeta model's mean, whose 65,536-term float evaluation reads the
+library's head logs and tail integrals: it is the float that
+``zeta._mean_log2_bounds`` certifies an interval around.
 """
 
 from __future__ import annotations
@@ -70,14 +72,18 @@ def numeric_residual_mass(pair, lo, hi, level) -> float:
     return val
 
 
-def zeta_mean_log2(model: zeta.ZetaModel) -> float:
-    """Expected log2 of the index under the model: the float fit_zeta matches."""
-    return zeta._mean_log2(model.exponent)
+def mean_log2(exponent: float) -> float:
+    """Expected log2 of the index under the zeta model, every head term summed."""
+    eps = exponent - 1.0
+    w = np.exp(-exponent * zeta._HEAD_LN)
+    z = float(w.sum()) + zeta._tail_mass(eps, zeta._LN_LO, zeta._LN_HI)
+    num = float(w @ zeta._HEAD_LN) + zeta._tail_log_moment(eps)
+    return num / z / LN2
 
 
 def zeta_entropy_bits(model: zeta.ZetaModel) -> float:
     """Entropy of the model in bits: exponent * E[log2 n] + log2(normalizer)."""
-    return model.exponent * zeta_mean_log2(model) + math.log2(model._norm)
+    return model.exponent * mean_log2(model.exponent) + math.log2(model._norm)
 
 
 def grid_ratio_argmax(pair, lo=-10.0, hi=10.0, step=1e-4) -> float:

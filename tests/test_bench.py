@@ -238,6 +238,15 @@ class TestVector:
             overhead = d.mean_delta_bits - d.kl_bits
             assert 0.0 <= overhead <= 2.0 * math.log2(d.kl_bits + 1.0) + 6.0
 
+    def test_bench_grid_round_trips_over_seeds(self):
+        # the ``bench vector`` defaults: 50 dimensions, KL 0.05 to 0.5 bits
+        kls = [0.05 + 0.45 * d / 49 for d in range(50)]
+        pairs = [gaussian_pair_for_targets(kl, kl + 0.75) for kl in kls]
+        for seed in range(20):
+            report = encode_vector(pairs, seed, calibration_runs=256, repeats=10)
+            assert report.round_trip_ok, seed
+            assert all(d.fitted_exponent is not None for d in report.dims), seed
+
     def test_identical_pairs_cost_near_zero(self):
         std = Distribution1D(0.0, 1.0)
         pairs = [DistributionPair(std, std)] * 6

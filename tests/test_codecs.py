@@ -2,6 +2,7 @@ import math
 import time
 from dataclasses import replace
 from datetime import timedelta
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from relcode.distributions import gaussian_pair_for_targets
 from relcode.engine import GLOBAL_STEP_CAP, InvalidIndex, SplitRule, decode, encode, encode_batch
 from relcode.randomness import derive_seeds
 
-from oracles import zeta_entropy_bits, zeta_mean_log2
+from oracles import mean_log2, zeta_entropy_bits
 
 PAIR = gaussian_pair_for_targets(3.0, 5.0)
 
@@ -219,7 +220,7 @@ class TestZeta:
         w = n ** -lam
         dense_mean = float((w * np.log2(n)).sum() / w.sum())
         assert dense_mean == pytest.approx(1.0, abs=1e-4)
-        assert zeta_mean_log2(model) == pytest.approx(1.0, abs=1e-6)
+        assert mean_log2(model.exponent) == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_point_mass(self):
         model = fit_zeta([0.0] * 8)
@@ -232,24 +233,23 @@ class TestZeta:
 
     @pytest.mark.parametrize("target", [1e-6, 0.05, 0.5, 1.0, 3.0, 9.5, 25.0])
     def test_bisection_stops_at_its_fixed_point(self, target, monkeypatch):
-        # reference: all 80 bisection steps
-        lo, hi = zeta.MIN_EXPONENT, zeta.MAX_EXPONENT
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if zeta._mean_log2(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        mean_log2 = zeta._mean_log2
+        # the fit stops at the first midpoint whose certified interval holds
+        # the target, after one interval per step
+        zeta._fittable_range()  # cached before the count starts
+        bounds = zeta._mean_log2_bounds
         calls = []
-        monkeypatch.setattr(zeta, "_mean_log2", lambda *a: calls.append(a) or mean_log2(*a))
-        assert fit_zeta([target]).exponent == 0.5 * (lo + hi)
-        # two range checks, then one call per step until mid hits a bound
-        assert len(calls) <= 2 + 60
+        monkeypatch.setattr(
+            zeta, "_mean_log2_bounds", lambda s: calls.append((s, bounds(s))) or bounds(s)
+        )
+        exponent = fit_zeta([target]).exponent
+        assert calls[-1][0] == exponent
+        assert [lo <= target <= hi for _, (lo, hi) in calls] == [False] * (len(calls) - 1) + [True]
+        assert len(calls) <= 60
+        self._assert_certified_fits([target])
 
     @staticmethod
     def _exact_fit(target):
-        # reference: fit_zeta's bisection with every step evaluated exactly
+        # reference: the bisection with every step read from the 65,536-term mean
         lo, hi = zeta.MIN_EXPONENT, zeta.MAX_EXPONENT
         mids = []
         for _ in range(80):
@@ -257,16 +257,25 @@ class TestZeta:
             if mid == lo or mid == hi:
                 break
             mids.append(mid)
-            if zeta._mean_log2(mid) > target:
+            if mean_log2(mid) > target:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi), mids
 
-    def _assert_fits_match_exact_loop(self, targets):
+    def _assert_certified_fits(self, targets):
+        # the interval at the fitted exponent holds the target (or the
+        # bracket closed on MIN_EXPONENT, above the whole fittable range's
+        # exact means), the exact mean there is within the interval's width
+        # of the target, and the exponent is the exact bisection's to 1e-10
+        next_to_min = math.nextafter(zeta.MIN_EXPONENT, math.inf)
         for target in targets:
+            exponent = fit_zeta([target]).exponent
+            lo, hi = zeta._mean_log2_bounds(exponent)
+            assert lo <= target <= hi or exponent <= next_to_min, target
+            assert abs(mean_log2(exponent) - target) <= hi - lo, target
             expected, _ = self._exact_fit(target)
-            assert fit_zeta([target]).exponent.hex() == expected.hex(), target
+            assert abs(exponent - expected) <= 1e-10 * expected, target
 
     def test_fit_matches_exact_bisection_on_random_targets(self):
         top, bottom = zeta._fittable_range()
@@ -274,7 +283,7 @@ class TestZeta:
         uniform = rng.uniform(bottom, top, 250)
         log_uniform = np.exp(rng.uniform(math.log(bottom), math.log(top), 250))
         targets = [float(t) for t in np.concatenate([uniform, log_uniform])]
-        self._assert_fits_match_exact_loop([t for t in targets if bottom < t < top])
+        self._assert_certified_fits([t for t in targets if bottom < t < top])
 
     def test_fit_matches_exact_bisection_at_visited_midpoints(self):
         # targets equal to f(mid) for mids the exact loop visits, and 1 ulp
@@ -283,9 +292,9 @@ class TestZeta:
         for base in (0.3, 4.0):
             _, mids = self._exact_fit(base)
             for mid in mids[::4] + mids[-8:]:
-                f = zeta._mean_log2(mid)
+                f = mean_log2(mid)
                 targets += [math.nextafter(f, 0.0), f, math.nextafter(f, math.inf)]
-        self._assert_fits_match_exact_loop(targets)
+        self._assert_certified_fits(targets)
 
     def test_fit_matches_exact_bisection_at_range_ends(self):
         top, bottom = zeta._fittable_range()
@@ -293,7 +302,45 @@ class TestZeta:
         below_top += [top * (1.0 - 10.0**-k) for k in range(3, 16)]
         above_bottom = [math.nextafter(bottom, math.inf)]
         above_bottom += [bottom * (1.0 + 10.0**-k) for k in range(1, 16)]
-        self._assert_fits_match_exact_loop(below_top + above_bottom)
+        self._assert_certified_fits(below_top + above_bottom)
+
+    def test_range_end_rule(self):
+        # Unfittable at or above the upper bound at MIN_EXPONENT, and
+        # MAX_EXPONENT at or below the lower bound at MAX_EXPONENT
+        top = zeta._mean_log2_bounds(zeta.MIN_EXPONENT)[1]
+        bottom = zeta._mean_log2_bounds(zeta.MAX_EXPONENT)[0]
+        assert zeta._fittable_range() == (top, bottom)
+        for target in (top, math.nextafter(top, math.inf)):
+            with pytest.raises(Unfittable):
+                fit_zeta([target])
+        assert fit_zeta([math.nextafter(top, 0.0)]).exponent < 1.0 + 2e-6
+        for target in (bottom, math.nextafter(bottom, 0.0)):
+            assert fit_zeta([target]).exponent == zeta.MAX_EXPONENT
+        above = math.nextafter(bottom, math.inf)
+        lo, hi = zeta._mean_log2_bounds(fit_zeta([above]).exponent)
+        assert lo <= above <= hi
+
+    def test_tail_log_moment_against_decimal(self):
+        # the closed form (fa - fb) / eps**2 at 40 digits, on the float ends
+        for eps in (1e-6, 1e-5, 1e-4, 1e-2, 0.5, 19.0):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                e, a, b = Decimal(eps), Decimal(zeta._LN_LO), Decimal(zeta._LN_HI)
+                fa = (-e * a).exp() * (e * a + 1)
+                fb = (-e * b).exp() * (e * b + 1)
+                want = (fa - fb) / (e * e)
+            got = zeta._tail_log_moment(eps)
+            assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), eps
+
+    def test_head_table_matches_per_array_expressions(self):
+        # the weights exp(-s ln n) from one whole-array numpy exp, as before
+        # the table was built in place
+        for s in (1.0 + 1e-6, 1.05, 2.0, 7.3, 20.0):
+            model = ZetaModel(s)
+            weights = np.exp(-s * zeta._HEAD_LN)
+            assert np.array_equal(model._head_cum, np.concatenate([[0.0], np.cumsum(weights)]))
+            pmf = np.array([model.pmf(n) for n in range(1, zeta.HEAD + 1)])
+            assert np.array_equal(pmf, weights / model._norm)
 
     def test_mean_log2_bounds_contain_exact_value(self):
         # the allowance assumes log and exp within 8 ulp; both measure under 1
@@ -308,7 +355,7 @@ class TestZeta:
         exponents = 1.0 + np.logspace(-6, math.log10(19.0), 2000)
         for s in [zeta.MIN_EXPONENT, zeta.MAX_EXPONENT, *map(float, exponents)]:
             lo, hi = zeta._mean_log2_bounds(s)
-            assert lo <= zeta._mean_log2(s) <= hi, s
+            assert lo <= mean_log2(s) <= hi, s
             assert hi - lo < 1e-10 * hi
 
     def test_vector_fits_make_few_exact_evaluations(self, monkeypatch):
@@ -319,13 +366,23 @@ class TestZeta:
             gaussian_pair_for_targets(kl, kl + 0.75)
             for kl in (0.05 + 0.45 * d / 49 for d in range(50))
         ]
-        mean_log2 = zeta._mean_log2
-        calls = []
-        monkeypatch.setattr(zeta, "_mean_log2", lambda *a: calls.append(a) or mean_log2(*a))
-        zeta._fittable_range.cache_clear()
+
+        class CountingNumpy:
+            # numpy for zeta.py, counting exp over the whole 65,536-term head
+            head_exps = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                CountingNumpy.head_exps += np.size(x) == zeta.HEAD
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(zeta, "np", CountingNumpy())
         report = encode_vector(pairs, 0, calibration_runs=256)
         assert all(d.fitted_exponent is not None for d in report.dims)
-        assert len(calls) <= 1400
+        # one head table per fitted model; no exact mean in any fit
+        assert CountingNumpy.head_exps <= len(report.dims)
 
     def test_out_of_range(self):
         model = ZetaModel(2.0)
