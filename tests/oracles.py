@@ -5,7 +5,10 @@ bisection, and a closure-based implementation of the ruled-out-mass
 recursion.  None of it shares code paths with the library's closed forms,
 except the zeta model's mean, whose 65,536-term float evaluation reads the
 library's head logs and tail integrals: it is the float that
-``zeta._mean_log2_bounds`` certifies an interval around.
+``zeta._mean_log2_bounds`` certifies an interval around.  The zeta head
+table, CDF and codewords below read the same logs and tail integrals: they
+are the whole-table path that the model's stored prefix and total must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -79,6 +82,45 @@ def mean_log2(exponent: float) -> float:
     z = float(w.sum()) + zeta._tail_mass(eps, zeta._LN_LO, zeta._LN_HI)
     num = float(w @ zeta._HEAD_LN) + zeta._tail_log_moment(eps)
     return num / z / LN2
+
+
+def head_cum(exponent: float) -> np.ndarray:
+    """The zeta model's whole head table: entry i is the left-to-right
+    float64 running sum of the weights exp(-exponent * ln n) of 1..i, built
+    with the same numpy expressions as the library's head pass."""
+    out = np.empty(zeta.HEAD + 1)
+    out[0] = 0.0
+    w = out[1:]
+    np.multiply(zeta._HEAD_LN, -exponent, out=w)
+    np.exp(w, out=w)
+    np.cumsum(w, out=w)
+    return out
+
+
+def zeta_norm(exponent: float, cum: np.ndarray) -> float:
+    """The normalizer from the whole table ``cum = head_cum(exponent)``."""
+    return float(cum[-1]) + zeta._tail_mass(exponent - 1.0, zeta._LN_LO, zeta._LN_HI)
+
+
+def zeta_cdf_before(exponent: float, n: int, cum: np.ndarray) -> float:
+    """cdf_before(n) for 1 <= n <= N_MAX + 1, every head sum read from ``cum``."""
+    norm = zeta_norm(exponent, cum)
+    if n <= zeta.HEAD + 1:
+        return float(cum[n - 1]) / norm
+    tail = zeta._tail_mass(exponent - 1.0, zeta._LN_LO, math.log(n - 0.5))
+    return (float(cum[-1]) + tail) / norm
+
+
+def zeta_codeword(exponent: float, n: int, cum: np.ndarray) -> tuple[int, int]:
+    """(value, length) of the Shannon-Fano-Elias codeword of n (docs/FORMAT.md)."""
+    if n <= zeta.HEAD:
+        weight = float(np.exp(-exponent * zeta._HEAD_LN[n - 1 : n])[0])
+    else:
+        weight = zeta._tail_mass(exponent - 1.0, math.log(n - 0.5), math.log(n + 0.5))
+    p = weight / zeta_norm(exponent, cum)
+    length = math.ceil(-math.log2(p)) + 1
+    z = zeta_cdf_before(exponent, n, cum) + 0.5 * p
+    return min(int(z * (1 << length)), (1 << length) - 1), length
 
 
 def zeta_entropy_bits(model: zeta.ZetaModel) -> float:

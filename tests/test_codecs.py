@@ -35,7 +35,14 @@ from relcode.distributions import gaussian_pair_for_targets
 from relcode.engine import GLOBAL_STEP_CAP, InvalidIndex, SplitRule, decode, encode, encode_batch
 from relcode.randomness import derive_seeds
 
-from oracles import mean_log2, zeta_entropy_bits
+from oracles import (
+    head_cum,
+    mean_log2,
+    zeta_cdf_before,
+    zeta_codeword,
+    zeta_entropy_bits,
+    zeta_norm,
+)
 
 PAIR = gaussian_pair_for_targets(3.0, 5.0)
 
@@ -332,15 +339,93 @@ class TestZeta:
             got = zeta._tail_log_moment(eps)
             assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), eps
 
+    HEAD_EXPONENTS = (1.0 + 1e-6, 1.05, 2.0, 7.3, 20.0)
+
     def test_head_table_matches_per_array_expressions(self):
         # the weights exp(-s ln n) from one whole-array numpy exp, as before
         # the table was built in place
-        for s in (1.0 + 1e-6, 1.05, 2.0, 7.3, 20.0):
+        for s in self.HEAD_EXPONENTS:
             model = ZetaModel(s)
             weights = np.exp(-s * zeta._HEAD_LN)
-            assert np.array_equal(model._head_cum, np.concatenate([[0.0], np.cumsum(weights)]))
+            assert np.array_equal(head_cum(s), np.concatenate([[0.0], np.cumsum(weights)]))
             pmf = np.array([model.pmf(n) for n in range(1, zeta.HEAD + 1)])
             assert np.array_equal(pmf, weights / model._norm)
+
+    def test_prefix_and_total_match_whole_table(self):
+        # the model keeps the first _HEAD_PREFIX + 1 running sums and the
+        # total; the normalizer and every head cdf are the whole table's
+        for s in self.HEAD_EXPONENTS:
+            cum = head_cum(s)
+            norm = zeta_norm(s, cum)
+            model = ZetaModel(s)
+            assert model._norm == norm
+            prefix = [model.cdf_before(n) for n in range(1, zeta._HEAD_PREFIX + 2)]
+            assert "_head_cum" not in vars(model)  # no rebuild within the prefix
+            rest = [model.cdf_before(n) for n in range(zeta._HEAD_PREFIX + 2, zeta.HEAD + 2)]
+            assert np.array_equal(np.array(prefix + rest), cum / norm)
+            for n in (zeta.HEAD + 2, 10**6, zeta.N_MAX, zeta.N_MAX + 1):
+                assert model.cdf_before(n) == zeta_cdf_before(s, n, cum)
+
+    def test_search_before_matches_whole_table(self):
+        # at, and one ulp either side of, the cdf at the prefix's edge and
+        # the head's end, plus uniform targets; targets at 1.0 are left out
+        # because a model whose cdf reaches 1.0 walks toward N_MAX there
+        uniforms = [float(u) for u in np.random.default_rng(12).random(1000)]
+        for s in self.HEAD_EXPONENTS:
+            cum = head_cum(s)
+            cdf = cum / zeta_norm(s, cum)
+            targets = list(uniforms)
+            for n in (4096, 4097, 4098, zeta.HEAD + 1):
+                c = zeta_cdf_before(s, n, cum)
+                targets += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
+            model = ZetaModel(s)
+            for t in (t for t in targets if t < 1.0):
+                n = model.search_before(t)
+                if t < cdf[-1]:
+                    assert n == int(np.searchsorted(cdf, t, side="right")), (s, t)
+                assert zeta_cdf_before(s, n, cum) <= t, (s, t)
+                assert n == zeta.N_MAX or zeta_cdf_before(s, n + 1, cum) > t, (s, t)
+
+    @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, exponent, monkeypatch):
+        passes = []
+        monkeypatch.setattr(zeta, "_head_sums", passes.append)
+        with pytest.raises(ValueError, match="finite"):
+            ZetaModel(exponent)
+        assert passes == []
+
+    def test_fitted_models_keep_small_tables(self, monkeypatch):
+        from relcode.bench import vector
+
+        # the bench vector grid: 50 dimensions, KL 0.05 to 0.5 bits, 10 repeats
+        pairs = [
+            gaussian_pair_for_targets(kl, kl + 0.75)
+            for kl in (0.05 + 0.45 * d / 49 for d in range(50))
+        ]
+        models = []
+        fit = vector.fit_zeta
+        monkeypatch.setattr(vector, "fit_zeta", lambda x: models.append(fit(x)) or models[-1])
+        vector.encode_vector(pairs, 0, repeats=10)
+        assert len(models) == 50
+
+        def ndarray_bytes(value):
+            if isinstance(value, tuple):
+                return sum(map(ndarray_bytes, value))
+            return value.nbytes if isinstance(value, np.ndarray) else 0
+
+        for model in models:
+            assert sum(map(ndarray_bytes, vars(model).values())) <= 64 * 1024, model
+
+    def test_codewords_past_the_prefix_match_whole_table(self):
+        for s in (1.0 + 1e-6, 1.05, 2.0):
+            cum = head_cum(s)
+            model = ZetaModel(s)
+            for n in (4096, 4097, 10**4, zeta.HEAD, zeta.HEAD + 1, 10**6):
+                word = zeta_encode(n, model)
+                assert word == Bits.of(*zeta_codeword(s, n, cum)), (s, n)
+                reader = BitReader(word)
+                assert zeta_decode(reader, model) == n
+                assert reader.remaining == 0
 
     def test_mean_log2_bounds_contain_exact_value(self):
         # the allowance assumes log and exp within 8 ulp; both measure under 1
