@@ -9,7 +9,7 @@ Layers:
 
 * :mod:`relcode.distributions` - Gaussian target/proposal pairs and their
   density-ratio services.
-* :mod:`relcode.partition` - heap indices and intervals.
+* :mod:`relcode.partition` - heap indices.
 * :mod:`relcode.randomness` - the shared counter-based per-node stream.
 * :mod:`relcode.engine` - the encoder/decoder recursion.
 * :mod:`relcode.codecs` - bitstream serialization (universal integer codes,
@@ -36,7 +36,7 @@ from .engine import (
     encode_batch,
     simulate_bound_masses,
 )
-from .partition import Interval, depth, path_bits
+from .partition import path_bits
 from .randomness import NodeRandoms, derive_seeds, node_randoms
 
 __version__ = "0.1.0"
@@ -57,8 +57,6 @@ __all__ = [
     "encode",
     "encode_batch",
     "simulate_bound_masses",
-    "Interval",
-    "depth",
     "path_bits",
     "NodeRandoms",
     "derive_seeds",

@@ -11,7 +11,7 @@ on top are prefix-free, so pad bits are never consumed by a decoder.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["Bits", "BitReader", "DecodeError"]
 
@@ -21,7 +21,7 @@ class DecodeError(ValueError):
 
 
 class Bits:
-    """An immutable sequence of 0/1 values supporting concatenation."""
+    """An immutable string of 0/1 values supporting concatenation."""
 
     __slots__ = ("_value", "_nbits")
 
@@ -42,24 +42,11 @@ class Bits:
         out._nbits = nbits
         return out
 
-    @classmethod
-    def from01(cls, text: str) -> "Bits":
-        if text.strip("01"):
-            raise ValueError("bits must be 0 or 1")
-        return cls.of(int(text or "0", 2), len(text))
-
     def to01(self) -> str:
         return bin(self._value | 1 << self._nbits)[3:]
 
     def __len__(self) -> int:
         return self._nbits
-
-    def __iter__(self) -> Iterator[int]:
-        return map(int, self.to01())
-
-    def __getitem__(self, item):
-        got = self.to01()[item]
-        return Bits.from01(got) if isinstance(item, slice) else int(got)
 
     def __add__(self, other: "Bits") -> "Bits":
         if not isinstance(other, Bits):

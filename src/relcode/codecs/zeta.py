@@ -367,7 +367,12 @@ def zeta_decode(reader: BitReader, model: ZetaModel) -> int:
     for length in range(1, MAX_CODE_LEN + 1):
         value = (value << 1) | reader.read_bit()
         n = model.search_before(value / (1 << length))
-        cand_value, cand_length = _codeword(model, n)
+        try:
+            cand_value, cand_length = _codeword(model, n)
+        except OutOfRange as exc:
+            # a codeword's prefixes map to indices no larger than its own,
+            # and the pmf falls in n, so no codeword extends this prefix
+            raise DecodeError("not a zeta codeword") from exc
         if cand_length == length and cand_value == value:
             return n
     raise DecodeError("not a zeta codeword")

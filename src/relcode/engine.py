@@ -51,13 +51,13 @@ import enum
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .distributions import DistributionPair, Distribution1D, NoFiniteMode, _PairRows
-from .partition import Interval, REAL_LINE, path_bits
+from .partition import path_bits
 from .randomness import node_randoms, node_uniforms, seed_words
 
 __all__ = [
@@ -102,7 +102,10 @@ class RecResult:
     """Output of one encode: the accepted sample and its tree address.
 
     ``accepted`` is False only for depth-limited runs that hit the step
-    budget.  ``bound_trace`` holds the active intervals S_0 .. S_depth.
+    budget.  ``bound_trace`` is accepted and ignored: the active intervals
+    S_0 .. S_depth are a function of the proposal, rule, seed and heap
+    index, which the decoder's walk replays, so the encoder does not
+    record them.
     """
 
     sample: float
@@ -112,7 +115,7 @@ class RecResult:
     rule: SplitRule
     seed: int
     proposal_mass: float
-    bound_trace: tuple[Interval, ...]
+    bound_trace: InitVar[tuple] = ()  # perfbench/workloads.py still passes ()
 
 
 @dataclass(frozen=True)
@@ -303,7 +306,7 @@ def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
     return res_child
 
 
-def _run_global(pair, seeds, d_max, trace):
+def _run_global(pair, seeds, d_max):
     """Global-rule encode, vectorized across runs and steps.
 
     The active interval never shrinks, so every step draws from the whole
@@ -363,19 +366,16 @@ def _run_global(pair, seeds, d_max, trace):
             alive = alive[keep]
             alive_seeds = alive_seeds[keep]
         d0 += w
-    heap_indices = [1 << int(dd) for dd in out_depth]
-    if trace is not None:
-        trace.extend([REAL_LINE] * (int(out_depth[0]) + 1))
     return BatchResult(
         samples=out_sample,
         depths=out_depth,
-        heap_indices=heap_indices,
+        heap_indices=[1 << int(dd) for dd in out_depth],
         accepted=out_accepted,
         proposal_mass=np.ones(n),
     )
 
 
-def _run_batch(pair, rule, seeds, d_max, trace):
+def _run_batch(pair, rule, seeds, d_max):
     if d_max is not None:
         d_max = operator.index(d_max)  # TypeError for a non-integer budget
         if d_max < 0:
@@ -383,10 +383,8 @@ def _run_batch(pair, rule, seeds, d_max, trace):
     seeds = np.atleast_1d(seed_words(seeds))
     n = seeds.shape[0]
     pair = _batch_pair(pair, rule, n)
-    if trace is not None and n != 1:
-        raise ValueError("trace capture only supported for single runs")
     if rule is SplitRule.GLOBAL:
-        return _run_global(pair, seeds, d_max, trace)
+        return _run_global(pair, seeds, d_max)
     st = _BatchState(pair, seeds)
     alive_ids = np.arange(n)
     out_sample = np.empty(n)
@@ -401,8 +399,6 @@ def _run_batch(pair, rule, seeds, d_max, trace):
         while alive_ids.size:
             if d > HARD_STEP_CAP:
                 raise NonTermination(f"no acceptance within {HARD_STEP_CAP} steps")
-            if trace is not None:
-                trace.append(Interval(float(st.lo[0]), float(st.hi[0])))
             x, t, mass, u_a, u_b = _draw(st, d)
             accepted = u_a <= _accept_prob(st.pair, x, st.level, 1.0 - st.ruled, mass)
             # the descent sets a large batch's peak memory: it holds no
@@ -473,7 +469,7 @@ def encode_batch(
     rule before the first step.  ``d_max`` is None (no budget) or a
     nonnegative integer step budget.
     """
-    return _run_batch(pair, rule, seeds, d_max, trace=None)
+    return _run_batch(pair, rule, seeds, d_max)
 
 
 def encode(
@@ -483,18 +479,15 @@ def encode(
     d_max: Optional[int] = None,
 ) -> RecResult:
     """Encode a single sample from the target using the shared random stream."""
-    trace: list[Interval] = []
-    out = _run_batch(pair, rule, [seed], d_max, trace=trace)
-    depth = int(out.depths[0])
+    out = _run_batch(pair, rule, [seed], d_max)
     return RecResult(
         sample=float(out.samples[0]),
         heap_index=out.heap_indices[0],
-        depth=depth,
+        depth=int(out.depths[0]),
         accepted=bool(out.accepted[0]),
         rule=rule,
         seed=seed,
         proposal_mass=float(out.proposal_mass[0]),
-        bound_trace=tuple(trace[: depth + 1]),
     )
 
 

@@ -12,6 +12,8 @@ stays unchanged while every sample, heap index and codeword does.  The
 power-law codewords and the arithmetic coder, each as
 ``"<nbits>:<byte hex>"``.  The inputs come from fixed integers and
 ``numpy.random.default_rng``, never from ``relcode``'s own seed derivation.
+The ``trace_*`` leaves of a code pin its active intervals, which
+``oracles.path_intervals`` replays from the code's heap index.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from relcode.codecs import (
 from relcode.codecs.zeta import N_MAX
 from relcode.distributions import Distribution1D, DistributionPair, gaussian_pair_for_targets
 from relcode.engine import SplitRule, encode, encode_batch, simulate_bound_masses
+
+from oracles import path_intervals
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "outputs.json"
 
@@ -76,15 +80,16 @@ def _sha(*chunks: bytes) -> str:
 
 def _code(pair, rule, seed, d_max) -> dict:
     res = encode(pair, rule, seed, d_max=d_max)
-    ends = ";".join(f"{iv.lo.hex()},{iv.hi.hex()}" for iv in res.bound_trace)
-    last = res.bound_trace[-1]
+    trace = path_intervals(pair.proposal, rule, seed, res.heap_index)
+    ends = ";".join(f"{iv.lo.hex()},{iv.hi.hex()}" for iv in trace)
+    last = trace[-1]
     return {
         "sample": res.sample.hex(),
         "heap_index": hex(res.heap_index),
         "depth": res.depth,
         "accepted": res.accepted,
         "proposal_mass": res.proposal_mass.hex(),
-        "trace_len": len(res.bound_trace),
+        "trace_len": len(trace),
         "trace_last": [last.lo.hex(), last.hi.hex()],
         "trace_sha256": _sha(ends.encode()),
         "codeword": serialize(res).to_bytes().hex(),

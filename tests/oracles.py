@@ -8,21 +8,63 @@ library's head logs and tail integrals: it is the float that
 ``zeta._mean_log2_bounds`` certifies an interval around.  The zeta head
 table, CDF and codewords below read the same logs and tail integrals: they
 are the whole-table path that the model's stored prefix and total must
-reproduce bit for bit.
+reproduce bit for bit.  ``path_intervals`` replays a code's active
+intervals by the decoder's walk; the encoder does not record them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from relcode.codecs import zeta
 from relcode.distributions import DistributionPair
+from relcode.engine import SplitRule
 from relcode.randomness import node_randoms
 
 LN2 = math.log(2.0)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A closed interval of the extended real line; ``lo > hi`` means empty."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise ValueError("interval endpoints must not be NaN")
+
+    @property
+    def empty(self) -> bool:
+        return self.lo > self.hi
+
+
+REAL_LINE = Interval(-math.inf, math.inf)
+
+
+def path_intervals(proposal, rule, seed, heap_index) -> list[Interval]:
+    """The active intervals S_0 .. S_D of the code ``heap_index``, by the
+    decoder's walk: each node's CDF ends, split at the node's draw (sample)
+    or midpoint (dyadic), and mapped through the proposal's quantile.  The
+    global rule keeps the whole line at every depth."""
+    if rule is SplitRule.GLOBAL:
+        return [REAL_LINE] * heap_index.bit_length()
+    f_lo, f_hi, node = 0.0, 1.0, 1
+    out = [Interval(float(proposal.quantile(f_lo)), float(proposal.quantile(f_hi)))]
+    for b in map(int, bin(heap_index)[3:]):
+        if rule is SplitRule.SAMPLE:
+            f_mid = f_lo + node_randoms(seed, node).u_sample * (f_hi - f_lo)
+        else:
+            f_mid = 0.5 * (f_lo + f_hi)
+        f_lo, f_hi = (f_mid, f_hi) if b else (f_lo, f_mid)
+        node = 2 * node + b
+        out.append(Interval(float(proposal.quantile(f_lo)), float(proposal.quantile(f_hi))))
+    return out
 
 
 def gaussian_pdf(d, x):

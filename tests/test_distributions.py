@@ -12,9 +12,10 @@ from relcode.distributions import (
     Unsatisfiable,
     gaussian_pair_for_targets,
 )
-from relcode.partition import Interval, REAL_LINE
 
 from oracles import (
+    Interval,
+    REAL_LINE,
     bisect_level_edge,
     gaussian_pdf,
     grid_ratio_argmax,

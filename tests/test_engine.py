@@ -30,14 +30,16 @@ from relcode.engine import (
     encode_batch,
     simulate_bound_masses,
 )
-from relcode.partition import REAL_LINE, Interval
 from relcode.randomness import derive_seeds, node_randoms, node_uniforms
 
 from make_golden import _pairs as golden_pairs
 from oracles import (
+    REAL_LINE,
     DirectGlobalRecursion,
+    Interval,
     gaussian_pdf,
     numeric_residual_mass,
+    path_intervals,
     ruled_out_after_one_level,
 )
 
@@ -45,6 +47,8 @@ STD = Distribution1D(0.0, 1.0)
 NARROW = DistributionPair(Distribution1D(0.0, 0.5), STD)
 SAME = DistributionPair(STD, STD)
 PAIR35 = gaussian_pair_for_targets(3.0, 5.0)
+# a target 9 sigma below the proposal: sample and dyadic runs go past depth 64
+FAR9 = DistributionPair(Distribution1D(-9.0, 0.1), STD)
 ALL_RULES = list(SplitRule)
 
 
@@ -104,15 +108,18 @@ def branch(pair, rule, st, x, u_branch=0.5):
     return int(child.k_lo[0] & np.uint64(1)), child
 
 
-def encode_step_by_step(pair, rule, seed):
+def encode_step_by_step(pair, rule, seed, trace=None):
     """Reference encoder: one run, one kernel step at a time, no batching.
 
-    Returns the accepted sample and its heap index.
+    Returns the accepted sample and its heap index; each step's active
+    interval is appended to ``trace`` if one is given.
     """
     st = root_state(pair, seed)
     d = 0
     with _quiet():
         while True:
+            if trace is not None:
+                trace.append(interval(st))
             x, t, mass, u_a, u_b = _draw(st, d)
             if u_a[0] <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)[0]:
                 return float(x[0]), st.heap_index(0, d)
@@ -282,7 +289,8 @@ class TestStateConsistency:
             ruled.append(float(st.ruled[0]))
         assert levels == sorted(levels)
         assert ruled == sorted(ruled)
-        assert out.bound_trace[0] == REAL_LINE
+        replay = path_intervals(PAIR35.proposal, SplitRule.DYADIC, 3, out.heap_index)
+        assert replay[0] == interval(root_state(PAIR35, 3)) == REAL_LINE
 
 
 class TestEncodeDecode:
@@ -327,13 +335,14 @@ class TestEncodeDecode:
 
     def test_trace_matches_depth_and_mass(self):
         res = encode(PAIR35, SplitRule.DYADIC, seed=17)
-        assert len(res.bound_trace) == res.depth + 1
-        last = res.bound_trace[-1]
+        trace = path_intervals(PAIR35.proposal, SplitRule.DYADIC, 17, res.heap_index)
+        assert len(trace) == res.depth + 1
+        last = trace[-1]
         mass = float(
             PAIR35.proposal.cdf(last.hi) - PAIR35.proposal.cdf(last.lo)
         )
         assert mass == pytest.approx(res.proposal_mass, abs=1e-12)
-        for a, b in zip(res.bound_trace, res.bound_trace[1:]):
+        for a, b in zip(trace, trace[1:]):
             assert a.lo <= b.lo and b.hi <= a.hi
         assert last.lo <= res.sample <= last.hi
 
@@ -450,6 +459,28 @@ class TestEncodeDecode:
         for seed in range(20):
             x = decode(STD, SplitRule.DYADIC, seed, 5)
             assert lo <= x <= hi
+
+
+class TestReplayedIntervals:
+    """The active intervals S_0 .. S_D that ``oracles.path_intervals``
+    replays from a code's heap index are the kernel's, step for step."""
+
+    @pytest.mark.parametrize("pair", [PAIR35, FAR9], ids=["(3,5)", "N(-9,0.1^2)"])
+    @pytest.mark.parametrize("rule", [SplitRule.SAMPLE, SplitRule.DYADIC])
+    def test_replay_equals_kernel_steps(self, pair, rule):
+        seeds = range(200)
+        full = encode_batch(pair, rule, seeds)
+        limited = encode_batch(pair, rule, seeds, d_max=2)
+        for seed, index, index2 in zip(seeds, full.heap_indices, limited.heap_indices):
+            steps = []
+            assert encode_step_by_step(pair, rule, seed, steps)[1] == index
+            replay = path_intervals(pair.proposal, rule, seed, index)
+            assert replay == steps
+            # a depth-limited code's replay is a prefix of the full one's
+            replay2 = path_intervals(pair.proposal, rule, seed, index2)
+            assert replay2 == replay[: len(replay2)]
+        if pair is FAR9:
+            assert (full.depths >= 64).any()
 
 
 def assert_same_runs(got, want, rows=slice(None)):

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from relcode.distributions import Distribution1D, DistributionPair
 from relcode.engine import InvalidIndex, SplitRule, _BatchState, _branch_arrays, _quiet, decode
-from relcode.partition import Interval, REAL_LINE, depth, path_bits
+from relcode.partition import path_bits
+
+from oracles import Interval, REAL_LINE
 
 STD = Distribution1D(0.0, 1.0)
 NARROW = DistributionPair(Distribution1D(0.0, 0.5), STD)
@@ -152,15 +154,15 @@ class TestHeapIndex:
         assert path_bits(13) == (1, 0, 1)
 
     def test_depth(self):
-        assert depth(1) == 0
-        assert depth(2) == depth(3) == 1
-        assert depth(1 << 40) == 40
+        # a node's depth, index.bit_length() - 1, is its path's length
+        for index, depth in ((1, 0), (2, 1), (3, 1), (1 << 40, 40)):
+            assert len(path_bits(index)) == index.bit_length() - 1 == depth
 
     @given(st.lists(st.integers(0, 1), max_size=60))
     def test_path_round_trip(self, bits):
         idx = index_from_path(bits)
         assert path_bits(idx) == tuple(bits)
-        assert depth(idx) == len(bits)
+        assert idx.bit_length() - 1 == len(bits)
 
     @given(st.integers(1, 1 << 200))
     def test_bits_reconstruct_index(self, idx):
