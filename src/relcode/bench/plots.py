@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import os
 
+from ..engine import SplitRule
+
 __all__ = ["SchemaError", "emit_plots"]
 
 _REQUIRED = {
@@ -24,7 +26,8 @@ _FIGURES = (
 
 
 class SchemaError(ValueError):
-    """The CSV lacks the sweep schema or has no data rows."""
+    """The CSV lacks the sweep schema, has no data rows, or has a variant or
+    file name that cannot go into the gnuplot script verbatim."""
 
 
 def emit_plots(csv_path: str, out_dir: str) -> list[str]:
@@ -37,6 +40,13 @@ def emit_plots(csv_path: str, out_dir: str) -> list[str]:
     rows = [r for r in rows if not r["reason"]]
     if not rows:
         raise SchemaError(f"{csv_path} has no usable data rows")
+    # both are written into quoted strings of the script and into file names
+    rules = {rule.value for rule in SplitRule}
+    for r in rows:
+        if r["variant"] not in rules:
+            raise SchemaError(f"{csv_path}: variant {r['variant']!r} is not a split rule")
+    if any(c in os.path.basename(csv_path) for c in "'\n\r"):
+        raise SchemaError(f"{csv_path!r}: a quote or line break in the file name")
 
     dkl_values = {r["dkl_target"] for r in rows}
     x_col = "dkl_target" if len(dkl_values) > 1 else "dinf_target"

@@ -287,6 +287,13 @@ class TestVector:
         assert calls == [] and steps == []
 
 
+def plot_row(variant):
+    return dict(
+        dkl_target=2.0, dinf_target=3.0, variant=variant, mean_steps=1.5,
+        se_steps=0.1, mean_bits=3.2, se_bits=0.2, reason="",
+    )
+
+
 class TestPlots:
     def test_emit_and_determinism(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -313,6 +320,32 @@ class TestPlots:
         empty.write_text("")
         with pytest.raises(SchemaError):
             emit_plots(str(empty), str(tmp_path / "out2"))
+
+    @pytest.mark.parametrize(
+        "variant",
+        ["x' ; system('echo PWNED') ; '", "../escaped", "dyadic\nsystem('ls')"],
+        ids=["quote", "path", "line-break"],
+    )
+    def test_variant_not_a_rule_is_schema_error(self, tmp_path, variant):
+        # variants go into quoted strings of the gnuplot script and into
+        # file names, so only split rules get there
+        path = tmp_path / "sweep.csv"
+        write_rows([plot_row("dyadic"), plot_row(variant)], str(path))
+        with pytest.raises(SchemaError, match="split rule"):
+            emit_plots(str(path), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["it's.csv", "a\nsystem('ls').csv", "sweep.csv\n'"],
+        ids=["quote", "line-break", "line-break-in-extension"],
+    )
+    def test_quote_or_line_break_in_file_name_is_schema_error(self, tmp_path, name):
+        path = tmp_path / name
+        write_rows([plot_row("dyadic")], str(path))
+        with pytest.raises(SchemaError, match="file name"):
+            emit_plots(str(path), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:

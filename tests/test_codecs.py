@@ -1,5 +1,7 @@
 import math
+import signal
 import time
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from datetime import timedelta
 from decimal import Decimal, localcontext
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relcode.bench.vector import _decode_joint
 from relcode.codecs import (
     ArithmeticDecoder,
     ArithmeticEncoder,
@@ -53,6 +56,47 @@ from oracles import (
 )
 
 PAIR = gaussian_pair_for_targets(3.0, 5.0)
+# one delta-coded dimension and exponents at both ends of the fitted range
+JOINT_MODELS = [
+    ZetaModel(zeta.MIN_EXPONENT),
+    None,
+    ZetaModel(1.05),
+    ZetaModel(2.0),
+    ZetaModel(zeta.MAX_EXPONENT),
+]
+# the guess, at most 62 gallop probes and 62 bisection steps over
+# 1..N_MAX, and one call of slack
+MAX_SEARCH_CALLS = 2 * 62 + 2
+
+
+@contextmanager
+def watchdog(seconds):
+    """A call still running after ``seconds`` raises TimeoutError, so a
+    decoder that never returns fails its test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def counting_cdf_before(monkeypatch) -> list:
+    """Counts ZetaModel.cdf_before calls in the returned one-item list."""
+    calls = [0]
+    cdf_before = ZetaModel.cdf_before
+
+    def counted(self, n):
+        calls[0] += 1
+        return cdf_before(self, n)
+
+    monkeypatch.setattr(ZetaModel, "cdf_before", counted)
+    return calls
 
 
 class TestBits:
@@ -367,23 +411,69 @@ class TestZeta:
 
     def test_search_before_matches_whole_table(self):
         # at, and one ulp either side of, the cdf at the prefix's edge and
-        # the head's end, plus uniform targets; targets at 1.0 are left out
-        # because a model whose cdf reaches 1.0 walks toward N_MAX there
+        # the head's end, plus uniform targets and the top of the range
         uniforms = [float(u) for u in np.random.default_rng(12).random(1000)]
         for s in self.HEAD_EXPONENTS:
             cum = head_cum(s)
             cdf = cum / zeta_norm(s, cum)
-            targets = list(uniforms)
+            targets = uniforms + [1.0, math.nextafter(1.0, 0.0)]
             for n in (4096, 4097, 4098, zeta.HEAD + 1):
                 c = zeta_cdf_before(s, n, cum)
                 targets += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
             model = ZetaModel(s)
-            for t in (t for t in targets if t < 1.0):
-                n = model.search_before(t)
+            for t in targets:
+                with watchdog(1.0):
+                    n = model.search_before(t)
                 if t < cdf[-1]:
                     assert n == int(np.searchsorted(cdf, t, side="right")), (s, t)
                 assert zeta_cdf_before(s, n, cum) <= t, (s, t)
                 assert n == zeta.N_MAX or zeta_cdf_before(s, n + 1, cum) > t, (s, t)
+
+    @pytest.mark.parametrize(
+        "exponent, target",
+        [(2.0, 1.0 - 2.0**-37), (2.0, 1.0 - 2.0**-40), (7.3, 1.0), (20.0, 1.0)],
+        ids=["2-at-1-2^-37", "2-at-1-2^-40", "7.3-at-1", "20-at-1"],
+    )
+    def test_search_before_is_bounded(self, exponent, target, monkeypatch):
+        # targets whose answer lies far past the head, or at N_MAX
+        model = ZetaModel(exponent)
+        model.cdf_before(zeta.HEAD + 1)  # build both head tables first
+        calls = counting_cdf_before(monkeypatch)
+        t0 = time.perf_counter()
+        with watchdog(1.0):
+            n = model.search_before(target)
+        assert time.perf_counter() - t0 < 0.1
+        assert calls[0] <= MAX_SEARCH_CALLS
+        assert 1 <= n <= zeta.N_MAX and model.cdf_before(n) <= target
+        assert n == zeta.N_MAX or model.cdf_before(n + 1) > target
+
+    def test_search_quantized_is_bounded(self, monkeypatch):
+        # the largest value ArithmeticDecoder.decode_target can return
+        model = ZetaModel(2.0)
+        model.cdf_before(zeta.HEAD + 1)
+        calls = counting_cdf_before(monkeypatch)
+        t0 = time.perf_counter()
+        with watchdog(1.0):
+            n = model.search_quantized(zeta.CUM_ONE - 1)
+        assert time.perf_counter() - t0 < 0.1
+        assert calls[0] <= MAX_SEARCH_CALLS
+        assert model.quantized_cum(n) <= zeta.CUM_ONE - 1
+        assert n == zeta.N_MAX or model.quantized_cum(n + 1) > zeta.CUM_ONE - 1
+
+    def test_search_quantized_meets_its_definition(self):
+        # at the ends of the value range, and at and just below the grid
+        # value of indices at the prefix's edge and the head's end
+        for s in self.HEAD_EXPONENTS:
+            model = ZetaModel(s)
+            values = [0, zeta.CUM_ONE - 1]
+            for n in (2, 4097, 4098, zeta.HEAD + 1, zeta.HEAD + 2):
+                q = model.quantized_cum(n)
+                values += [q, q - 1]
+            for v in values:
+                with watchdog(1.0):
+                    n = model.search_quantized(v)
+                assert 1 <= n <= zeta.N_MAX and model.quantized_cum(n) <= v, (s, v)
+                assert n == zeta.N_MAX or model.quantized_cum(n + 1) > v, (s, v)
 
     @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
     def test_non_finite_exponent_rejected(self, exponent, monkeypatch):
@@ -664,17 +754,30 @@ class TestContainer:
         magic=st.booleans(),
         drop=st.integers(0, 7),
         seed=st.integers(0, 2**64 - 1),
+        # the joint stream covers exponents near 1, where a zeta codeword
+        # costs up to 49 deep-tail searches (about 2 ms an example)
+        model=st.sampled_from([ZetaModel(2.0), ZetaModel(zeta.MAX_EXPONENT)]),
     )
-    def test_decoder_is_total_on_arbitrary_bytes(self, data, magic, drop, seed):
+    def test_decoder_is_total_on_arbitrary_bytes(self, data, magic, drop, seed, model):
         # half the inputs carry the magic nibble, so the payload parsers run
         if magic and data:
             data = bytes([0xA0 | data[0] & 0x0F]) + data[1:]
-        try:
-            bits = Bits.from_bytes(data, max(0, 8 * len(data) - drop))
-            rule, _, index, _ = deserialize(bits, seed=seed)
-            decode(PAIR.proposal, rule, seed, index)
-        except (DecodeError, InvalidIndex):
-            pass
+        bits = Bits.from_bytes(data, max(0, 8 * len(data) - drop))
+        with watchdog(1.0):
+            try:
+                rule, _, index, _ = deserialize(bits, seed=seed)
+                decode(PAIR.proposal, rule, seed, index)
+            except (DecodeError, InvalidIndex):
+                pass
+            # the same bits as a zeta codeword and as a joint index stream
+            try:
+                zeta_decode(BitReader(bits), model)
+            except DecodeError:
+                pass
+            try:
+                _decode_joint(bits, JOINT_MODELS)
+            except DecodeError:
+                pass
 
     def test_bytes_round_trip_with_padding(self):
         res = encode(PAIR, SplitRule.DYADIC, 11)
