@@ -123,6 +123,8 @@ class ArithmeticDecoder:
         return min(value, total - 1)
 
     def consume(self, c_lo: int, c_hi: int, total: int) -> None:
+        if not 0 <= c_lo < c_hi <= total:
+            raise PrecisionExhausted("empty or inverted symbol interval")
         span = self._high - self._low + 1
         self._high = self._low + span * c_hi // total - 1
         self._low = self._low + span * c_lo // total

@@ -361,9 +361,13 @@ def zeta_encode(n: int, model: ZetaModel) -> Bits:
 
 
 def zeta_decode(reader: BitReader, model: ZetaModel) -> int:
-    value = 0
-    for length in range(1, MAX_CODE_LEN + 1):
-        value = (value << 1) | reader.read_bit()
+    """Read one codeword.  A longer prefix maps to a candidate index no
+    smaller, whose codeword is no shorter, so the decoder reads straight on
+    to each candidate's codeword length."""
+    value, length, want = 0, 0, 1
+    while want <= MAX_CODE_LEN:
+        value = (value << (want - length)) | reader.read_int(want - length)
+        length = want
         n = model.search_before(value / (1 << length))
         try:
             cand_value, cand_length = _codeword(model, n)
@@ -373,4 +377,5 @@ def zeta_decode(reader: BitReader, model: ZetaModel) -> int:
             raise DecodeError("not a zeta codeword") from exc
         if cand_length == length and cand_value == value:
             return n
+        want = max(cand_length, length + 1)
     raise DecodeError("not a zeta codeword")

@@ -225,28 +225,15 @@ class DistributionPair:
     def residual_within(self, lo, hi, level, bounds):
         """:meth:`residual_above` given the level set's ``bounds`` from
         :meth:`level_bounds`, so that intervals at one level share them.
-
-        ``lo`` and ``hi`` may stack several intervals per level, as
-        ``(k, n)`` arrays against ``(n,)`` levels."""
+        Arrays of intervals and levels broadcast against each other."""
         ls_lo, ls_hi = bounds
-        # the ends [a, b] of A = [lo, hi] intersected with the level set, in
-        # one array, so that each law's CDF takes one pass over both ends
-        ab = np.array((np.maximum(lo, ls_lo), np.minimum(hi, ls_hi)))
-        nonempty = ab[0] < ab[1]
-        # Q's CDFs in one new array (its division reuses it), P's in the
-        # ends' own, so a large call holds two arrays of the ends' shape
-        q = (ab - self.target.loc) / self.target.scale
-        ndtr(q, out=q)
-        ab -= self.proposal.loc
-        ab /= self.proposal.scale
-        ndtr(ab, out=ab)
+        # the ends [a, b] of A = [lo, hi] intersected with the level set
+        a, b = np.maximum(lo, ls_lo), np.minimum(hi, ls_hi)
+        t, p = self.target, self.proposal
+        q_mass = ndtr((b - t.loc) / t.scale) - ndtr((a - t.loc) / t.scale)
+        p_mass = ndtr((b - p.loc) / p.scale) - ndtr((a - p.loc) / p.scale)
         # Q(A) - level * P(A), zero where A is empty, clamped to [0, 1]
-        q[1] -= q[0]
-        ab[1] -= ab[0]
-        ab[1] *= level
-        q[1] -= ab[1]
-        out = np.where(nonempty, q[1], 0.0)
-        del ab, q
+        out = np.where(a < b, q_mass - level * p_mass, 0.0)
         return np.minimum(np.maximum(out, 0.0), 1.0)
 
 

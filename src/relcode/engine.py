@@ -33,16 +33,15 @@ elementwise.
 A one-run step is numpy dispatch on 1-element arrays, so its fixed work is
 kept small: the kernel enters one ``np.errstate`` per call (``_quiet``), so
 a dyadic step enters none and a sample step only the one inside
-``residual_above``; both dyadic children take their residuals in one call
-over stacked intervals; and as an offset at depth ``d`` is below ``2**d``, a
+``residual_above``; and as an offset at depth ``d`` is below ``2**d``, a
 descent below depth 63 shifts only ``k_lo`` of the offset's three uint64
 words.
 
-The global rule keeps the whole line active, so its runs share one level
-sequence and need no per-run interval state; ``_run_global`` tests a window
-of steps at once and computes the levels each call needs, no deeper than its
-deepest run.  The module holds no mutable state, so concurrent calls need
-no locks.
+The descent serves the split rules only.  The global rule keeps the whole
+line active, so its runs share one level sequence and need no per-run
+interval state; ``_run_global`` tests a window of steps at once and computes
+the levels each call needs, no deeper than its deepest run.  The module
+holds no mutable state, so concurrent calls need no locks.
 """
 
 from __future__ import annotations
@@ -249,7 +248,7 @@ def _accept_prob(pair: DistributionPair, x, level, resid, mass):
 
 def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
     """Raise the level, split and descend for every (rejected) run in ``st``
-    at depth ``d``.
+    at depth ``d``, under a split rule.
 
     Returns the child's residual mass at the new level, NaN where both
     dyadic children have none (numerical exhaustion).  The state's
@@ -258,49 +257,39 @@ def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
     """
     pair = st.pair
     level_next = st.level + (1.0 - st.ruled) / (st.f_hi - st.f_lo)
-    if rule is SplitRule.GLOBAL:
-        # the active interval stays the whole line and the offset stays 0
-        res_child = pair.residual_above(st.lo, st.hi, level_next)
-        go_right = None
-    elif rule is SplitRule.SAMPLE:
-        keep_low = x > pair.ratio_mode
-        go_right = ~keep_low
-        st.hi = np.where(keep_low, x, st.hi)
-        st.f_hi = np.where(keep_low, t, st.f_hi)
-        st.lo = np.where(keep_low, st.lo, x)
-        st.f_lo = np.where(keep_low, st.f_lo, t)
-        res_child = pair.residual_above(st.lo, st.hi, level_next)
+    if rule is SplitRule.SAMPLE:
+        # cut at the draw and keep the side that holds the ratio mode
+        cut, f_cut = x, t
+        go_right = ~(x > pair.ratio_mode)
     elif rule is SplitRule.DYADIC:
-        f_mid = 0.5 * (st.f_lo + st.f_hi)
-        c = pair.proposal.quantile(f_mid)
-        # both children lie at one level: solve its level set once, and take
-        # their residuals in one call over the stacked intervals [lo, c], [c, hi]
-        ends = np.array((st.lo, c, st.hi))
-        res_left, res_right = pair.residual_within(
-            ends[:2], ends[1:], level_next, pair._level_bounds(level_next)
-        )
-        del ends  # before the state's new arrays are made
+        f_cut = 0.5 * (st.f_lo + st.f_hi)
+        cut = pair.proposal.quantile(f_cut)
+        # both children lie at one level: solve its level set once
+        bounds = pair._level_bounds(level_next)
+        res_left = pair.residual_within(st.lo, cut, level_next, bounds)
+        res_right = pair.residual_within(cut, st.hi, level_next, bounds)
         total = res_left + res_right
-        exhausted = total <= 0.0
         # an exhausted run's 0 / 0 is NaN, and u < NaN is False as u < 0 is
         go_right = u_branch < res_right / total
-        st.lo = np.where(go_right, c, st.lo)
-        st.f_lo = np.where(go_right, f_mid, st.f_lo)
-        st.hi = np.where(go_right, st.hi, c)
-        st.f_hi = np.where(go_right, st.f_hi, f_mid)
-        res_child = np.where(exhausted, np.nan, np.where(go_right, res_right, res_left))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown rule {rule}")
-    if go_right is not None:
-        if d >= 63:
-            # an offset at depth d is below 2**d, so bits carry out of k_lo
-            # only from here on
-            overflow = st.k_hi >> _S63
-            st.k_hi = (st.k_hi << _ONE) | (st.k_mid >> _S63)
-            st.k_mid = (st.k_mid << _ONE) | (st.k_lo >> _S63)
-            if overflow.any():
-                raise NonTermination("tree offset exceeded 192 bits")
-        st.k_lo = (st.k_lo << _ONE) | go_right.astype(np.uint64)
+    else:
+        raise ValueError(f"the descent serves the split rules, not {rule!r}")
+    st.lo = np.where(go_right, cut, st.lo)
+    st.f_lo = np.where(go_right, f_cut, st.f_lo)
+    st.hi = np.where(go_right, st.hi, cut)
+    st.f_hi = np.where(go_right, st.f_hi, f_cut)
+    if rule is SplitRule.SAMPLE:
+        res_child = pair.residual_above(st.lo, st.hi, level_next)
+    else:
+        res_child = np.where(total <= 0.0, np.nan, np.where(go_right, res_right, res_left))
+    if d >= 63:
+        # an offset at depth d is below 2**d, so bits carry out of k_lo
+        # only from here on
+        overflow = st.k_hi >> _S63
+        st.k_hi = (st.k_hi << _ONE) | (st.k_mid >> _S63)
+        st.k_mid = (st.k_mid << _ONE) | (st.k_lo >> _S63)
+        if overflow.any():
+            raise NonTermination("tree offset exceeded 192 bits")
+    st.k_lo = (st.k_lo << _ONE) | go_right.astype(np.uint64)
     st.level = level_next
     st.ruled = np.minimum(np.maximum(1.0 - res_child, 0.0), 1.0)  # NaN marks exhausted runs
     return res_child
@@ -540,12 +529,15 @@ def simulate_bound_masses(
 
     Runs the splitting recursion with acceptance disabled (the bound process
     is autonomous), one row per seed.  Used for contraction-rate checks.
+    The global rule's active interval stays the whole line, so its masses
+    are all ones.
     """
     _check_rule(pair, rule)
     seeds = np.atleast_1d(seed_words(seeds))
+    masses = np.ones((seeds.shape[0], max_depth + 1))
+    if rule is SplitRule.GLOBAL:
+        return masses
     st = _BatchState(pair, seeds)
-    masses = np.empty((seeds.shape[0], max_depth + 1))
-    masses[:, 0] = 1.0
     with _quiet():
         for d in range(max_depth):
             x, t, _, _, u_b = _draw(st, d)

@@ -8,7 +8,8 @@ library's head logs and tail integrals: it is the float that
 ``zeta._mean_log2_bounds`` certifies an interval around.  The zeta head
 table, CDF and codewords below read the same logs and tail integrals: they
 are the whole-table path that the model's stored prefix and total must
-reproduce bit for bit.  ``path_intervals`` replays a code's active
+reproduce bit for bit, and ``zeta_decode_per_length`` tries a codeword's
+every prefix length, which the decoder skips.  ``path_intervals`` replays a code's active
 intervals by the decoder's walk; the encoder does not record them.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from relcode.codecs import zeta
+from relcode.codecs import DecodeError, zeta
 from relcode.distributions import DistributionPair
 from relcode.engine import SplitRule
 from relcode.randomness import node_randoms
@@ -163,6 +164,22 @@ def zeta_codeword(exponent: float, n: int, cum: np.ndarray) -> tuple[int, int]:
     length = math.ceil(-math.log2(p)) + 1
     z = zeta_cdf_before(exponent, n, cum) + 0.5 * p
     return min(int(z * (1 << length)), (1 << length) - 1), length
+
+
+def zeta_decode_per_length(reader, model: zeta.ZetaModel) -> int:
+    """``zeta_decode`` one bit at a time: a search and a candidate codeword
+    at every prefix length."""
+    value = 0
+    for length in range(1, zeta.MAX_CODE_LEN + 1):
+        value = (value << 1) | reader.read_bit()
+        n = model.search_before(value / (1 << length))
+        try:
+            candidate = zeta._codeword(model, n)
+        except zeta.OutOfRange as exc:
+            raise DecodeError("not a zeta codeword") from exc
+        if candidate == (value, length):
+            return n
+    raise DecodeError("not a zeta codeword")
 
 
 def zeta_entropy_bits(model: zeta.ZetaModel) -> float:

@@ -18,6 +18,7 @@ from relcode.codecs import (
     Bits,
     DecodeError,
     OutOfRange,
+    PrecisionExhausted,
     Unfittable,
     ZetaModel,
     deserialize,
@@ -51,6 +52,7 @@ from oracles import (
     mean_log2,
     zeta_cdf_before,
     zeta_codeword,
+    zeta_decode_per_length,
     zeta_entropy_bits,
     zeta_norm,
 )
@@ -247,6 +249,15 @@ class TestArithmeticCoder:
             dec.consume(cum[s], cum[s + 1], 100)
             out.append(s)
         assert out == syms
+
+    @pytest.mark.parametrize(
+        "c_lo, c_hi", [(0, 0), (5, 5), (2**20, 2**20), (0, 2**48 + 1), (7, 3)]
+    )
+    def test_decoder_rejects_empty_or_outside_interval(self, c_lo, c_hi):
+        # as the encoder does; an empty interval used to renormalize forever
+        dec = ArithmeticDecoder(BitReader(Bits("0110")))
+        with watchdog(1.0), pytest.raises(PrecisionExhausted):
+            dec.consume(c_lo, c_hi, 2**48)
 
 
 class TestZeta:
@@ -563,6 +574,35 @@ class TestZeta:
         with pytest.raises(OutOfRange):
             zeta_encode(zeta.N_MAX + 1, model)
 
+    @pytest.mark.parametrize("exponent", [zeta.MIN_EXPONENT, 1.05, 2.0, 20.0])
+    def test_decode_matches_per_length_loop(self, exponent):
+        # the decoder reads on to each candidate's codeword length; the
+        # oracle tries every prefix length: same index and reader position,
+        # or DecodeError alike
+        model = ZetaModel(exponent)
+        rng = np.random.default_rng(round(exponent * 100))
+        inputs = [Bits(rng.integers(0, 2, rng.integers(0, 60)).tolist()) for _ in range(300)]
+        words = 0
+        for n in [1, 2, 4096, 4097, 10**5, 10**9, *rng.integers(1, 10**9, 40).tolist()]:
+            try:
+                word = zeta_encode(n, model)
+            except OutOfRange:  # too little mass for a 49-bit codeword
+                continue
+            inputs.append(word + Bits(rng.integers(0, 2, 8).tolist()))
+            words += 1
+        decoded = 0
+        for bits in inputs:
+            results = []
+            for decoder in (zeta_decode, zeta_decode_per_length):
+                reader = BitReader(bits)
+                try:
+                    results.append((decoder(reader, model), reader.pos))
+                except DecodeError:
+                    results.append(None)
+            assert results[0] == results[1], bits
+            decoded += results[0] is not None
+        assert words >= 2 and decoded >= words
+
     def test_decode_rejects_prefix_of_no_codeword(self):
         # 49 one bits map to an index whose codeword would need more than
         # MAX_CODE_LEN bits, so no codeword starts with them
@@ -754,9 +794,12 @@ class TestContainer:
         magic=st.booleans(),
         drop=st.integers(0, 7),
         seed=st.integers(0, 2**64 - 1),
-        # the joint stream covers exponents near 1, where a zeta codeword
-        # costs up to 49 deep-tail searches (about 2 ms an example)
-        model=st.sampled_from([ZetaModel(2.0), ZetaModel(zeta.MAX_EXPONENT)]),
+        model=st.sampled_from([
+            ZetaModel(zeta.MIN_EXPONENT),
+            ZetaModel(1.05),
+            ZetaModel(2.0),
+            ZetaModel(zeta.MAX_EXPONENT),
+        ]),
     )
     def test_decoder_is_total_on_arbitrary_bytes(self, data, magic, drop, seed, model):
         # half the inputs carry the magic nibble, so the payload parsers run

@@ -129,6 +129,24 @@ def encode_step_by_step(pair, rule, seed, trace=None):
             st, d = child, d + 1
 
 
+def global_step_by_step(pair, seed):
+    """Reference global encoder: ``_run_global``'s recurrence, one level at
+    a time.  Level ``L_{d+1} = L_d + res(L_d)`` with ``res`` the residual
+    mass of the whole line, and node ``1 << d`` draws from the whole
+    proposal.  Returns the accepted sample and its heap index."""
+    level, resid = 0.0, pair.residual_real_line(0.0)
+    d = 0
+    with _quiet():
+        while True:
+            u = node_randoms(seed, 1 << d)
+            x = pair.proposal.quantile(np.array([u.u_sample]))
+            if u.u_accept <= _accept_prob(pair, x, level, resid, 1.0)[0]:
+                return float(x[0]), 1 << d
+            level += resid
+            resid = pair.residual_real_line(level)
+            d += 1
+
+
 class TestAcceptProb:
     def test_root_is_clipped_ratio(self):
         st0 = root_state(PAIR35)
@@ -171,29 +189,23 @@ class TestAcceptProb:
 
 
 class TestAdvanceLevel:
-    # the global descent keeps the interval, so it isolates the level update
+    # the global rule keeps the whole line, so its level recurrence
+    # L_{d+1} = L_d + res(L_d) isolates the level update
     def test_first_level(self):
-        _, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(PAIR35), 0.0)
-        level, ruled = float(st1.level[0]), float(st1.ruled[0])
+        level = 0.0 + PAIR35.residual_real_line(0.0)
         assert level == 1.0
+        ruled = 1.0 - PAIR35.residual_real_line(level)
         ref = ruled_out_after_one_level(PAIR35)
         assert ruled == pytest.approx(ref, abs=1e-6)
 
     def test_narrow_quadrature(self):
-        _, st1 = branch(NARROW, SplitRule.GLOBAL, root_state(NARROW), 0.0)
-        level, ruled = float(st1.level[0]), float(st1.ruled[0])
+        level = 0.0 + NARROW.residual_real_line(0.0)
         assert level == 1.0
+        ruled = 1.0 - NARROW.residual_real_line(level)
         assert ruled == pytest.approx(ruled_out_after_one_level(NARROW), abs=1e-6)
 
 
 class TestBranchChoice:
-    def test_global_keeps_interval(self):
-        bit, st1 = branch(PAIR35, SplitRule.GLOBAL, root_state(PAIR35), 0.7)
-        assert bit == 0
-        assert interval(st1) == REAL_LINE
-        assert st1.heap_index(0, 1) == 2
-        assert st1.level[0] == 1.0
-
     def test_sample_keeps_mode_side(self):
         mu = PAIR35.ratio_mode
         st0 = root_state(PAIR35)
@@ -258,7 +270,7 @@ class TestBranchChoice:
 
 
 class TestStateConsistency:
-    @pytest.mark.parametrize("rule", ALL_RULES)
+    @pytest.mark.parametrize("rule", [SplitRule.SAMPLE, SplitRule.DYADIC])
     def test_residual_invariant_along_trajectories(self, rule):
         for seed in range(30):
             st = root_state(PAIR35, seed)
@@ -324,14 +336,17 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_public_ops_agree_with_engine(self, rule):
         # the batched driver (run compaction, output writes) against one run
-        # stepped through the same kernel pieces; global encodes take their
-        # levels from the scalar residual_real_line, which may differ in the
-        # last ulp
+        # stepped through the same kernel pieces, or for the global rule
+        # through the same level recurrence
         for seed in range(100):
             res = encode(PAIR35, rule, seed)
-            x, index = encode_step_by_step(PAIR35, rule, seed)
+            if rule is SplitRule.GLOBAL:
+                x, index = global_step_by_step(PAIR35, seed)
+                assert index == 1 << res.depth
+            else:
+                x, index = encode_step_by_step(PAIR35, rule, seed)
             assert index == res.heap_index
-            assert x == pytest.approx(res.sample, abs=1e-9)
+            assert x == res.sample
 
     def test_trace_matches_depth_and_mass(self):
         res = encode(PAIR35, SplitRule.DYADIC, seed=17)
@@ -611,8 +626,9 @@ def residual_reference(pair, lo, hi, level):
 
 
 class TestKernelShortcuts:
-    """The dyadic branch's stacked residuals and the offsets' shift below
-    depth 63 give what the plain computations give, bit for bit."""
+    """``residual_within`` over stacked intervals (which broadcast against
+    one row of levels) and the offsets' shift below depth 63 give what the
+    plain computations give, bit for bit."""
 
     LINEAR = DistributionPair(Distribution1D(1.0, 1.0), STD)  # c2 == 0, c1 == 1
 

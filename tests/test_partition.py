@@ -65,12 +65,12 @@ class TestInterval:
 
 
 class TestSplitGlobal:
-    def test_keeps_everything_left(self):
-        assert descend(NARROW, SplitRule.GLOBAL, REAL_LINE) == (0, REAL_LINE)
-
-    def test_finite(self):
-        s = Interval(0.0, 1.0)
-        assert descend(NARROW, SplitRule.GLOBAL, s, 0.5) == (0, s)
+    def test_descent_raises(self):
+        # the global rule never splits: its encodes keep the whole line and
+        # never enter the descent (``simulate_bound_masses`` covers the line,
+        # ``test_public_ops_agree_with_engine`` the index 1 << depth)
+        with pytest.raises(ValueError, match="split rules"):
+            descend(NARROW, SplitRule.GLOBAL, REAL_LINE)
 
 
 class TestSplitSample:
