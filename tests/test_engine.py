@@ -206,6 +206,17 @@ class TestAdvanceLevel:
 
 
 class TestBranchChoice:
+    def test_global_keeps_interval(self):
+        # the global rule never splits: the descent refuses it before it
+        # rebinds anything, so the state keeps the whole line at its level
+        st = root_state(PAIR35)
+        t = np.atleast_1d(PAIR35.proposal.cdf(0.7))
+        with _quiet(), pytest.raises(ValueError, match="split rules"):
+            _branch_arrays(SplitRule.GLOBAL, st, 0, np.array([0.7]), t, np.array([0.5]))
+        assert interval(st) == REAL_LINE
+        assert st.heap_index(0, 0) == 1
+        assert st.level[0] == 0.0 and st.ruled[0] == 0.0
+
     def test_sample_keeps_mode_side(self):
         mu = PAIR35.ratio_mode
         st0 = root_state(PAIR35)

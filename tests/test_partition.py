@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relcode.distributions import Distribution1D, DistributionPair
-from relcode.engine import InvalidIndex, SplitRule, _BatchState, _branch_arrays, _quiet, decode
+from relcode.engine import (
+    InvalidIndex,
+    SplitRule,
+    _BatchState,
+    _branch_arrays,
+    _quiet,
+    decode,
+    encode,
+)
 from relcode.partition import path_bits
 
 from oracles import Interval, REAL_LINE
@@ -65,12 +73,19 @@ class TestInterval:
 
 
 class TestSplitGlobal:
-    def test_descent_raises(self):
-        # the global rule never splits: its encodes keep the whole line and
-        # never enter the descent (``simulate_bound_masses`` covers the line,
-        # ``test_public_ops_agree_with_engine`` the index 1 << depth)
+    # the global rule never splits: its encodes keep the whole line and
+    # never enter the descent (``simulate_bound_masses`` covers the line)
+    def test_keeps_everything_left(self):
         with pytest.raises(ValueError, match="split rules"):
             descend(NARROW, SplitRule.GLOBAL, REAL_LINE)
+        # every branch bit of a global index 1 << depth is the left child
+        for seed in range(20):
+            res = encode(NARROW, SplitRule.GLOBAL, seed)
+            assert path_bits(res.heap_index) == (0,) * res.depth
+
+    def test_finite(self):
+        with pytest.raises(ValueError, match="split rules"):
+            descend(NARROW, SplitRule.GLOBAL, Interval(0.0, 1.0), 0.5)
 
 
 class TestSplitSample:
