@@ -42,6 +42,7 @@ def encode_payload(
     rule: SplitRule, depth: int, heap_index: int, seed: Optional[int] = None
 ) -> Bits:
     """Write one payload; the inverse of ``decode_payload``."""
+    rule = SplitRule(rule)
     if rule is SplitRule.SAMPLE and seed is None:
         raise ValueError("sample-rule payloads need the shared seed")
     if heap_index.bit_length() - 1 != depth:
@@ -68,6 +69,7 @@ def decode_payload(
     reader: BitReader, rule: SplitRule, seed: Optional[int] = None
 ) -> tuple[int, int]:
     """Read one payload; returns (depth, heap index)."""
+    rule = SplitRule(rule)
     if rule is SplitRule.SAMPLE and seed is None:
         raise ValueError("sample-rule payloads need the shared seed")
     depth = elias_gamma_decode(reader) - 1

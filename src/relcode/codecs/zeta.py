@@ -12,17 +12,22 @@ same head+tail machinery, so encoder and decoder agree exactly.  Both
 inverse CDFs are one search on ``cdf_before``: it gallops from a guess read
 off the prefix, then bisects, in at most 2 * 62 + 2 evaluations per target.
 
-``fit_zeta`` moment-matches the exponent to an observed mean log2-index by
-bisection: the untruncated max-entropy closed form always lands at or below
-exponent 1, where the power law is not normalizable, so the truncated-
-support fit is what keeps the max-entropy intent well defined.  The model
-mean is never evaluated term by term.  Each step reads a certified interval
-around it (``_mean_log2_bounds``: a 31-term head plus Euler-Maclaurin,
-widened by a rounding-error analysis of the 65,536-term float sum), and the
-fit ends at the first midpoint whose interval contains the target.  So the
-fitted model's mean is the target to within that interval's width, about
-3e-11 relative.  The format fixes a model by its exponent alone
-(docs/FORMAT.md), so how the exponent was fitted is not part of it.
+``fit_zeta`` moment-matches the exponent to an observed mean log2-index:
+the untruncated max-entropy closed form always lands at or below exponent
+1, where the power law is not normalizable, so the truncated-support fit is
+what keeps the max-entropy intent well defined.  The model mean is never
+evaluated term by term.  Each step reads a certified interval around it
+(``_mean_log2_bounds``: a 31-term head plus Euler-Maclaurin, widened by a
+rounding-error analysis of the 65,536-term float sum) and narrows a bracket
+kept in exponent space.  The steps are Illinois steps (modified regula
+falsi; Dowell & Jarratt, BIT 11, 1971) on ln(s - 1) towards ln(interval
+midpoint) = ln(target), with a bisection step wherever the secant point is
+not strictly inside the bracket: about 11 intervals per fit on the bench
+vector grid, at most 12.  The fit ends at the first exponent whose interval
+contains the target, so the fitted model's mean is the target to within
+that interval's width, about 3e-11 relative.  The format fixes a model by
+its exponent alone (docs/FORMAT.md), so how the exponent was fitted is not
+part of it.
 
 ``zeta_encode`` is one-shot Shannon-Fano-Elias coding (codeword length
 within 2 bits of the information content).  Sequences of indices are better
@@ -290,28 +295,34 @@ def _mean_log2_bounds(exponent: float) -> tuple[float, float]:
 
 
 @cache
-def _fittable_range() -> tuple[float, float]:
-    """The mean log2-index's upper bound at MIN_EXPONENT and lower bound at
-    MAX_EXPONENT: a target at or above the first is :class:`Unfittable`, and
-    one at or below the second fits MAX_EXPONENT."""
-    return _mean_log2_bounds(MIN_EXPONENT)[1], _mean_log2_bounds(MAX_EXPONENT)[0]
+def _fittable_range() -> tuple[tuple[float, float], tuple[float, float]]:
+    """The certified intervals at MIN_EXPONENT and MAX_EXPONENT: a target at
+    or above the first's upper bound is :class:`Unfittable`, one at or below
+    the second's lower bound fits MAX_EXPONENT, and the fit starts from both
+    intervals' midpoints."""
+    return _mean_log2_bounds(MIN_EXPONENT), _mean_log2_bounds(MAX_EXPONENT)
 
 
 def fit_zeta(log_index_samples) -> ZetaModel:
     """Moment-match the exponent to the observed mean log2-index.
 
-    Solves E[log2 n] = mean(samples) over exponents in (1, 20] by bisection
-    (the model mean is strictly decreasing in the exponent).  Degenerate
-    all-ones index streams land on the upper cap; means beyond the truncated
-    model's range raise :class:`Unfittable` and callers fall back to delta
-    coding.  Both ends are decided by ``_fittable_range``.
+    Solves E[log2 n] = mean(samples) over exponents in (1, 20] (the model
+    mean is strictly decreasing in the exponent).  Degenerate all-ones index
+    streams land on the upper cap; means beyond the truncated model's range
+    raise :class:`Unfittable` and callers fall back to delta coding.  Both
+    ends are decided by ``_fittable_range``.
 
-    Each step reads the certified interval from ``_mean_log2_bounds`` at the
-    midpoint: wholly above the target, the exponent is larger; at or below
-    it, smaller; otherwise the interval contains the target and the midpoint
-    is returned.  So the returned model's mean is within the interval's
-    width (about 3e-11 relative) of the target, unless the bracket closes to
-    adjacent floats first, and no step evaluates the 65,536-term mean.
+    The bracket [lo, hi] starts at [MIN_EXPONENT, MAX_EXPONENT] and stays in
+    exponent space.  Each step reads the certified interval from
+    ``_mean_log2_bounds`` at one exponent s: wholly above the target, s
+    becomes lo; at or below it, hi; otherwise the interval contains the
+    target and s is returned.  s is the Illinois step (regula falsi that
+    halves the gap of an end kept twice running) on u = ln(s - 1) towards
+    ln(interval midpoint) = ln(target), or the bracket's midpoint where that
+    step is not strictly inside the bracket.  So the returned model's mean
+    is within the interval's width (about 3e-11 relative) of the target,
+    unless the bracket closes to adjacent floats first, and no step
+    evaluates the 65,536-term mean.
     """
     samples = np.asarray(log_index_samples, dtype=np.float64)
     if samples.size == 0:
@@ -319,23 +330,40 @@ def fit_zeta(log_index_samples) -> ZetaModel:
     if not np.isfinite(samples).all() or (samples < 0).any():
         raise ValueError("log2-index samples must be finite and nonnegative")
     target = float(samples.mean())
-    top, bottom = _fittable_range()
-    if target >= top:
+    at_min, at_max = _fittable_range()
+    if target >= at_min[1]:
         raise Unfittable(
             f"mean log2-index {target:.3f} exceeds the truncated model's range"
         )
-    if target <= bottom:
+    if target <= at_max[0]:
         return ZetaModel(MAX_EXPONENT)
-    lo, hi = MIN_EXPONENT, MAX_EXPONENT
+    ln_target = math.log(target)
+
+    def gap(f_lo: float, f_hi: float) -> float:
+        return math.log(0.5 * (f_lo + f_hi)) - ln_target
+
+    # the gap falls in s; the ends' gaps have opposite signs unless the
+    # target lies in an end's interval (then the steps bisect)
+    lo, g_lo, hi, g_hi = MIN_EXPONENT, gap(*at_min), MAX_EXPONENT, gap(*at_max)
+    kept = None  # the end the last step left in place
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return ZetaModel(mid)
+        if g_lo > 0.0 > g_hi:
+            u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
+            s = 1.0 + math.exp(u_lo + g_lo / (g_lo - g_hi) * (u_hi - u_lo))
+            if lo < s < hi:
+                mid = s
         f_lo, f_hi = _mean_log2_bounds(mid)
         if f_lo > target:
-            lo = mid
+            lo, g_lo = mid, gap(f_lo, f_hi)
+            g_hi *= 0.5 if kept == "hi" else 1.0
+            kept = "hi"
         elif f_hi <= target:
-            hi = mid
+            hi, g_hi = mid, gap(f_lo, f_hi)
+            g_lo *= 0.5 if kept == "lo" else 1.0
+            kept = "lo"
         else:
             return ZetaModel(mid)
 

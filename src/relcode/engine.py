@@ -365,6 +365,7 @@ def _run_global(pair, seeds, d_max):
 
 
 def _run_batch(pair, rule, seeds, d_max):
+    rule = SplitRule(rule)  # ValueError for an unknown name
     if d_max is not None:
         d_max = operator.index(d_max)  # TypeError for a non-integer budget
         if d_max < 0:
@@ -455,8 +456,10 @@ def encode_batch(
 
     ``pair`` is one pair for every run, or a sequence of one pair per seed
     (the global rule takes one pair).  Every pair is checked against the
-    rule before the first step.  ``d_max`` is None (no budget) or a
-    nonnegative integer step budget.
+    rule before the first step.  ``rule`` is a :class:`SplitRule` or its
+    value, as in every public function here; any other name raises
+    ``ValueError``.  ``d_max`` is None (no budget) or a nonnegative integer
+    step budget.
     """
     return _run_batch(pair, rule, seeds, d_max)
 
@@ -468,6 +471,7 @@ def encode(
     d_max: Optional[int] = None,
 ) -> RecResult:
     """Encode a single sample from the target using the shared random stream."""
+    rule = SplitRule(rule)
     out = _run_batch(pair, rule, [seed], d_max)
     return RecResult(
         sample=float(out.samples[0]),
@@ -491,6 +495,7 @@ def decode(
     Only the proposal is needed: the path bits come from the index and the
     split points from the shared per-node random stream.
     """
+    rule = SplitRule(rule)
     if heap_index < 1:
         raise InvalidIndex("heap indices start at 1")
     f_lo, f_hi = 0.0, 1.0
@@ -532,6 +537,7 @@ def simulate_bound_masses(
     The global rule's active interval stays the whole line, so its masses
     are all ones.
     """
+    rule = SplitRule(rule)
     _check_rule(pair, rule)
     seeds = np.atleast_1d(seed_words(seeds))
     masses = np.ones((seeds.shape[0], max_depth + 1))

@@ -58,6 +58,10 @@ from oracles import (
 )
 
 PAIR = gaussian_pair_for_targets(3.0, 5.0)
+# the bench vector defaults: 50 dimensions, KL 0.05 to 0.5 bits
+VECTOR_GRID = [
+    gaussian_pair_for_targets(kl, kl + 0.75) for kl in (0.05 + 0.45 * d / 49 for d in range(50))
+]
 # one delta-coded dimension and exponents at both ends of the fitted range
 JOINT_MODELS = [
     ZetaModel(zeta.MIN_EXPONENT),
@@ -308,6 +312,41 @@ class TestZeta:
         assert len(calls) <= 60
         self._assert_certified_fits([target])
 
+    def test_vector_grid_fits_take_at_most_12_steps(self, monkeypatch):
+        # the Illinois steps on the calibration sets the bench vector fits
+        from relcode.bench import vector
+
+        zeta._fittable_range()  # cached before the count starts
+        bounds = zeta._mean_log2_bounds
+        calls, counts = [], []
+        monkeypatch.setattr(zeta, "_mean_log2_bounds", lambda s: calls.append(s) or bounds(s))
+        fit = vector.fit_zeta
+
+        def counting_fit(log_indices):
+            calls.clear()
+            model = fit(log_indices)
+            counts.append(len(calls))
+            # the range ends' intervals come from the cache
+            assert zeta.MIN_EXPONENT not in calls and zeta.MAX_EXPONENT not in calls
+            return model
+
+        monkeypatch.setattr(vector, "fit_zeta", counting_fit)
+        for seed in range(3):
+            assert vector.encode_vector(VECTOR_GRID, seed).round_trip_ok
+        assert len(counts) == 3 * len(VECTOR_GRID)
+        assert max(counts) <= 12, counts
+
+    def test_fit_stops_at_an_unbounded_interval(self, monkeypatch):
+        # an interval that holds every target ends the fit at its exponent,
+        # before any logarithm of its midpoint is taken
+        zeta._fittable_range()
+        calls = []
+        monkeypatch.setattr(
+            zeta, "_mean_log2_bounds", lambda s: calls.append(s) or (-math.inf, math.inf)
+        )
+        exponent = fit_zeta([1.0]).exponent
+        assert calls == [exponent]
+
     @staticmethod
     def _exact_fit(target):
         # reference: the bisection with every step read from the 65,536-term mean
@@ -339,7 +378,7 @@ class TestZeta:
             assert abs(exponent - expected) <= 1e-10 * expected, target
 
     def test_fit_matches_exact_bisection_on_random_targets(self):
-        top, bottom = zeta._fittable_range()
+        (_, top), (bottom, _) = zeta._fittable_range()
         rng = np.random.default_rng(9)
         uniform = rng.uniform(bottom, top, 250)
         log_uniform = np.exp(rng.uniform(math.log(bottom), math.log(top), 250))
@@ -358,7 +397,7 @@ class TestZeta:
         self._assert_certified_fits(targets)
 
     def test_fit_matches_exact_bisection_at_range_ends(self):
-        top, bottom = zeta._fittable_range()
+        (_, top), (bottom, _) = zeta._fittable_range()
         below_top = [math.nextafter(top, 0.0), math.nextafter(math.nextafter(top, 0.0), 0.0)]
         below_top += [top * (1.0 - 10.0**-k) for k in range(3, 16)]
         above_bottom = [math.nextafter(bottom, math.inf)]
@@ -368,9 +407,10 @@ class TestZeta:
     def test_range_end_rule(self):
         # Unfittable at or above the upper bound at MIN_EXPONENT, and
         # MAX_EXPONENT at or below the lower bound at MAX_EXPONENT
-        top = zeta._mean_log2_bounds(zeta.MIN_EXPONENT)[1]
-        bottom = zeta._mean_log2_bounds(zeta.MAX_EXPONENT)[0]
-        assert zeta._fittable_range() == (top, bottom)
+        at_min = zeta._mean_log2_bounds(zeta.MIN_EXPONENT)
+        at_max = zeta._mean_log2_bounds(zeta.MAX_EXPONENT)
+        assert zeta._fittable_range() == (at_min, at_max)
+        top, bottom = at_min[1], at_max[0]
         for target in (top, math.nextafter(top, math.inf)):
             with pytest.raises(Unfittable):
                 fit_zeta([target])
@@ -497,15 +537,10 @@ class TestZeta:
     def test_fitted_models_keep_small_tables(self, monkeypatch):
         from relcode.bench import vector
 
-        # the bench vector grid: 50 dimensions, KL 0.05 to 0.5 bits, 10 repeats
-        pairs = [
-            gaussian_pair_for_targets(kl, kl + 0.75)
-            for kl in (0.05 + 0.45 * d / 49 for d in range(50))
-        ]
         models = []
         fit = vector.fit_zeta
         monkeypatch.setattr(vector, "fit_zeta", lambda x: models.append(fit(x)) or models[-1])
-        vector.encode_vector(pairs, 0, repeats=10)
+        vector.encode_vector(VECTOR_GRID, 0, repeats=10)
         assert len(models) == 50
 
         def ndarray_bytes(value):
@@ -546,12 +581,6 @@ class TestZeta:
     def test_vector_fits_make_few_exact_evaluations(self, monkeypatch):
         from relcode.bench.vector import encode_vector
 
-        # the bench vector defaults: 50 dimensions, KL 0.05 to 0.5 bits
-        pairs = [
-            gaussian_pair_for_targets(kl, kl + 0.75)
-            for kl in (0.05 + 0.45 * d / 49 for d in range(50))
-        ]
-
         class CountingNumpy:
             # numpy for zeta.py, counting exp over the whole 65,536-term head
             head_exps = 0
@@ -564,7 +593,7 @@ class TestZeta:
                 return np.exp(x, *args, **kwargs)
 
         monkeypatch.setattr(zeta, "np", CountingNumpy())
-        report = encode_vector(pairs, 0, calibration_runs=256)
+        report = encode_vector(VECTOR_GRID, 0, calibration_runs=256)
         assert all(d.fitted_exponent is not None for d in report.dims)
         # one head table per fitted model; no exact mean in any fit
         assert CountingNumpy.head_exps <= len(report.dims)

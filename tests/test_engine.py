@@ -7,7 +7,14 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from relcode.codecs import deserialize, serialize
+from relcode.codecs import (
+    BitReader,
+    Bits,
+    decode_payload,
+    deserialize,
+    encode_payload,
+    serialize,
+)
 from relcode.distributions import (
     Distribution1D,
     DistributionPair,
@@ -485,6 +492,51 @@ class TestEncodeDecode:
         for seed in range(20):
             x = decode(STD, SplitRule.DYADIC, seed, 5)
             assert lo <= x <= hi
+
+
+class TestRuleNames:
+    """A rule's name means its SplitRule member in every public function."""
+
+    # at (3, 5), seed 1 codes at depths 13, 3 and 5 (global, sample,
+    # dyadic) and seed 3 at 1, 7 and 6; seed 4 accepts at the root
+    SEEDS = [1, 3]
+
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_names_match_members(self, rule):
+        name = rule.value
+        batch = encode_batch(PAIR35, rule, self.SEEDS)
+        assert_same_runs(encode_batch(PAIR35, name, self.SEEDS), batch)
+        masses = simulate_bound_masses(PAIR35, rule, self.SEEDS, 8)
+        assert np.array_equal(simulate_bound_masses(PAIR35, name, self.SEEDS, 8), masses)
+        for seed in self.SEEDS:
+            want = encode(PAIR35, rule, seed)
+            got = encode(PAIR35, name, seed)
+            assert got == want and got.rule is rule
+            assert decode(PAIR35.proposal, name, seed, want.heap_index) == want.sample
+            bits = encode_payload(rule, want.depth, want.heap_index, seed)
+            assert encode_payload(name, want.depth, want.heap_index, seed) == bits
+            assert decode_payload(BitReader(bits), name, seed) == (want.depth, want.heap_index)
+
+    @pytest.mark.parametrize("seed", [4, 3], ids=["depth-0", "deeper"])
+    def test_unknown_name_raises_before_the_first_step(self, seed, monkeypatch):
+        def stepped(*args):
+            raise AssertionError("stepped with an unknown rule")
+
+        monkeypatch.setattr(engine, "node_uniforms", stepped)
+        monkeypatch.setattr(engine, "node_randoms", stepped)
+        reader = BitReader(Bits([1]))
+        calls = [
+            lambda: encode(PAIR35, "bogus", seed),
+            lambda: encode_batch(PAIR35, "bogus", [seed]),
+            lambda: decode(PAIR35.proposal, "bogus", seed, 1),
+            lambda: simulate_bound_masses(PAIR35, "bogus", [seed], 3),
+            lambda: encode_payload("bogus", 0, 1, seed),
+            lambda: decode_payload(reader, "bogus", seed),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not a valid SplitRule"):
+                call()
+        assert reader.pos == 0
 
 
 class TestReplayedIntervals:
