@@ -24,8 +24,6 @@ from .vector import encode_vector
 
 __all__ = ["main", "build_parser"]
 
-_VARIANTS = {r.value: r for r in SplitRule}
-
 
 def _float_list(text: str) -> tuple[float, ...]:
     out: list[float] = []
@@ -59,11 +57,12 @@ def _variant_list(text: str) -> tuple[SplitRule, ...]:
     out = []
     for token in text.split(","):
         token = token.strip().lower()
-        if token not in _VARIANTS:
+        try:
+            out.append(SplitRule(token))
+        except ValueError:
             raise argparse.ArgumentTypeError(
-                f"unknown variant {token!r}; choose from {sorted(_VARIANTS)}"
-            )
-        out.append(_VARIANTS[token])
+                f"unknown variant {token!r}; choose from {sorted(r.value for r in SplitRule)}"
+            ) from None
     return tuple(out)
 
 

@@ -22,7 +22,6 @@ from ..codecs import (
     ArithmeticEncoder,
     BitReader,
     Bits,
-    PrecisionExhausted,
     Unfittable,
     ZetaModel,
     elias_delta_decode,
@@ -67,16 +66,10 @@ def _code_joint(indices: list[int], models: list[Optional[ZetaModel]]) -> Bits:
     """Arithmetic-code modeled dims jointly, then delta-code the fallback dims."""
     enc = ArithmeticEncoder()
     coded_any = False
-    for d, (n, model) in enumerate(zip(indices, models)):
+    for n, model in zip(indices, models):
         if model is None:
             continue
-        c_lo = model.quantized_cum(n)
-        c_hi = model.quantized_cum(n + 1)
-        if c_hi <= c_lo:
-            raise PrecisionExhausted(
-                f"dimension {d}: index {n} below the model's 48-bit resolution"
-            )
-        enc.encode(c_lo, c_hi, CUM_ONE)
+        enc.encode(model.quantized_cum(n), model.quantized_cum(n + 1), CUM_ONE)
         coded_any = True
     stream = enc.finish() if coded_any else Bits()
     for n, model in zip(indices, models):
@@ -99,7 +92,7 @@ def _decode_joint(
             n = model.search_quantized(value)
             dec.consume(model.quantized_cum(n), model.quantized_cum(n + 1), CUM_ONE)
             out[d] = n
-        reader.advance(dec.bits_consumed())
+        dec.finish()
     for d, m in enumerate(models):
         if m is None:
             out[d] = elias_delta_decode(reader)

@@ -4,15 +4,15 @@ Symbols are cumulative-count intervals ``[c_lo, c_hi)`` out of ``total``;
 the binary-symbol convenience methods quantize a probability to 32 bits.
 Renormalization is the classic three-case scheme with pending-bit carry
 propagation; termination emits two disambiguating bits, so a codeword costs
-at most 2 bits over the ideal length.  The decoder mirrors the encoder's
-interval transitions exactly, which lets it report the exact codeword
-length (renormalization count + 2) without any end marker: any bits it
-peeks past that boundary do not affect the decoded symbols.
+at most 2 bits over the ideal length.  Encoder and decoder run one narrowing
+step, so the decoder knows the exact codeword length (shift count + 2)
+without any end marker: any bits it peeks past that boundary do not affect
+the decoded symbols.
 """
 
 from __future__ import annotations
 
-from .bits import Bits, BitReader
+from .bits import Bits, BitReader, DecodeError
 
 __all__ = ["ArithmeticEncoder", "ArithmeticDecoder", "PrecisionExhausted", "quantize_p0"]
 
@@ -37,6 +37,36 @@ def quantize_p0(p_zero: float) -> int:
     return min(max(c, 1), PROB_ONE - 1)
 
 
+def _narrow(
+    low: int, high: int, c_lo: int, c_hi: int, total: int
+) -> tuple[int, int, list[int]]:
+    """Narrow ``[low, high]`` to one symbol and renormalize (docs/FORMAT.md).
+
+    Returns the new ends and, for each shift, the amount subtracted from the
+    registers before it: 0, ``HALF`` or ``QUARTER`` for cases 1, 2 and 3.
+    """
+    if total > MAX_TOTAL:
+        raise PrecisionExhausted("total exceeds the register headroom")
+    if not 0 <= c_lo < c_hi <= total:
+        raise PrecisionExhausted("empty or inverted symbol interval")
+    span = high - low + 1
+    high = low + span * c_hi // total - 1
+    low = low + span * c_lo // total
+    cuts = []
+    while True:
+        if high < HALF:
+            cut = 0
+        elif low >= HALF:
+            cut = HALF
+        elif low >= QUARTER and high < THREE_QUARTERS:
+            cut = QUARTER
+        else:
+            return low, high, cuts
+        cuts.append(cut)
+        low = (low - cut) << 1
+        high = (high - cut) << 1 | 1
+
+
 class ArithmeticEncoder:
     def __init__(self) -> None:
         self._low = 0
@@ -49,14 +79,12 @@ class ArithmeticEncoder:
     def encode(self, c_lo: int, c_hi: int, total: int) -> None:
         if self._finished:
             raise RuntimeError("encoder already finished")
-        if total > MAX_TOTAL:
-            raise PrecisionExhausted("total exceeds the register headroom")
-        if not 0 <= c_lo < c_hi <= total:
-            raise PrecisionExhausted("empty or inverted symbol interval")
-        span = self._high - self._low + 1
-        self._high = self._low + span * c_hi // total - 1
-        self._low = self._low + span * c_lo // total
-        self._renorm()
+        self._low, self._high, cuts = _narrow(self._low, self._high, c_lo, c_hi, total)
+        for cut in cuts:
+            if cut == QUARTER:
+                self._pending += 1
+            else:
+                self._emit(cut == HALF)
 
     def encode_bit(self, bit: int, c_zero: int) -> None:
         if bit == 0:
@@ -71,23 +99,6 @@ class ArithmeticEncoder:
         self._nbits += run + 1
         self._pending = 0
 
-    def _renorm(self) -> None:
-        while True:
-            if self._high < HALF:
-                self._emit(0)
-            elif self._low >= HALF:
-                self._emit(1)
-                self._low -= HALF
-                self._high -= HALF
-            elif self._low >= QUARTER and self._high < THREE_QUARTERS:
-                self._pending += 1
-                self._low -= QUARTER
-                self._high -= QUARTER
-            else:
-                return
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
-
     def finish(self) -> Bits:
         """Close the codeword; any continuation of it decodes identically."""
         if self._finished:
@@ -99,23 +110,28 @@ class ArithmeticEncoder:
 
 
 class ArithmeticDecoder:
-    """Decodes from a reader without advancing it; call :meth:`bits_consumed`
-    and advance the reader by that much when done."""
+    """Decodes one codeword from a reader's position on.
+
+    The reader stays put while symbols decode; :meth:`finish` then advances
+    it past exactly the codeword.  A codeword that would run past the end of
+    the stream raises :class:`DecodeError` at the symbol that overruns it.
+    """
 
     def __init__(self, reader: BitReader):
         self._reader = reader
-        self._cursor = 0
+        self._limit = reader.remaining
         self._shifts = 0
         self._low = 0
         self._high = FULL - 1
         self._code = 0
-        for _ in range(PRECISION):
-            self._code = (self._code << 1) | self._next()
+        for i in range(PRECISION):
+            self._code = (self._code << 1) | reader.read_padded(i)
+        self._check()
 
-    def _next(self) -> int:
-        bit = self._reader.read_padded(self._cursor)
-        self._cursor += 1
-        return bit
+    def _check(self) -> None:
+        # the encoder emits one bit per shift plus two terminal bits
+        if self._shifts + 2 > self._limit:
+            raise DecodeError("bit stream exhausted")
 
     def decode_target(self, total: int) -> int:
         span = self._high - self._low + 1
@@ -123,28 +139,12 @@ class ArithmeticDecoder:
         return min(value, total - 1)
 
     def consume(self, c_lo: int, c_hi: int, total: int) -> None:
-        if not 0 <= c_lo < c_hi <= total:
-            raise PrecisionExhausted("empty or inverted symbol interval")
-        span = self._high - self._low + 1
-        self._high = self._low + span * c_hi // total - 1
-        self._low = self._low + span * c_lo // total
-        while True:
-            if self._high < HALF:
-                pass
-            elif self._low >= HALF:
-                self._low -= HALF
-                self._high -= HALF
-                self._code -= HALF
-            elif self._low >= QUARTER and self._high < THREE_QUARTERS:
-                self._low -= QUARTER
-                self._high -= QUARTER
-                self._code -= QUARTER
-            else:
-                return
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
-            self._code = (self._code << 1) | self._next()
+        self._low, self._high, cuts = _narrow(self._low, self._high, c_lo, c_hi, total)
+        for cut in cuts:
+            bit = self._reader.read_padded(PRECISION + self._shifts)
+            self._code = (self._code - cut) << 1 | bit
             self._shifts += 1
+        self._check()
 
     def decode_bit(self, c_zero: int) -> int:
         value = self.decode_target(PROB_ONE)
@@ -154,7 +154,6 @@ class ArithmeticDecoder:
         self.consume(c_zero, PROB_ONE, PROB_ONE)
         return 1
 
-    def bits_consumed(self) -> int:
-        """Exact codeword length: the encoder emitted one bit per
-        renormalization plus two terminal bits."""
-        return self._shifts + 2
+    def finish(self) -> None:
+        """Advance the reader past the codeword."""
+        self._reader.advance(self._shifts + 2)

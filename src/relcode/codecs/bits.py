@@ -82,9 +82,9 @@ class BitReader:
 
     The stream is unpacked once, so a read costs O(1) per bit whatever the
     stream's length.  ``read_bit`` and ``read_int`` raise
-    :class:`DecodeError` past the end; the arithmetic decoder instead uses
-    :meth:`read_padded`, which returns virtual zero bits beyond the end (its
-    true consumption is accounted separately).
+    :class:`DecodeError` past the end.  The arithmetic decoder instead peeks
+    with :meth:`read_padded`, which returns virtual zero bits beyond the end,
+    and its ``finish()`` advances the reader past exactly its codeword.
     """
 
     def __init__(self, bits: Bits):

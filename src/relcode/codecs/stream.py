@@ -84,17 +84,11 @@ def decode_payload(
     dec = ArithmeticDecoder(reader)
     node = 1
     for d in range(depth):
-        # consumption only grows, so a valid codeword never trips this
-        if dec.bits_consumed() > reader.remaining:
-            raise DecodeError("bit stream exhausted")
         if (node - (1 << d)) >> MAX_OFFSET_BITS:
             raise DecodeError(f"node offset exceeds {MAX_OFFSET_BITS} bits")
         c_zero = quantize_p0(node_randoms(seed, node).u_sample)
         node = 2 * node + dec.decode_bit(c_zero)
-    consumed = dec.bits_consumed()
-    if consumed > reader.remaining:
-        raise DecodeError("bit stream exhausted")
-    reader.advance(consumed)
+    dec.finish()
     return depth, node
 
 

@@ -89,7 +89,9 @@ class SplitRule(str, enum.Enum):
 
 
 class NonTermination(RuntimeError):
-    """The encoder exceeded the hard step cap (contract violation upstream)."""
+    """The encoder cannot finish a run: it passed the hard step cap, a node
+    offset passed the 192-bit ceiling, or the global rule ran out of levels
+    (past ``GLOBAL_STEP_CAP``, or exhausted with runs still live)."""
 
 
 class InvalidIndex(ValueError):
@@ -135,16 +137,19 @@ def _check_rule(pair: DistributionPair, rule: SplitRule) -> None:
     pair.check_unimodal()
 
 
-def _batch_pair(pair, rule: SplitRule, n: int) -> DistributionPair:
+def _batch_pair(pair, rule: SplitRule, n: int) -> Optional[DistributionPair]:
     """The pair of a batch of ``n`` runs: ``pair`` itself, the one distinct
     pair of a sequence, or else the sequence's :class:`_PairRows`, which the
     global rule refuses (its runs share one level sequence).  Every distinct
-    pair is checked against the rule before the first step."""
+    pair is checked against the rule before the first step.  An empty
+    sequence gives None: a batch without runs reads no pair."""
     if isinstance(pair, DistributionPair):
         _check_rule(pair, rule)
         return pair
     if len(pair) != n:
         raise ValueError(f"{len(pair)} pairs for {n} seeds")
+    if n == 0:
+        return None
     # distinct objects in one pass over their ids, then distinct values
     # among those objects, numbered in order of first appearance
     _, first, inverse = np.unique(

@@ -32,8 +32,13 @@ Encoder and decoder share one seed contract (:func:`seed_words`): a seed is
 an integer with ``0 <= seed < 2**64``; any other value raises ValueError
 rather than being wrapped into range.
 
-Offsets of 192 bits cover any node reachable in practice: non-global runs
-terminate at depths far below 192, and global runs only ever visit offset 0.
+Offsets of 192 bits do not cover every node a run can reach.  Global runs
+only ever visit offset 0, and most non-global runs stop at depths far below
+192, but a target deep in the proposal's upper tail descends past that:
+``N(9, 0.1**2)`` against ``N(0, 1)`` raises ``NonTermination`` ("tree offset
+exceeded 192 bits") on each of seeds 0-199 under the sample and dyadic
+rules.  ROADMAP item 7 (tail-symmetric interval coordinates) is the planned
+fix.
 """
 
 from __future__ import annotations

@@ -410,6 +410,7 @@ class TestCli:
         ["vector", "--calib", "-3"],
         ["vector", "--repeats", "0"],
         ["bias", "--extra-bits", "1.5,2.9"],
+        ["sweep", "--dkl", "2", "--dinf", "4", "--variants", "bogus"],
     ])
     def test_bad_options_exit_2_before_encoding(self, argv, monkeypatch, capsys):
         calls = []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relcode.bench.vector import _decode_joint
+from relcode.bench.vector import _code_joint, _decode_joint
 from relcode.codecs import (
     ArithmeticDecoder,
     ArithmeticEncoder,
@@ -233,8 +233,7 @@ class TestArithmeticCoder:
             reader = BitReader(code + tail)
             dec = ArithmeticDecoder(reader)
             assert [dec.decode_bit(quantize_p0(p)) for p in probs] == bits
-            assert dec.bits_consumed() == len(code)
-            reader.advance(dec.bits_consumed())
+            dec.finish()
             assert reader.pos == len(code)
 
     def test_general_intervals(self):
@@ -255,13 +254,43 @@ class TestArithmeticCoder:
         assert out == syms
 
     @pytest.mark.parametrize(
-        "c_lo, c_hi", [(0, 0), (5, 5), (2**20, 2**20), (0, 2**48 + 1), (7, 3)]
+        "c_lo, c_hi, total",
+        [
+            (0, 0, 2**48),
+            (5, 5, 2**48),
+            (2**20, 2**20, 2**48),
+            (0, 2**48 + 1, 2**48),
+            (7, 3, 2**48),
+            (0, 1, 2**61),
+            (0, 1, 2**64),
+        ],
+        # the total shows in the id only where it is not 2**48
+        ids=["0-0", "5-5", "1048576-1048576", "0-281474976710657", "7-3",
+             "0-1-2^61", "0-1-2^64"],
     )
-    def test_decoder_rejects_empty_or_outside_interval(self, c_lo, c_hi):
-        # as the encoder does; an empty interval used to renormalize forever
+    def test_decoder_rejects_empty_or_outside_interval(self, c_lo, c_hi, total):
+        # as the encoder does; an empty interval used to renormalize forever,
+        # and so did a total past the register headroom
+        with pytest.raises(PrecisionExhausted):
+            ArithmeticEncoder().encode(c_lo, c_hi, total)
         dec = ArithmeticDecoder(BitReader(Bits("0110")))
         with watchdog(1.0), pytest.raises(PrecisionExhausted):
-            dec.consume(c_lo, c_hi, 2**48)
+            dec.consume(c_lo, c_hi, total)
+
+    def test_truncated_joint_stream_raises_or_is_a_shorter_codeword(self):
+        # every dim modeled, so no delta read can raise in the coder's place
+        models = [m for m in JOINT_MODELS if m is not None]
+        stream = _code_joint([3, 1, 2, 2], models)
+        raised = 0
+        for cut in range(len(stream)):
+            try:
+                out = _decode_joint(Bits(map(int, stream.to01()[:cut])), models)
+            except DecodeError:
+                raised += 1
+                continue
+            # no end marker: a codeword that ends inside the cut is valid
+            assert len(_code_joint(out, models)) <= cut
+        assert raised > 0
 
 
 class TestZeta:

@@ -619,6 +619,10 @@ class TestPairBatches:
             encode_batch(pairs[0], SplitRule.GLOBAL, seeds),
         )
 
+    @pytest.mark.parametrize("rule", list(SplitRule))
+    def test_no_pairs_for_no_seeds_is_an_empty_batch(self, rule):
+        assert_same_runs(encode_batch([], rule, []), encode_batch(PAIR35, rule, []))
+
     def test_length_mismatch_raises(self):
         seeds = derive_seeds(11, 0, 0, 10)
         for count in (9, 11, 0):
