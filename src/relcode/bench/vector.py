@@ -37,6 +37,9 @@ __all__ = ["DimensionReport", "VectorReport", "encode_vector"]
 
 _TAG_CALIB = 10
 _TAG_EVAL = 11
+# every modeled index is coded out of CUM_ONE + 1: [CUM_ONE, CUM_ONE + 1)
+# escapes an index whose interval on the 48-bit grid is empty
+_TOTAL = CUM_ONE + 1
 
 
 @dataclass(frozen=True)
@@ -56,25 +59,29 @@ class VectorReport:
     dims: tuple[DimensionReport, ...]
     repeats: int
     delta_total_bits: float  # mean over repeats
-    zeta_total_bits: float  # mean over repeats (AC stream + fallback deltas)
+    zeta_total_bits: float  # mean over repeats (AC stream + delta codes)
     kl_total_bits: float
     log_overhead_total_bits: float
     round_trip_ok: bool
 
 
 def _code_joint(indices: list[int], models: list[Optional[ZetaModel]]) -> Bits:
-    """Arithmetic-code modeled dims jointly, then delta-code the fallback dims."""
+    """Arithmetic-code modeled dims jointly, then delta-code the fallback
+    dims and the escaped indices, in dimension order."""
     enc = ArithmeticEncoder()
-    coded_any = False
+    delta = []
     for n, model in zip(indices, models):
         if model is None:
+            delta.append(n)
             continue
-        enc.encode(model.quantized_cum(n), model.quantized_cum(n + 1), CUM_ONE)
-        coded_any = True
-    stream = enc.finish() if coded_any else Bits()
-    for n, model in zip(indices, models):
-        if model is None:
-            stream = stream + elias_delta_encode(n)
+        c_lo, c_hi = model.quantized_cum(n), model.quantized_cum(n + 1)
+        if c_lo == c_hi:
+            c_lo, c_hi = CUM_ONE, _TOTAL
+            delta.append(n)
+        enc.encode(c_lo, c_hi, _TOTAL)
+    stream = enc.finish() if any(m is not None for m in models) else Bits()
+    for n in delta:
+        stream = stream + elias_delta_encode(n)
     return stream
 
 
@@ -82,19 +89,22 @@ def _decode_joint(
     stream: Bits, models: list[Optional[ZetaModel]]
 ) -> list[int]:
     reader = BitReader(stream)
-    out = [0] * len(models)
+    out = [0] * len(models)  # 0 until decoded: the delta codes fill the rest
     modeled = [d for d, m in enumerate(models) if m is not None]
     if modeled:
         dec = ArithmeticDecoder(reader)
         for d in modeled:
             model = models[d]
-            value = dec.decode_target(CUM_ONE)
+            value = dec.decode_target(_TOTAL)
+            if value >= CUM_ONE:
+                dec.consume(CUM_ONE, _TOTAL, _TOTAL)
+                continue
             n = model.search_quantized(value)
-            dec.consume(model.quantized_cum(n), model.quantized_cum(n + 1), CUM_ONE)
+            dec.consume(model.quantized_cum(n), model.quantized_cum(n + 1), _TOTAL)
             out[d] = n
         dec.finish()
-    for d, m in enumerate(models):
-        if m is None:
+    for d, n in enumerate(out):
+        if n == 0:
             out[d] = elias_delta_decode(reader)
     return out
 

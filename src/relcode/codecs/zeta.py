@@ -2,15 +2,14 @@
 
 The model is pmf(n) proportional to n**(-exponent) on 1..N_MAX, the fixed
 support of the format (N_MAX = 2**62, docs/FORMAT.md).  Over the head
-(n <= 2**16) the weight of n is exp(fl(-exponent * fl(ln n))) and the mass
+(n <= 2**12) the weight of n is exp(fl(-exponent * fl(ln n))) and the mass
 below n is the float64 running sum of the weights of 1..n-1, left to right;
 beyond it, mass comes from midpoint integrals.  The normalizer is the
-running sum at 2**16 plus the tail integral.  A model keeps the running
-sums up to _HEAD_PREFIX and the total, and rebuilds the rest bit for bit
-for the rare query past the prefix.  All cumulative queries go through the
-same head+tail machinery, so encoder and decoder agree exactly.  Both
-inverse CDFs are one search on ``cdf_before``: it gallops from a guess read
-off the prefix, then bisects, in at most 2 * 62 + 2 evaluations per target.
+running sum at 2**12 plus the tail integral; a model keeps the 4,097
+running sums as one table.  All cumulative queries go through the same
+head+tail machinery, so encoder and decoder agree exactly.  Both inverse
+CDFs are one search on ``cdf_before``: it gallops from a guess read off the
+head table, then bisects, in at most 2 * 62 + 2 evaluations per target.
 
 ``fit_zeta`` moment-matches the exponent to an observed mean log2-index:
 the untruncated max-entropy closed form always lands at or below exponent
@@ -18,14 +17,14 @@ the untruncated max-entropy closed form always lands at or below exponent
 what keeps the max-entropy intent well defined.  The model mean is never
 evaluated term by term.  Each step reads a certified interval around it
 (``_mean_log2_bounds``: a 31-term head plus Euler-Maclaurin, widened by a
-rounding-error analysis of the 65,536-term float sum) and narrows a bracket
+rounding-error analysis of the 4,096-term float sum) and narrows a bracket
 kept in exponent space.  The steps are Illinois steps (modified regula
 falsi; Dowell & Jarratt, BIT 11, 1971) on ln(s - 1) towards ln(interval
 midpoint) = ln(target), with a bisection step wherever the secant point is
 not strictly inside the bracket: about 11 intervals per fit on the bench
 vector grid, at most 12.  The fit ends at the first exponent whose interval
 contains the target, so the fitted model's mean is the target to within
-that interval's width, about 3e-11 relative.  The format fixes a model by
+that interval's width, about 2.8e-12 relative.  The format fixes a model by
 its exponent alone (docs/FORMAT.md), so how the exponent was fitted is not
 part of it.
 
@@ -48,7 +47,7 @@ from .bits import Bits, BitReader, DecodeError
 __all__ = ["ZetaModel", "Unfittable", "OutOfRange", "fit_zeta", "zeta_encode", "zeta_decode"]
 
 LN2 = math.log(2.0)
-HEAD = 1 << 16
+HEAD = 1 << 12
 N_MAX = 1 << 62
 CUM_BITS = 48
 CUM_ONE = 1 << CUM_BITS
@@ -58,10 +57,7 @@ MAX_CODE_LEN = 49
 MAX_EXPONENT = 20.0
 MIN_EXPONENT = 1.0 + 1e-6
 
-_HEAD_N = np.arange(1, HEAD + 1, dtype=np.float64)
-_HEAD_LN = np.log(_HEAD_N)
-# a model keeps the head's running sums up to this index, and their total
-_HEAD_PREFIX = 1 << 12
+_HEAD_LN = np.log(np.arange(1, HEAD + 1, dtype=np.float64))
 
 
 class Unfittable(ValueError):
@@ -130,33 +126,22 @@ class ZetaModel:
             raise ValueError("exponent must be finite and exceed 1")
 
     @cached_property
-    def _head(self) -> tuple[np.ndarray, float]:
-        # the running sums' first _HEAD_PREFIX + 1 entries and their total:
-        # all that nearly every query reads, 32 KiB instead of 512 KiB
-        cum = _head_sums(self.exponent)
-        return cum[: _HEAD_PREFIX + 1].copy(), float(cum[-1])
-
-    @cached_property
-    def _head_cum(self) -> np.ndarray:
-        # the whole table, rebuilt only for a query past the prefix
+    def _head(self) -> np.ndarray:
         return _head_sums(self.exponent)
 
     @cached_property
     def _norm(self) -> float:
-        return self._head[1] + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI)
+        return float(self._head[-1]) + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI)
 
     def cdf_before(self, n: int) -> float:
         """Total mass of indices strictly below n (0 for n = 1)."""
         if n < 1:
             raise OutOfRange("indices start at 1")
         n = min(n, N_MAX + 1)
-        prefix, total = self._head
-        if n <= _HEAD_PREFIX + 1:
-            return float(prefix[n - 1]) / self._norm
         if n <= HEAD + 1:
-            return float(self._head_cum[n - 1]) / self._norm
+            return float(self._head[n - 1]) / self._norm
         tail = _tail_mass(self.exponent - 1.0, _LN_LO, math.log(n - 0.5))
-        return (total + tail) / self._norm
+        return (float(self._head[-1]) + tail) / self._norm
 
     def pmf(self, n: int) -> float:
         if not 1 <= n <= N_MAX:
@@ -171,8 +156,8 @@ class ZetaModel:
         """Largest n with cdf_before(n) <= target (inverse CDF)."""
         if target < 0.0:
             raise ValueError("target must be nonnegative")
-        # past the prefix, the guess is its end
-        guess = int(np.searchsorted(self._head[0], target * self._norm, side="right"))
+        # past the head, the guess is its end
+        guess = int(np.searchsorted(self._head, target * self._norm, side="right"))
         return _largest_at_most(self.cdf_before, target, guess)
 
     def quantized_cum(self, n: int) -> int:
@@ -231,18 +216,18 @@ def _mean_log2_bounds(exponent: float) -> tuple[float, float]:
       2 zeta(8) / (2 pi)**8 |f^(7)(HEAD) - f^(7)(a)|, because f^(8) keeps
       one sign on [a, HEAD]: for f = x**-s always, for f = x**-s ln x
       while ln a > H_8(s) = sum_{j<8} 1/(s+j), and H_8(1) = 2.72 < ln 32.
-      It is below 1e-15 relative, and is added to the allowance.
+      At most 2e-15 relative (near s = 2.3), it is added to the allowance.
     * The tail values T0, T1 are the exact path's own floats.
     * The exact path's weights are exp(fl(-s fl(ln n))).  With log and exp
       within 8 ulp (16 u; both measure under 1 ulp) and no underflow (the
-      smallest weight is 2**-320), each weight is within
+      smallest weight is 2**-240), each weight is within
       eta = (18 s ln HEAD + 17) u of n**-s, each product with ln n within
-      eta + 16 u; the 65,536-term sum and dot, in whatever order numpy and
-      BLAS take, add at most gamma_65536 = 7.3e-12 of the total.  So the
+      eta + 16 u; the 4,096-term sum and dot, in whatever order numpy and
+      BLAS take, add at most gamma_4096 = 4.5e-13 of the total.  So the
       float head sums lie within (eta + gamma) S0 and (eta + 16 u + gamma) S1
-      of the true ones, about 7.3e-12 to 7.7e-12 relative.
+      of the true ones, about 4.7e-13 to 7.9e-13 relative (s = 1 to 20).
     * The cheap sums themselves are within _EVAL_SLACK: every term comes from
-      a few operations whose arguments are at most s ln HEAD < 222 in size,
+      a few operations whose arguments are at most s ln HEAD < 167 in size,
       so each is within about 250 u of its value, and the corrections are
       small beside the terms they correct (measured against mpmath: under
       1e-15, so _EVAL_SLACK has a margin of 200).
@@ -320,9 +305,9 @@ def fit_zeta(log_index_samples) -> ZetaModel:
     halves the gap of an end kept twice running) on u = ln(s - 1) towards
     ln(interval midpoint) = ln(target), or the bracket's midpoint where that
     step is not strictly inside the bracket.  So the returned model's mean
-    is within the interval's width (about 3e-11 relative) of the target,
+    is within the interval's width (about 2.8e-12 relative) of the target,
     unless the bracket closes to adjacent floats first, and no step
-    evaluates the 65,536-term mean.
+    evaluates the 4,096-term mean.
     """
     samples = np.asarray(log_index_samples, dtype=np.float64)
     if samples.size == 0:

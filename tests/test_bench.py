@@ -247,6 +247,14 @@ class TestVector:
             assert report.round_trip_ok, seed
             assert all(d.fitted_exponent is not None for d in report.dims), seed
 
+    def test_low_kl_grid_round_trips(self):
+        # ``bench vector --dims 50 --kl-min 0.001 --kl-max 0.02``: steep fits,
+        # under which some evaluation indices have empty intervals and escape
+        kls = [0.001 + 0.019 * d / 49 for d in range(50)]
+        pairs = [gaussian_pair_for_targets(kl, kl + 0.75) for kl in kls]
+        report = encode_vector(pairs, 0, calibration_runs=64, repeats=20)
+        assert report.round_trip_ok
+
     def test_identical_pairs_cost_near_zero(self):
         std = Distribution1D(0.0, 1.0)
         pairs = [DistributionPair(std, std)] * 6

@@ -292,6 +292,39 @@ class TestArithmeticCoder:
             assert len(_code_joint(out, models)) <= cut
         assert raised > 0
 
+    def test_joint_stream_escapes_an_empty_interval(self):
+        # 40 under the steepest model has mass far below 2**-48, so its
+        # interval on the grid is empty: it codes the escape, then a delta code
+        models = [m for m in JOINT_MODELS if m is not None]
+        steep = models[-1]
+        assert steep.quantized_cum(40) == steep.quantized_cum(41)
+        stream = _code_joint([3, 1, 2, 40], models)
+        assert _decode_joint(stream, models) == [3, 1, 2, 40]
+        assert stream.to01().endswith(elias_delta_encode(40).to01())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.none(),
+                    st.floats(zeta.MIN_EXPONENT, zeta.MAX_EXPONENT),
+                ),
+                # small indices escape under steep models, and nearly all
+                # large ones under every model
+                st.one_of(
+                    st.integers(1, 64), st.integers(1, 2**20), st.integers(1, zeta.N_MAX)
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_joint_stream_round_trips_every_index(self, dims):
+        models = [None if s is None else ZetaModel(s) for s, _ in dims]
+        indices = [n for _, n in dims]
+        assert _decode_joint(_code_joint(indices, models), models) == indices
+
 
 class TestZeta:
     def test_normalizer_against_dense_sum(self):
@@ -378,7 +411,7 @@ class TestZeta:
 
     @staticmethod
     def _exact_fit(target):
-        # reference: the bisection with every step read from the 65,536-term mean
+        # reference: the bisection with every step read from the 4,096-term mean
         lo, hi = zeta.MIN_EXPONENT, zeta.MAX_EXPONENT
         mids = []
         for _ in range(80):
@@ -474,30 +507,41 @@ class TestZeta:
             pmf = np.array([model.pmf(n) for n in range(1, zeta.HEAD + 1)])
             assert np.array_equal(pmf, weights / model._norm)
 
-    def test_prefix_and_total_match_whole_table(self):
-        # the model keeps the first _HEAD_PREFIX + 1 running sums and the
-        # total; the normalizer and every head cdf are the whole table's
+    def test_cdf_and_norm_match_whole_table(self):
+        # the normalizer and every head cdf are the oracle table's, bit for
+        # bit, and so are the tail cdfs past the head
         for s in self.HEAD_EXPONENTS:
             cum = head_cum(s)
             norm = zeta_norm(s, cum)
             model = ZetaModel(s)
             assert model._norm == norm
-            prefix = [model.cdf_before(n) for n in range(1, zeta._HEAD_PREFIX + 2)]
-            assert "_head_cum" not in vars(model)  # no rebuild within the prefix
-            rest = [model.cdf_before(n) for n in range(zeta._HEAD_PREFIX + 2, zeta.HEAD + 2)]
-            assert np.array_equal(np.array(prefix + rest), cum / norm)
+            head = [model.cdf_before(n) for n in range(1, zeta.HEAD + 2)]
+            assert np.array_equal(np.array(head), cum / norm)
             for n in (zeta.HEAD + 2, 10**6, zeta.N_MAX, zeta.N_MAX + 1):
                 assert model.cdf_before(n) == zeta_cdf_before(s, n, cum)
 
+    def test_one_head_table_per_model(self, monkeypatch):
+        # queries at and past the head's end, the inverse cdf and the pmf
+        # all read the one table built on first use
+        passes = []
+        head_sums = zeta._head_sums
+        monkeypatch.setattr(zeta, "_head_sums", lambda s: passes.append(s) or head_sums(s))
+        model = ZetaModel(2.0)
+        model.cdf_before(zeta.HEAD + 1)
+        model.cdf_before(10**6)
+        model.search_before(1.0)
+        model.pmf(zeta.HEAD)
+        assert passes == [2.0]
+
     def test_search_before_matches_whole_table(self):
-        # at, and one ulp either side of, the cdf at the prefix's edge and
-        # the head's end, plus uniform targets and the top of the range
+        # at, and one ulp either side of, the cdf of indices around the
+        # head's end, plus uniform targets and the top of the range
         uniforms = [float(u) for u in np.random.default_rng(12).random(1000)]
         for s in self.HEAD_EXPONENTS:
             cum = head_cum(s)
             cdf = cum / zeta_norm(s, cum)
             targets = uniforms + [1.0, math.nextafter(1.0, 0.0)]
-            for n in (4096, 4097, 4098, zeta.HEAD + 1):
+            for n in (4096, 4097, 4098, zeta.HEAD, zeta.HEAD + 1, zeta.HEAD + 2):
                 c = zeta_cdf_before(s, n, cum)
                 targets += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
             model = ZetaModel(s)
@@ -517,7 +561,7 @@ class TestZeta:
     def test_search_before_is_bounded(self, exponent, target, monkeypatch):
         # targets whose answer lies far past the head, or at N_MAX
         model = ZetaModel(exponent)
-        model.cdf_before(zeta.HEAD + 1)  # build both head tables first
+        model.cdf_before(zeta.HEAD + 1)  # build the head table first
         calls = counting_cdf_before(monkeypatch)
         t0 = time.perf_counter()
         with watchdog(1.0):
@@ -542,11 +586,11 @@ class TestZeta:
 
     def test_search_quantized_meets_its_definition(self):
         # at the ends of the value range, and at and just below the grid
-        # value of indices at the prefix's edge and the head's end
+        # value of indices around the head's end
         for s in self.HEAD_EXPONENTS:
             model = ZetaModel(s)
             values = [0, zeta.CUM_ONE - 1]
-            for n in (2, 4097, 4098, zeta.HEAD + 1, zeta.HEAD + 2):
+            for n in (2, 4097, 4098, zeta.HEAD, zeta.HEAD + 1, zeta.HEAD + 2):
                 q = model.quantized_cum(n)
                 values += [q, q - 1]
             for v in values:
@@ -580,7 +624,7 @@ class TestZeta:
         for model in models:
             assert sum(map(ndarray_bytes, vars(model).values())) <= 64 * 1024, model
 
-    def test_codewords_past_the_prefix_match_whole_table(self):
+    def test_codewords_around_the_head_end_match_whole_table(self):
         for s in (1.0 + 1e-6, 1.05, 2.0):
             cum = head_cum(s)
             model = ZetaModel(s)
@@ -611,7 +655,7 @@ class TestZeta:
         from relcode.bench.vector import encode_vector
 
         class CountingNumpy:
-            # numpy for zeta.py, counting exp over the whole 65,536-term head
+            # numpy for zeta.py, counting exp over the whole 4,096-term head
             head_exps = 0
 
             def __getattr__(self, name):
