@@ -50,7 +50,7 @@ class DimensionReport:
     fitted_exponent: Optional[float]  # None means delta fallback
     mean_log2_index: float
     mean_delta_bits: float
-    mean_zeta_info_bits: float  # mean -log2 pmf(index); nan under fallback
+    mean_zeta_info_bits: float  # mean -log2 pmf(index); inf at zero pmf, nan under fallback
     failure: str = ""
 
 
@@ -155,7 +155,8 @@ def encode_vector(
             per_dim_delta[r, d] = len(elias_delta_encode(n))
             per_dim_log2[r, d] = math.log2(n)
             if models[d] is not None:
-                per_dim_info[r, d] = -math.log2(models[d].pmf(n))
+                p = models[d].pmf(n)
+                per_dim_info[r, d] = -math.log2(p) if p > 0.0 else math.inf
         stream = _code_joint(indices, models)
         if _decode_joint(stream, models) != indices:
             round_trip_ok = False

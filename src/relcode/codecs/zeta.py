@@ -14,19 +14,16 @@ head table, then bisects, in at most 2 * 62 + 2 evaluations per target.
 ``fit_zeta`` moment-matches the exponent to an observed mean log2-index:
 the untruncated max-entropy closed form always lands at or below exponent
 1, where the power law is not normalizable, so the truncated-support fit is
-what keeps the max-entropy intent well defined.  The model mean is never
-evaluated term by term.  Each step reads a certified interval around it
-(``_mean_log2_bounds``: a 31-term head plus Euler-Maclaurin, widened by a
-rounding-error analysis of the 4,096-term float sum) and narrows a bracket
-kept in exponent space.  The steps are Illinois steps (modified regula
-falsi; Dowell & Jarratt, BIT 11, 1971) on ln(s - 1) towards ln(interval
-midpoint) = ln(target), with a bisection step wherever the secant point is
-not strictly inside the bracket: about 11 intervals per fit on the bench
-vector grid, at most 12.  The fit ends at the first exponent whose interval
-contains the target, so the fitted model's mean is the target to within
-that interval's width, about 2.8e-12 relative.  The format fixes a model by
-its exponent alone (docs/FORMAT.md), so how the exponent was fitted is not
-part of it.
+what keeps the max-entropy intent well defined.  Each step evaluates the
+model's exact mean (``_mean_log2``: one exp pass over the 4,096 head terms,
+their sum and dot, plus the tail integrals) and narrows a bracket kept in
+exponent space.  The steps are Illinois steps (modified regula falsi;
+Dowell & Jarratt, BIT 11, 1971) on ln(s - 1) towards ln(mean) = ln(target),
+with a bisection step wherever the secant point is not strictly inside the
+bracket: about 11 means per fit on the bench vector grid, at most 12.  The
+fit ends at the first exponent whose mean is within a relative 2**-40 of
+the target.  The format fixes a model by its exponent alone
+(docs/FORMAT.md), so how the exponent was fitted is not part of it.
 
 ``zeta_encode`` is one-shot Shannon-Fano-Elias coding (codeword length
 within 2 bits of the information content).  Sequences of indices are better
@@ -187,105 +184,25 @@ def _largest_at_most(f, target: float, guess: int) -> int:
     return lo
 
 
-_U = 2.0**-53  # float64 unit roundoff
-# gamma_n = n u / (1 - n u): the error of any n-term float sum or dot,
-# relative to the sum of the terms' magnitudes, in any order (Higham, ch. 3)
-_GAMMA = HEAD * _U / (1.0 - HEAD * _U)
-_EM_CUT = 32  # the head below this is summed term by term
-_EM_HEAD = tuple((n, math.log(n)) for n in range(2, _EM_CUT))
-_LN_CUT = math.log(_EM_CUT)
-_LN_HEAD = math.log(HEAD)
-_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2k / (2k)!
-_EVAL_SLACK = 2e-13  # relative rounding error allowed for the two cheap sums
-_PAD = 16 * _U  # the final roundings of both paths
+_FIT_TOL = 2.0**-40  # relative distance at which a fitted mean stops the fit
 
 
-def _mean_log2_bounds(exponent: float) -> tuple[float, float]:
-    """An interval that contains the model's mean log2-index as the exact
-    path evaluates it (``mean_log2`` in tests/oracles.py, the reference the
-    interval is tested against).
-
-    For exponents s in [MIN_EXPONENT, MAX_EXPONENT].  The exact path computes
-    S0 = sum n**-s and S1 = sum n**-s ln n over n <= HEAD in float64, adds the
-    tail integrals and returns (S1 + T1) / (S0 + T0) / ln 2.  Here:
-
-    * S0 and S1 are summed term by term below a = 32 and by Euler-Maclaurin
-      over [a, HEAD]: the integrals (in expm1 / series forms that stay exact
-      as s -> 1), the endpoint halves and the B_2..B_8 corrections.  The
-      remainder is at most the last correction's size,
-      2 zeta(8) / (2 pi)**8 |f^(7)(HEAD) - f^(7)(a)|, because f^(8) keeps
-      one sign on [a, HEAD]: for f = x**-s always, for f = x**-s ln x
-      while ln a > H_8(s) = sum_{j<8} 1/(s+j), and H_8(1) = 2.72 < ln 32.
-      At most 2e-15 relative (near s = 2.3), it is added to the allowance.
-    * The tail values T0, T1 are the exact path's own floats.
-    * The exact path's weights are exp(fl(-s fl(ln n))).  With log and exp
-      within 8 ulp (16 u; both measure under 1 ulp) and no underflow (the
-      smallest weight is 2**-240), each weight is within
-      eta = (18 s ln HEAD + 17) u of n**-s, each product with ln n within
-      eta + 16 u; the 4,096-term sum and dot, in whatever order numpy and
-      BLAS take, add at most gamma_4096 = 4.5e-13 of the total.  So the
-      float head sums lie within (eta + gamma) S0 and (eta + 16 u + gamma) S1
-      of the true ones, about 4.7e-13 to 7.9e-13 relative (s = 1 to 20).
-    * The cheap sums themselves are within _EVAL_SLACK: every term comes from
-      a few operations whose arguments are at most s ln HEAD < 167 in size,
-      so each is within about 250 u of its value, and the corrections are
-      small beside the terms they correct (measured against mpmath: under
-      1e-15, so _EVAL_SLACK has a margin of 200).
-    * The two tail additions, the division and the division by ln 2 round
-      once each in the exact path, and this interval's own evaluation rounds
-      a few times more: _PAD.
-
-    Second-order terms are covered by the 1% widening of the first-order sum.
-    """
-    s = exponent
-    s0, s1 = 1.0, 0.0
-    for n, ln_n in _EM_HEAD:
-        w = n**-s
-        s0 += w
-        s1 += w * ln_n
-    la, lb, width = _LN_CUT, _LN_HEAD, _LN_HEAD - _LN_CUT
-    y = (s - 1.0) * width
-    scale = math.exp((1.0 - s) * la) * width
-    e1 = -math.expm1(-y) / y
-    fa, fb = _EM_CUT**-s, HEAD**-s
-    s0 += scale * e1 + 0.5 * (fa + fb)
-    s1 += scale * (la * e1 + width * _psi(y)) + 0.5 * (fa * la + fb * lb)
-    # corrections B_2k/(2k)! (f^(m)(HEAD) - f^(m)(a)) for m = 2k - 1, with
-    # f^(m) = -(s)_m x**-s / x**m times 1 and (ln x - H_m(s)) respectively
-    rising, harmonic, da, db = 1.0, 0.0, fa, fb
-    for j in range(7):
-        rising *= s + j
-        harmonic += 1.0 / (s + j)
-        da /= _EM_CUT
-        db /= HEAD
-        if j % 2 == 0:
-            c = _EM_COEFFS[j // 2] * rising
-            c0 = c * (da - db)
-            c1 = c * (da * (la - harmonic) - db * (lb - harmonic))
-            s0 += c0
-            s1 += c1
-    eps = s - 1.0
-    z = s0 + _tail_mass(eps, _LN_LO, _LN_HI)
-    num = s1 + _tail_log_moment(eps)
-    # absolute allowances; the last corrections c0, c1 bound the remainders
-    rel = ((18.0 * s * lb + 17.0) * _U + _GAMMA + _EVAL_SLACK) * 1.01
-    dz = rel * s0 + abs(c0)
-    dn = (rel + 16 * _U) * s1 + abs(c1)
-    if num <= dn:  # far below MIN_EXPONENT, where T1 has no correct digits
-        return -math.inf, math.inf
-    return (
-        (num - dn) / (z + dz) / LN2 * (1.0 - _PAD),
-        (num + dn) / (z - dz) / LN2 * (1.0 + _PAD),
-    )
+def _mean_log2(exponent: float) -> float:
+    """The model's mean log2-index: the head's 4,096 terms summed in
+    float64, plus the tail integrals."""
+    eps = exponent - 1.0
+    w = np.exp(-exponent * _HEAD_LN)
+    z = float(w.sum()) + _tail_mass(eps, _LN_LO, _LN_HI)
+    num = float(w @ _HEAD_LN) + _tail_log_moment(eps)
+    return num / z / LN2
 
 
 @cache
-def _fittable_range() -> tuple[tuple[float, float], tuple[float, float]]:
-    """The certified intervals at MIN_EXPONENT and MAX_EXPONENT: a target at
-    or above the first's upper bound is :class:`Unfittable`, one at or below
-    the second's lower bound fits MAX_EXPONENT, and the fit starts from both
-    intervals' midpoints."""
-    return _mean_log2_bounds(MIN_EXPONENT), _mean_log2_bounds(MAX_EXPONENT)
+def _fittable_range() -> tuple[float, float]:
+    """The exact means at MIN_EXPONENT and MAX_EXPONENT: a target at or
+    above the first is :class:`Unfittable`, one at or below the second fits
+    MAX_EXPONENT, and the fit's first step starts from both."""
+    return _mean_log2(MIN_EXPONENT), _mean_log2(MAX_EXPONENT)
 
 
 def fit_zeta(log_index_samples) -> ZetaModel:
@@ -298,16 +215,14 @@ def fit_zeta(log_index_samples) -> ZetaModel:
     ends are decided by ``_fittable_range``.
 
     The bracket [lo, hi] starts at [MIN_EXPONENT, MAX_EXPONENT] and stays in
-    exponent space.  Each step reads the certified interval from
-    ``_mean_log2_bounds`` at one exponent s: wholly above the target, s
-    becomes lo; at or below it, hi; otherwise the interval contains the
-    target and s is returned.  s is the Illinois step (regula falsi that
-    halves the gap of an end kept twice running) on u = ln(s - 1) towards
-    ln(interval midpoint) = ln(target), or the bracket's midpoint where that
-    step is not strictly inside the bracket.  So the returned model's mean
-    is within the interval's width (about 2.8e-12 relative) of the target,
-    unless the bracket closes to adjacent floats first, and no step
-    evaluates the 4,096-term mean.
+    exponent space.  Each step evaluates the exact mean ``_mean_log2`` at
+    one exponent s: within a relative 2**-40 of the target, s is returned;
+    above it, s becomes lo; below it, hi.  s is the Illinois step (regula
+    falsi that halves the gap of an end kept twice running) on
+    u = ln(s - 1) towards ln(mean) = ln(target), or the bracket's midpoint
+    where that step is not strictly inside the bracket.  So the returned
+    model's mean is the target to 2**-40 relative, unless the bracket
+    closes to adjacent floats first.
     """
     samples = np.asarray(log_index_samples, dtype=np.float64)
     if samples.size == 0:
@@ -316,41 +231,37 @@ def fit_zeta(log_index_samples) -> ZetaModel:
         raise ValueError("log2-index samples must be finite and nonnegative")
     target = float(samples.mean())
     at_min, at_max = _fittable_range()
-    if target >= at_min[1]:
+    if target >= at_min:
         raise Unfittable(
             f"mean log2-index {target:.3f} exceeds the truncated model's range"
         )
-    if target <= at_max[0]:
+    if target <= at_max:
         return ZetaModel(MAX_EXPONENT)
     ln_target = math.log(target)
-
-    def gap(f_lo: float, f_hi: float) -> float:
-        return math.log(0.5 * (f_lo + f_hi)) - ln_target
-
-    # the gap falls in s; the ends' gaps have opposite signs unless the
-    # target lies in an end's interval (then the steps bisect)
-    lo, g_lo, hi, g_hi = MIN_EXPONENT, gap(*at_min), MAX_EXPONENT, gap(*at_max)
+    # the gap ln(mean) - ln(target) falls in s: positive at lo, negative at
+    # hi, or zero at a range end an ulp from the target (then a step bisects)
+    lo, g_lo = MIN_EXPONENT, math.log(at_min) - ln_target
+    hi, g_hi = MAX_EXPONENT, math.log(at_max) - ln_target
     kept = None  # the end the last step left in place
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return ZetaModel(mid)
-        if g_lo > 0.0 > g_hi:
-            u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
-            s = 1.0 + math.exp(u_lo + g_lo / (g_lo - g_hi) * (u_hi - u_lo))
-            if lo < s < hi:
-                mid = s
-        f_lo, f_hi = _mean_log2_bounds(mid)
-        if f_lo > target:
-            lo, g_lo = mid, gap(f_lo, f_hi)
+        u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
+        s = 1.0 + math.exp(u_lo + g_lo / (g_lo - g_hi) * (u_hi - u_lo))
+        if lo < s < hi:
+            mid = s
+        f = _mean_log2(mid)
+        if abs(f - target) <= _FIT_TOL * target:
+            return ZetaModel(mid)
+        if f > target:
+            lo, g_lo = mid, math.log(f) - ln_target
             g_hi *= 0.5 if kept == "hi" else 1.0
             kept = "hi"
-        elif f_hi <= target:
-            hi, g_hi = mid, gap(f_lo, f_hi)
+        else:
+            hi, g_hi = mid, math.log(f) - ln_target
             g_lo *= 0.5 if kept == "lo" else 1.0
             kept = "lo"
-        else:
-            return ZetaModel(mid)
 
 
 def _codeword(model: ZetaModel, n: int) -> tuple[int, int]:

@@ -4,11 +4,10 @@ Everything here is deliberately dumb and slow: quadrature, grid search,
 bisection, and a closure-based implementation of the ruled-out-mass
 recursion.  None of it shares code paths with the library's closed forms,
 except the zeta model's mean, whose 4,096-term float evaluation reads the
-library's head logs and tail integrals: it is the float that
-``zeta._mean_log2_bounds`` certifies an interval around.  The zeta head
-table, CDF and codewords below read the same logs and tail integrals, and
-build the head table apart from the model's own, which must match it bit
-for bit; ``zeta_decode_per_length`` tries a codeword's every prefix length,
+library's head logs and tail integrals.  The zeta head table, CDF and
+codewords below read the same logs and tail integrals, and build the head
+table apart from the model's own, which must match it bit for bit;
+``zeta_decode_per_length`` tries a codeword's every prefix length,
 which the decoder skips.  ``path_intervals`` replays a code's active
 intervals by the decoder's walk; the encoder does not record them.
 """

@@ -263,6 +263,22 @@ class TestVector:
         assert report.zeta_total_bits <= 3.0
         assert report.delta_total_bits == 6.0
 
+    def test_zero_mass_index_reports_infinite_info(self, monkeypatch):
+        # all-ones calibration fits MAX_EXPONENT, under which 2**50 has pmf
+        # 0.0: the joint stream escapes it, and its information is infinite
+        import relcode.bench.vector as bench_vector
+
+        class Batch:
+            heap_indices = [1] * 8 + [2**50, 3]
+
+        monkeypatch.setattr(bench_vector, "encode_batch", lambda *a, **k: Batch)
+        pairs = [gaussian_pair_for_targets(0.2, 0.95)] * 2
+        report = encode_vector(pairs, 0, calibration_runs=4)
+        assert report.round_trip_ok
+        assert [d.fitted_exponent for d in report.dims] == [20.0, 20.0]
+        assert report.dims[0].mean_zeta_info_bits == math.inf
+        assert math.isfinite(report.dims[1].mean_zeta_info_bits)
+
     @pytest.mark.parametrize("dims, calib, repeats", [
         (0, 256, 1), (2, 0, 1), (2, -3, 1), (2, 256, 0),
     ])

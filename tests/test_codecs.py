@@ -360,35 +360,34 @@ class TestZeta:
 
     @pytest.mark.parametrize("target", [1e-6, 0.05, 0.5, 1.0, 3.0, 9.5, 25.0])
     def test_bisection_stops_at_its_fixed_point(self, target, monkeypatch):
-        # the fit stops at the first midpoint whose certified interval holds
-        # the target, after one interval per step
+        # the fit stops at the first exponent whose exact mean is within
+        # 2**-40 of the target, after one mean per step
         zeta._fittable_range()  # cached before the count starts
-        bounds = zeta._mean_log2_bounds
+        mean = zeta._mean_log2
         calls = []
-        monkeypatch.setattr(
-            zeta, "_mean_log2_bounds", lambda s: calls.append((s, bounds(s))) or bounds(s)
-        )
+        monkeypatch.setattr(zeta, "_mean_log2", lambda s: calls.append((s, mean(s))) or mean(s))
         exponent = fit_zeta([target]).exponent
         assert calls[-1][0] == exponent
-        assert [lo <= target <= hi for _, (lo, hi) in calls] == [False] * (len(calls) - 1) + [True]
+        close = [abs(f - target) <= 2.0**-40 * target for _, f in calls]
+        assert close == [False] * (len(calls) - 1) + [True]
         assert len(calls) <= 60
-        self._assert_certified_fits([target])
+        self._assert_exact_fits([target])
 
     def test_vector_grid_fits_take_at_most_12_steps(self, monkeypatch):
         # the Illinois steps on the calibration sets the bench vector fits
         from relcode.bench import vector
 
         zeta._fittable_range()  # cached before the count starts
-        bounds = zeta._mean_log2_bounds
+        mean = zeta._mean_log2
         calls, counts = [], []
-        monkeypatch.setattr(zeta, "_mean_log2_bounds", lambda s: calls.append(s) or bounds(s))
+        monkeypatch.setattr(zeta, "_mean_log2", lambda s: calls.append(s) or mean(s))
         fit = vector.fit_zeta
 
         def counting_fit(log_indices):
             calls.clear()
             model = fit(log_indices)
             counts.append(len(calls))
-            # the range ends' intervals come from the cache
+            # the range ends' means come from the cache
             assert zeta.MIN_EXPONENT not in calls and zeta.MAX_EXPONENT not in calls
             return model
 
@@ -397,17 +396,6 @@ class TestZeta:
             assert vector.encode_vector(VECTOR_GRID, seed).round_trip_ok
         assert len(counts) == 3 * len(VECTOR_GRID)
         assert max(counts) <= 12, counts
-
-    def test_fit_stops_at_an_unbounded_interval(self, monkeypatch):
-        # an interval that holds every target ends the fit at its exponent,
-        # before any logarithm of its midpoint is taken
-        zeta._fittable_range()
-        calls = []
-        monkeypatch.setattr(
-            zeta, "_mean_log2_bounds", lambda s: calls.append(s) or (-math.inf, math.inf)
-        )
-        exponent = fit_zeta([1.0]).exponent
-        assert calls == [exponent]
 
     @staticmethod
     def _exact_fit(target):
@@ -425,27 +413,26 @@ class TestZeta:
                 hi = mid
         return 0.5 * (lo + hi), mids
 
-    def _assert_certified_fits(self, targets):
-        # the interval at the fitted exponent holds the target (or the
-        # bracket closed on MIN_EXPONENT, above the whole fittable range's
-        # exact means), the exact mean there is within the interval's width
-        # of the target, and the exponent is the exact bisection's to 1e-10
+    def _assert_exact_fits(self, targets):
+        # the exact mean at the fitted exponent is within 2**-40 of the
+        # target (or the bracket closed on MIN_EXPONENT, above the whole
+        # fittable range's exact means), and the exponent is the exact
+        # bisection's to 1e-10
         next_to_min = math.nextafter(zeta.MIN_EXPONENT, math.inf)
         for target in targets:
             exponent = fit_zeta([target]).exponent
-            lo, hi = zeta._mean_log2_bounds(exponent)
-            assert lo <= target <= hi or exponent <= next_to_min, target
-            assert abs(mean_log2(exponent) - target) <= hi - lo, target
+            close = abs(mean_log2(exponent) - target) <= 2.0**-40 * target
+            assert close or exponent <= next_to_min, target
             expected, _ = self._exact_fit(target)
             assert abs(exponent - expected) <= 1e-10 * expected, target
 
     def test_fit_matches_exact_bisection_on_random_targets(self):
-        (_, top), (bottom, _) = zeta._fittable_range()
+        top, bottom = zeta._fittable_range()
         rng = np.random.default_rng(9)
         uniform = rng.uniform(bottom, top, 250)
         log_uniform = np.exp(rng.uniform(math.log(bottom), math.log(top), 250))
         targets = [float(t) for t in np.concatenate([uniform, log_uniform])]
-        self._assert_certified_fits([t for t in targets if bottom < t < top])
+        self._assert_exact_fits([t for t in targets if bottom < t < top])
 
     def test_fit_matches_exact_bisection_at_visited_midpoints(self):
         # targets equal to f(mid) for mids the exact loop visits, and 1 ulp
@@ -456,23 +443,20 @@ class TestZeta:
             for mid in mids[::4] + mids[-8:]:
                 f = mean_log2(mid)
                 targets += [math.nextafter(f, 0.0), f, math.nextafter(f, math.inf)]
-        self._assert_certified_fits(targets)
+        self._assert_exact_fits(targets)
 
     def test_fit_matches_exact_bisection_at_range_ends(self):
-        (_, top), (bottom, _) = zeta._fittable_range()
+        top, bottom = zeta._fittable_range()
         below_top = [math.nextafter(top, 0.0), math.nextafter(math.nextafter(top, 0.0), 0.0)]
         below_top += [top * (1.0 - 10.0**-k) for k in range(3, 16)]
         above_bottom = [math.nextafter(bottom, math.inf)]
         above_bottom += [bottom * (1.0 + 10.0**-k) for k in range(1, 16)]
-        self._assert_certified_fits(below_top + above_bottom)
+        self._assert_exact_fits(below_top + above_bottom)
 
     def test_range_end_rule(self):
-        # Unfittable at or above the upper bound at MIN_EXPONENT, and
-        # MAX_EXPONENT at or below the lower bound at MAX_EXPONENT
-        at_min = zeta._mean_log2_bounds(zeta.MIN_EXPONENT)
-        at_max = zeta._mean_log2_bounds(zeta.MAX_EXPONENT)
-        assert zeta._fittable_range() == (at_min, at_max)
-        top, bottom = at_min[1], at_max[0]
+        # Unfittable at or above the exact mean at MIN_EXPONENT, and
+        # MAX_EXPONENT at or below the exact mean at MAX_EXPONENT
+        top, bottom = zeta._fittable_range()
         for target in (top, math.nextafter(top, math.inf)):
             with pytest.raises(Unfittable):
                 fit_zeta([target])
@@ -480,8 +464,7 @@ class TestZeta:
         for target in (bottom, math.nextafter(bottom, 0.0)):
             assert fit_zeta([target]).exponent == zeta.MAX_EXPONENT
         above = math.nextafter(bottom, math.inf)
-        lo, hi = zeta._mean_log2_bounds(fit_zeta([above]).exponent)
-        assert lo <= above <= hi
+        assert abs(mean_log2(fit_zeta([above]).exponent) - above) <= 2.0**-40 * above
 
     def test_tail_log_moment_against_decimal(self):
         # the closed form (fa - fb) / eps**2 at 40 digits, on the float ends
@@ -635,21 +618,14 @@ class TestZeta:
                 assert zeta_decode(reader, model) == n
                 assert reader.remaining == 0
 
-    def test_mean_log2_bounds_contain_exact_value(self):
-        # the allowance assumes log and exp within 8 ulp; both measure under 1
-        u = 2.0**-53
-        ln_ref = np.array([math.log(n) for n in range(2, zeta.HEAD + 1)])
-        assert zeta._HEAD_LN[0] == 0.0
-        assert np.all(np.abs(zeta._HEAD_LN[1:] / ln_ref - 1.0) <= 8 * u)
-        for s in (zeta.MIN_EXPONENT, 2.5, zeta.MAX_EXPONENT):
-            arg = -s * zeta._HEAD_LN[::97]
-            exp_ref = np.array([math.exp(a) for a in arg])
-            assert np.all(np.abs(np.exp(arg) / exp_ref - 1.0) <= 8 * u)
+    def test_mean_log2_matches_oracle(self):
+        # the fit's mean is the oracle's float, bit for bit, and so are the
+        # fittable range's ends
         exponents = 1.0 + np.logspace(-6, math.log10(19.0), 2000)
         for s in [zeta.MIN_EXPONENT, zeta.MAX_EXPONENT, *map(float, exponents)]:
-            lo, hi = zeta._mean_log2_bounds(s)
-            assert lo <= mean_log2(s) <= hi, s
-            assert hi - lo < 1e-10 * hi
+            assert zeta._mean_log2(s) == mean_log2(s), s
+        ends = (mean_log2(zeta.MIN_EXPONENT), mean_log2(zeta.MAX_EXPONENT))
+        assert zeta._fittable_range() == ends
 
     def test_vector_fits_make_few_exact_evaluations(self, monkeypatch):
         from relcode.bench.vector import encode_vector
@@ -666,10 +642,11 @@ class TestZeta:
                 return np.exp(x, *args, **kwargs)
 
         monkeypatch.setattr(zeta, "np", CountingNumpy())
+        zeta._fittable_range.cache_clear()  # its two means count too
         report = encode_vector(VECTOR_GRID, 0, calibration_runs=256)
         assert all(d.fitted_exponent is not None for d in report.dims)
-        # one head table per fitted model; no exact mean in any fit
-        assert CountingNumpy.head_exps <= len(report.dims)
+        # per fitted model, at most 12 exact means and one head table
+        assert CountingNumpy.head_exps <= 13 * len(report.dims) + 2
 
     def test_out_of_range(self):
         model = ZetaModel(2.0)
