@@ -17,6 +17,7 @@ MSB-first; see docs/FORMAT.md for the exact bit-level contract.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from ..engine import GLOBAL_STEP_CAP, RecResult, SplitRule
@@ -45,6 +46,7 @@ def encode_payload(
     rule = SplitRule(rule)
     if rule is SplitRule.SAMPLE and seed is None:
         raise ValueError("sample-rule payloads need the shared seed")
+    heap_index = operator.index(heap_index)
     if heap_index.bit_length() - 1 != depth:
         raise ValueError("depth does not match the heap index")
     if rule is SplitRule.GLOBAL and heap_index != 1 << depth:

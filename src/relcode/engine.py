@@ -30,12 +30,13 @@ A batch may code one pair per run: the distinct pairs' parameters are then
 indexed out into per-run rows, on which the same kernel expressions run
 elementwise.
 
-A one-run step is numpy dispatch on 1-element arrays, so its fixed work is
-kept small: the kernel enters one ``np.errstate`` per call (``_quiet``), so
-a dyadic step enters none and a sample step only the one inside
-``residual_above``; and as an offset at depth ``d`` is below ``2**d``, a
-descent below depth 63 shifts only ``k_lo`` of the offset's three uint64
-words.
+The kernel holds a node as docs/FORMAT.md does, as its depth and three
+uint64 offset words, and ``_heap_indices`` alone turns these into heap
+indices.  A one-run step is numpy dispatch on 1-element arrays, so its
+fixed work is kept small: the kernel enters one ``np.errstate`` per call
+(``_quiet``), so a dyadic step enters none and a sample step only the one
+inside ``residual_above``; and as an offset at depth ``d`` is below
+``2**d``, a descent below depth 63 shifts only the low word ``k_lo``.
 
 The descent serves the split rules only.  The global rule keeps the whole
 line active, so its runs share one level sequence and need no per-run
@@ -202,28 +203,22 @@ class _BatchState:
         new.__dict__ = self.__dict__.copy()
         return new
 
-    def heap_index(self, i: int, depth: int) -> int:
-        offset = (
-            (int(self.k_hi[i]) << 128)
-            | (int(self.k_mid[i]) << 64)
-            | int(self.k_lo[i])
-        )
-        return (1 << depth) + offset
-
-    def heap_indices(self, rows: np.ndarray, depth: int) -> list:
-        """Heap indices (Python ints) of the runs ``rows`` (a boolean mask)
-        at ``depth``.  Below depth 64 the offset is ``k_lo`` alone, so the
-        index is one array op: ``(1 << depth) | k_lo``."""
-        if depth < 64:
-            return (self.k_lo[rows] | np.uint64(1 << depth)).tolist()
-        return [self.heap_index(i, depth) for i in np.flatnonzero(rows)]
-
 
 def _quiet():
     """The kernel's floating-point error state, entered once per call: the
     infinities and NaNs of degenerate intervals are expected, and each is
     handled where it arises."""
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+def _heap_indices(depths: np.ndarray, words) -> list:
+    """Heap indices ``(1 << depth) + offset`` from the uint64 offset rows ``words``:
+    ``k_lo`` (one array op below depth 64), then ``k_mid`` and ``k_hi`` for deeper runs."""
+    out = (words[0] | _ONE << depths.astype(np.uint64)).tolist()
+    for i in (depths >= 64).nonzero()[0].tolist():
+        lo, mid, hi = (int(row[i]) for row in words)
+        out[i] = (1 << int(depths[i])) + (hi << 128 | mid << 64 | lo)
+    return out
 
 
 def _draw(st: _BatchState, d: int):
@@ -300,7 +295,7 @@ def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
     return res_child
 
 
-def _run_global(pair, seeds, d_max):
+def _run_global(pair, seeds, limit):
     """Global-rule encode, vectorized across runs and steps.
 
     The active interval never shrinks, so every step draws from the whole
@@ -311,7 +306,6 @@ def _run_global(pair, seeds, d_max):
     the windows fall does not change which column first stops a run.
     """
     n = seeds.shape[0]
-    limit = math.inf if d_max is None else d_max
     out_sample = np.empty(n)
     out_depth = np.zeros(n, np.int64)
     out_accepted = np.zeros(n, bool)
@@ -334,10 +328,7 @@ def _run_global(pair, seeds, d_max):
         if w == 0:  # a NaN residual leaves live runs with no level to test
             raise NonTermination("global levels exhausted with live runs")
         depths = np.arange(d0, d0 + w, dtype=np.uint64)
-        zeros = np.uint64(0)
-        u_s, u_a, _ = node_uniforms(
-            alive_seeds[:, None], depths[None, :], zeros, zeros, zeros
-        )
+        u_s, u_a, _ = node_uniforms(alive_seeds[:, None], depths[None, :], 0, 0, 0)
         x = pair.proposal.quantile(u_s)
         # the whole line has proposal mass 1, and 1.0 * (r - level) is exact
         with _quiet():
@@ -363,31 +354,30 @@ def _run_global(pair, seeds, d_max):
     return BatchResult(
         samples=out_sample,
         depths=out_depth,
-        heap_indices=[1 << int(dd) for dd in out_depth],
+        heap_indices=_heap_indices(out_depth, [np.zeros(n, np.uint64)] * 3),
         accepted=out_accepted,
         proposal_mass=np.ones(n),
     )
 
 
-def _run_batch(pair, rule, seeds, d_max):
-    rule = SplitRule(rule)  # ValueError for an unknown name
-    if d_max is not None:
-        d_max = operator.index(d_max)  # TypeError for a non-integer budget
-        if d_max < 0:
-            raise ValueError("d_max must be None or a nonnegative integer")
+def _run_batch(pair, rule: SplitRule, seeds, d_max):
+    limit = math.inf if d_max is None else operator.index(d_max)  # TypeError for a non-integer
+    if limit < 0:
+        raise ValueError("d_max must be None or a nonnegative integer")
     seeds = np.atleast_1d(seed_words(seeds))
+    if seeds.ndim != 1:
+        raise ValueError(f"seeds must be one integer or a 1-D sequence, not shape {seeds.shape}")
     n = seeds.shape[0]
     pair = _batch_pair(pair, rule, n)
     if rule is SplitRule.GLOBAL:
-        return _run_global(pair, seeds, d_max)
+        return _run_global(pair, seeds, limit)
     st = _BatchState(pair, seeds)
     alive_ids = np.arange(n)
     out_sample = np.empty(n)
     out_depth = np.zeros(n, np.int64)
     out_accepted = np.zeros(n, bool)
     out_mass = np.ones(n)
-    out_index = [0] * n
-    limit = math.inf if d_max is None else d_max
+    out_words = [np.zeros(n, np.uint64)]  # k_lo, then k_mid and k_hi from depth 64
     d = 0
     exhausted_runs = 0
     with _quiet():
@@ -429,11 +419,11 @@ def _run_batch(pair, rule, seeds, d_max):
                 out_depth[ids] = d
                 out_accepted[ids] = accepted[stop]
                 out_mass[ids] = mass[stop]
-                # ``ids`` stays an array: a temporary list of its ints would
-                # sit between the kept indices in the allocator's arenas,
-                # raising RSS
-                for j, index in zip(ids, st.heap_indices(stop, d)):
-                    out_index[j] = index
+                out_words[0][ids] = st.k_lo[stop]
+                if d >= 64:  # below depth 64 the offset is k_lo alone
+                    if len(out_words) == 1:  # made up front, these rows cost 9 MiB of RSS
+                        out_words += [np.zeros(n, np.uint64), np.zeros(n, np.uint64)]
+                    out_words[1][ids], out_words[2][ids] = st.k_mid[stop], st.k_hi[stop]
                 alive_ids = alive_ids[~stop]
             st = child
             d += 1
@@ -445,7 +435,7 @@ def _run_batch(pair, rule, seeds, d_max):
     return BatchResult(
         samples=out_sample,
         depths=out_depth,
-        heap_indices=out_index,
+        heap_indices=_heap_indices(out_depth, out_words),
         accepted=out_accepted,
         proposal_mass=out_mass,
     )
@@ -466,7 +456,7 @@ def encode_batch(
     ``ValueError``.  ``d_max`` is None (no budget) or a nonnegative integer
     step budget.
     """
-    return _run_batch(pair, rule, seeds, d_max)
+    return _run_batch(pair, SplitRule(rule), seeds, d_max)
 
 
 def encode(
@@ -501,6 +491,7 @@ def decode(
     split points from the shared per-node random stream.
     """
     rule = SplitRule(rule)
+    heap_index = operator.index(heap_index)
     if heap_index < 1:
         raise InvalidIndex("heap indices start at 1")
     f_lo, f_hi = 0.0, 1.0
@@ -543,8 +534,12 @@ def simulate_bound_masses(
     are all ones.
     """
     rule = SplitRule(rule)
+    if operator.index(max_depth) < 0:  # TypeError for a non-integer depth
+        raise ValueError("max_depth must be a nonnegative integer")
     _check_rule(pair, rule)
     seeds = np.atleast_1d(seed_words(seeds))
+    if seeds.ndim != 1:
+        raise ValueError(f"seeds must be one integer or a 1-D sequence, not shape {seeds.shape}")
     masses = np.ones((seeds.shape[0], max_depth + 1))
     if rule is SplitRule.GLOBAL:
         return masses

@@ -8,8 +8,9 @@ descent step, and the decoder replays a node's interval from its index.
 
 Shared endpoints between sibling intervals are tolerated: the proposal is
 continuous, so they carry zero mass, and the engine never resamples an
-endpoint.  Heap indices are plain Python integers and therefore arbitrary
-precision; depth is never silently truncated.
+endpoint.  Heap indices are plain Python integers of arbitrary precision,
+so depth is never silently truncated; the engine's kernel holds a node as
+its depth and three uint64 offset words and builds the ints in one function.
 """
 
 from __future__ import annotations

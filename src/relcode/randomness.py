@@ -207,6 +207,7 @@ def seed_words(seeds, what: str = "seed"):
 
 def node_randoms(seed: int, index: int) -> NodeRandoms:
     """The uniforms for a single tree node."""
+    index = operator.index(index)
     if index < 1:
         raise ValueError("heap indices start at 1")
     d = index.bit_length() - 1

@@ -158,6 +158,14 @@ class TestSweep:
         )
         (row,) = run_sweep(cfg)
         assert row["reason"].startswith("skipped")
+        # forced, the same point runs every seed
+        forced = small_config(
+            variants=(SplitRule.GLOBAL,), dkl_grid=(3.0,), dinf_grid=(11.0,),
+            seeds_per_point=100, force_global=True,
+        )
+        (row,) = run_sweep(forced)
+        assert row["n"] == forced.seeds_per_point and row["reason"] == ""
+        assert math.isfinite(row["mean_steps"])
 
     def test_seed_base_changes_output(self):
         r1 = run_sweep(small_config())

@@ -31,6 +31,7 @@ from relcode.engine import (
     _BatchState,
     _branch_arrays,
     _draw,
+    _heap_indices,
     _quiet,
     decode,
     encode,
@@ -89,6 +90,12 @@ def state_at(pair, lo, hi, level, ruled):
     return st
 
 
+def heap_index(st, d):
+    """The heap index of a size-1 state's run at depth ``d``."""
+    (index,) = _heap_indices(np.array([d]), np.array([st.k_lo, st.k_mid, st.k_hi]))
+    return index
+
+
 def interval(st):
     return Interval(float(st.lo[0]), float(st.hi[0]))
 
@@ -129,10 +136,10 @@ def encode_step_by_step(pair, rule, seed, trace=None):
                 trace.append(interval(st))
             x, t, mass, u_a, u_b = _draw(st, d)
             if u_a[0] <= _accept_prob(pair, x, st.level, 1.0 - st.ruled, mass)[0]:
-                return float(x[0]), st.heap_index(0, d)
+                return float(x[0]), heap_index(st, d)
             child = st.take(np.arange(1))
             if np.isnan(_branch_arrays(rule, child, d, x, t, u_b)[0]):
-                return float(x[0]), st.heap_index(0, d)
+                return float(x[0]), heap_index(st, d)
             st, d = child, d + 1
 
 
@@ -221,7 +228,7 @@ class TestBranchChoice:
         with _quiet(), pytest.raises(ValueError, match="split rules"):
             _branch_arrays(SplitRule.GLOBAL, st, 0, np.array([0.7]), t, np.array([0.5]))
         assert interval(st) == REAL_LINE
-        assert st.heap_index(0, 0) == 1
+        assert st.k_lo[0] == st.k_mid[0] == st.k_hi[0] == 0
         assert st.level[0] == 0.0 and st.ruled[0] == 0.0
 
     def test_sample_keeps_mode_side(self):
@@ -396,6 +403,14 @@ class TestEncodeDecode:
                 PAIR35.proposal, SplitRule.DYADIC, seed, lim.heap_index
             ) == lim.sample
         assert hits > 5
+
+    def test_integer_like_indices(self):
+        # an index may be any integer type, as a seed or a budget may
+        for rule, index in (("global", 4), ("sample", 5), ("dyadic", 5)):
+            x = decode(PAIR35.proposal, rule, 1, index)
+            assert decode(PAIR35.proposal, rule, 1, np.int64(index)) == x
+        assert encode_payload("dyadic", 2, np.int64(5)) == encode_payload("dyadic", 2, 5)
+        assert node_randoms(1, np.int64(5)) == node_randoms(1, 5)
 
     def test_depth_limit_infinite_is_exact(self):
         for seed in range(50):
@@ -621,7 +636,9 @@ class TestPairBatches:
 
     @pytest.mark.parametrize("rule", list(SplitRule))
     def test_no_pairs_for_no_seeds_is_an_empty_batch(self, rule):
-        assert_same_runs(encode_batch([], rule, []), encode_batch(PAIR35, rule, []))
+        empty = encode_batch([], rule, [])
+        assert empty.heap_indices == [] and empty.depths.shape == (0,)
+        assert_same_runs(empty, encode_batch(PAIR35, rule, []))
 
     def test_length_mismatch_raises(self):
         seeds = derive_seeds(11, 0, 0, 10)
@@ -663,21 +680,36 @@ class TestDeepHeapIndices:
             res = encode(self.FAR, rule, seed)
             assert (res.heap_index, res.sample) == (out.heap_indices[seed], out.samples[seed])
 
-    @pytest.mark.parametrize("depth", [0, 1, 63, 64, 127, 128, 191])
-    def test_assembly_matches_heap_index(self, depth):
+    DEPTHS = [0, 1, 63, 64, 127, 128, 191]
+
+    @staticmethod
+    def offsets(depth):
         rng = np.random.default_rng(depth)
-        offsets = [0, (1 << depth) - 1] + [
+        return [0, (1 << depth) - 1] + [
             int.from_bytes(rng.bytes(24), "little") % (1 << depth) for _ in range(30)
         ]
-        st = _BatchState(PAIR35, np.zeros(len(offsets), np.uint64))
-        for name, shift in (("k_lo", 0), ("k_mid", 64), ("k_hi", 128)):
-            words = [(k >> shift) & (2**64 - 1) for k in offsets]
-            setattr(st, name, np.array(words, np.uint64))
-        rows = np.arange(len(offsets)) % 3 != 1
-        got = st.heap_indices(rows, depth)
+
+    @staticmethod
+    def words(offsets):
+        """The offsets' uint64 words, one column each: ``k_lo``, ``k_mid``, ``k_hi``."""
+        return np.array(
+            [[(k >> shift) & (2**64 - 1) for k in offsets] for shift in (0, 64, 128)], np.uint64
+        )
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_assembly_matches_heap_index(self, depth):
+        offsets = self.offsets(depth)
+        got = _heap_indices(np.full(len(offsets), depth, np.int64), self.words(offsets))
         assert all(type(h) is int for h in got)
-        want = [st.heap_index(i, depth) for i in np.flatnonzero(rows)]
-        assert got == want == [(1 << depth) + k for k, r in zip(offsets, rows) if r]
+        assert got == [(1 << depth) + k for k in offsets]
+
+    def test_assembly_mixes_depths(self):
+        # one call over runs of every depth, shallow and deep interleaved
+        runs = [(d, k) for d in self.DEPTHS for k in self.offsets(d)]
+        runs = [runs[i] for i in np.random.default_rng(7).permutation(len(runs))]
+        depths = np.array([d for d, _ in runs], np.int64)
+        got = _heap_indices(depths, self.words([k for _, k in runs]))
+        assert got == [(1 << d) + k for d, k in runs]
 
 
 def residual_reference(pair, lo, hi, level):
@@ -743,9 +775,9 @@ class TestKernelShortcuts:
                 _branch_arrays(SplitRule.DYADIC, st, d, np.zeros(n), np.full(n, 0.5),
                                np.where(bits == 1, -1.0, 2.0))
             want = [(k << 1) | int(b) for k, b in zip(want, bits)]
-            got = st.heap_indices(np.ones(n, bool), d + 1)
+            got = _heap_indices(np.full(n, d + 1), np.array([st.k_lo, st.k_mid, st.k_hi]))
             assert got == [(1 << d + 1) + k for k in want]
-            assert got == [st.heap_index(i, d + 1) for i in range(n)]
+            assert got == [heap_index(st.take([i]), d + 1) for i in range(n)]
         assert st.k_mid.any() and not st.k_hi.any()
 
 
@@ -792,6 +824,21 @@ class TestSeedContract:
             decode(PAIR35.proposal, SplitRule.SAMPLE, seed, res.heap_index)
         with pytest.raises(ValueError):
             deserialize(serialize(res), seed=seed)
+
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_bad_shape_or_depth_rejected_before_first_step(self, rule, monkeypatch):
+        steps = []
+        monkeypatch.setattr(engine, "node_uniforms", lambda *a: steps.append(a))
+        grid = np.zeros((2, 3), np.uint64)
+        with pytest.raises(ValueError, match="1-D"):
+            encode_batch(PAIR35, rule, grid)
+        with pytest.raises(ValueError, match="1-D"):
+            simulate_bound_masses(PAIR35, rule, grid, 3)
+        with pytest.raises(ValueError, match="max_depth"):
+            simulate_bound_masses(PAIR35, rule, [1], -1)
+        with pytest.raises(TypeError):
+            simulate_bound_masses(PAIR35, rule, [1], 1.5)
+        assert steps == []
 
     def test_derive_seeds_rejects_out_of_range_base(self):
         for base in (-1, 2**64):
@@ -886,6 +933,7 @@ class TestGlobalRuntime:
             assert lim.accepted[inside].all()
             assert (lim.depths[~inside] == d_max).all()
             assert not lim.accepted[~inside].any()
+            assert lim.heap_indices == [1 << int(d) for d in lim.depths]
 
 
 class TestGlobalEquivalence:
