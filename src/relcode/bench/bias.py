@@ -64,8 +64,8 @@ def kl_bias_estimate(
     (mean, standard error, per-group estimates).
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < 20 * n_groups:
-        raise ValueError("need at least 20 samples per group")
+    if n_groups < 2 or samples.size < 20 * n_groups:
+        raise ValueError("need 2 groups and at least 20 samples per group")
     rng = np.random.default_rng(seed)
     groups = np.array_split(samples, n_groups)
     ests = np.empty(n_groups)

@@ -116,7 +116,7 @@ def measure_point(
     seeds = derive_seeds(config.seed_base, _TAG_RULE[rule], block, n)
     out = encode_batch(pair, rule, seeds, d_max=config.d_max)
     bits = [
-        len(encode_payload(rule, int(d), index, int(s)))
+        len(encode_payload(rule, d, index, s))
         for d, index, s in zip(out.depths, out.heap_indices, seeds)
     ]
     with np.errstate(divide="ignore"):

@@ -3,9 +3,9 @@
 Each dimension runs the dyadic-split encoder independently under a
 lane-separated seed, and the runs of all dimensions share one batch.  Heap
 indices are serialized two ways: self-delimiting delta codes per dimension,
-and a single arithmetic-coded stream under per-dimension power-law models
-whose exponents are fitted on a calibration set of runs.  Joint coding is
-what makes the fitted models pay off: indices of low-divergence dimensions
+and one joint index stream (``codecs/zeta.py``'s ``encode_joint``) under
+per-dimension power-law models fitted on a calibration set of runs.  Joint
+coding makes the fitted models pay off: indices of low-divergence dimensions
 cost well under one bit, which no self-delimiting code can express.
 """
 
@@ -18,17 +18,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..codecs import (
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-    BitReader,
-    Bits,
     Unfittable,
     ZetaModel,
-    elias_delta_decode,
+    decode_joint,
     elias_delta_encode,
+    encode_joint,
     fit_zeta,
 )
-from ..codecs.zeta import CUM_ONE
 from ..distributions import DistributionPair
 from ..engine import SplitRule, encode_batch
 from ..randomness import derive_seeds
@@ -37,9 +33,6 @@ __all__ = ["DimensionReport", "VectorReport", "encode_vector"]
 
 _TAG_CALIB = 10
 _TAG_EVAL = 11
-# every modeled index is coded out of CUM_ONE + 1: [CUM_ONE, CUM_ONE + 1)
-# escapes an index whose interval on the 48-bit grid is empty
-_TOTAL = CUM_ONE + 1
 
 
 @dataclass(frozen=True)
@@ -63,50 +56,6 @@ class VectorReport:
     kl_total_bits: float
     log_overhead_total_bits: float
     round_trip_ok: bool
-
-
-def _code_joint(indices: list[int], models: list[Optional[ZetaModel]]) -> Bits:
-    """Arithmetic-code modeled dims jointly, then delta-code the fallback
-    dims and the escaped indices, in dimension order."""
-    enc = ArithmeticEncoder()
-    delta = []
-    for n, model in zip(indices, models):
-        if model is None:
-            delta.append(n)
-            continue
-        c_lo, c_hi = model.quantized_cum(n), model.quantized_cum(n + 1)
-        if c_lo == c_hi:
-            c_lo, c_hi = CUM_ONE, _TOTAL
-            delta.append(n)
-        enc.encode(c_lo, c_hi, _TOTAL)
-    stream = enc.finish() if any(m is not None for m in models) else Bits()
-    for n in delta:
-        stream = stream + elias_delta_encode(n)
-    return stream
-
-
-def _decode_joint(
-    stream: Bits, models: list[Optional[ZetaModel]]
-) -> list[int]:
-    reader = BitReader(stream)
-    out = [0] * len(models)  # 0 until decoded: the delta codes fill the rest
-    modeled = [d for d, m in enumerate(models) if m is not None]
-    if modeled:
-        dec = ArithmeticDecoder(reader)
-        for d in modeled:
-            model = models[d]
-            value = dec.decode_target(_TOTAL)
-            if value >= CUM_ONE:
-                dec.consume(CUM_ONE, _TOTAL, _TOTAL)
-                continue
-            n = model.search_quantized(value)
-            dec.consume(model.quantized_cum(n), model.quantized_cum(n + 1), _TOTAL)
-            out[d] = n
-        dec.finish()
-    for d, n in enumerate(out):
-        if n == 0:
-            out[d] = elias_delta_decode(reader)
-    return out
 
 
 def encode_vector(
@@ -143,7 +92,6 @@ def encode_vector(
             models.append(None)
             failures[d] = f"unfittable: {err}"
 
-    delta_totals = np.empty(repeats)
     zeta_totals = np.empty(repeats)
     round_trip_ok = True
     per_dim_delta = np.zeros((repeats, n_dims))
@@ -157,10 +105,9 @@ def encode_vector(
             if models[d] is not None:
                 p = models[d].pmf(n)
                 per_dim_info[r, d] = -math.log2(p) if p > 0.0 else math.inf
-        stream = _code_joint(indices, models)
-        if _decode_joint(stream, models) != indices:
+        stream = encode_joint(indices, models)
+        if decode_joint(stream, models) != indices:
             round_trip_ok = False
-        delta_totals[r] = per_dim_delta[r].sum()
         zeta_totals[r] = len(stream)
 
     dims = tuple(
@@ -179,7 +126,7 @@ def encode_vector(
     return VectorReport(
         dims=dims,
         repeats=repeats,
-        delta_total_bits=float(delta_totals.mean()),
+        delta_total_bits=float(per_dim_delta.sum(axis=1).mean()),
         zeta_total_bits=float(zeta_totals.mean()),
         kl_total_bits=float(sum(p.dkl_bits for p in pairs)),
         log_overhead_total_bits=float(

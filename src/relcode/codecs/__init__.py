@@ -1,5 +1,5 @@
 """Bit-level serialization: universal integer codes, arithmetic coding,
-power-law index models, and the rule-tagged code container."""
+power-law index models and joint index streams (``zeta``), and the rule-tagged container."""
 
 from .bits import Bits, BitReader, DecodeError
 from .elias import (
@@ -10,6 +10,7 @@ from .elias import (
 )
 from .arith import ArithmeticEncoder, ArithmeticDecoder, PrecisionExhausted, quantize_p0
 from .zeta import ZetaModel, Unfittable, OutOfRange, fit_zeta, zeta_encode, zeta_decode
+from .zeta import encode_joint, decode_joint
 from .stream import (
     serialize,
     deserialize,
@@ -35,6 +36,8 @@ __all__ = [
     "fit_zeta",
     "zeta_encode",
     "zeta_decode",
+    "encode_joint",
+    "decode_joint",
     "serialize",
     "deserialize",
     "encode_payload",

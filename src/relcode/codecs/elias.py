@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 from .bits import Bits, BitReader, DecodeError
 
 __all__ = [
@@ -14,6 +16,7 @@ __all__ = [
 
 def elias_gamma_encode(n: int) -> Bits:
     """Gamma code: floor(log2 n) zeros, then n in binary."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("gamma codes positive integers only")
     return Bits.of(n, 2 * n.bit_length() - 1)
@@ -30,6 +33,7 @@ def elias_gamma_decode(reader: BitReader) -> int:
 
 def elias_delta_encode(n: int) -> Bits:
     """Delta code: gamma-coded bit width, then n without its leading 1."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("delta codes positive integers only")
     width = n.bit_length()

@@ -46,7 +46,7 @@ def encode_payload(
     rule = SplitRule(rule)
     if rule is SplitRule.SAMPLE and seed is None:
         raise ValueError("sample-rule payloads need the shared seed")
-    heap_index = operator.index(heap_index)
+    depth, heap_index = operator.index(depth), operator.index(heap_index)
     if heap_index.bit_length() - 1 != depth:
         raise ValueError("depth does not match the heap index")
     if rule is SplitRule.GLOBAL and heap_index != 1 << depth:

@@ -27,8 +27,8 @@ the target.  The format fixes a model by its exponent alone
 
 ``zeta_encode`` is one-shot Shannon-Fano-Elias coding (codeword length
 within 2 bits of the information content).  Sequences of indices are better
-coded jointly through :class:`ArithmeticEncoder` with
-:meth:`ZetaModel.quantized_cum`, which amortizes the 2-bit termination.
+coded jointly by ``encode_joint`` on the 48-bit grid of ``quantized_cum``,
+which amortizes the 2-bit termination.
 """
 
 from __future__ import annotations
@@ -39,15 +39,21 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .arith import ArithmeticDecoder, ArithmeticEncoder
 from .bits import Bits, BitReader, DecodeError
+from .elias import elias_delta_decode, elias_delta_encode
 
-__all__ = ["ZetaModel", "Unfittable", "OutOfRange", "fit_zeta", "zeta_encode", "zeta_decode"]
+__all__ = ["ZetaModel", "Unfittable", "OutOfRange", "fit_zeta", "zeta_encode", "zeta_decode",
+           "encode_joint", "decode_joint"]
 
 LN2 = math.log(2.0)
 HEAD = 1 << 12
 N_MAX = 1 << 62
 CUM_BITS = 48
 CUM_ONE = 1 << CUM_BITS
+# every modeled index is coded out of CUM_ONE + 1: [CUM_ONE, CUM_ONE + 1)
+# escapes an index whose interval on the 48-bit grid is empty
+_TOTAL = CUM_ONE + 1
 # codewords cap at 49 bits: below pmf ~ 2**-48 the float CDF's ulp could
 # make adjacent codeword intervals collide, breaking prefix-freeness
 MAX_CODE_LEN = 49
@@ -303,3 +309,43 @@ def zeta_decode(reader: BitReader, model: ZetaModel) -> int:
             return n
         want = max(cand_length, length + 1)
     raise DecodeError("not a zeta codeword")
+
+
+def encode_joint(indices: list[int], models: list[ZetaModel | None]) -> Bits:
+    """Arithmetic-code modeled dims jointly, then delta-code the fallback
+    dims (model None) and the escaped indices, in dimension order."""
+    enc = ArithmeticEncoder()
+    delta = []
+    for n, model in zip(indices, models):
+        if model is None:
+            delta.append(n)
+            continue
+        c_lo, c_hi = model.quantized_cum(n), model.quantized_cum(n + 1)
+        if c_lo == c_hi:
+            c_lo, c_hi = CUM_ONE, _TOTAL
+            delta.append(n)
+        enc.encode(c_lo, c_hi, _TOTAL)
+    stream = enc.finish() if any(m is not None for m in models) else Bits()
+    for n in delta:
+        stream = stream + elias_delta_encode(n)
+    return stream
+
+
+def decode_joint(stream: Bits, models: list[ZetaModel | None]) -> list[int]:
+    """The indices ``encode_joint`` coded under the same models."""
+    reader = BitReader(stream)
+    out = [0] * len(models)  # 0 until decoded: the delta codes fill the rest
+    modeled = [d for d, m in enumerate(models) if m is not None]
+    if modeled:
+        dec = ArithmeticDecoder(reader)
+        for d in modeled:
+            model = models[d]
+            value = dec.decode_target(_TOTAL)
+            if value >= CUM_ONE:
+                dec.consume(CUM_ONE, _TOTAL, _TOTAL)
+                continue
+            n = model.search_quantized(value)
+            dec.consume(model.quantized_cum(n), model.quantized_cum(n + 1), _TOTAL)
+            out[d] = n
+        dec.finish()
+    return [n or elias_delta_decode(reader) for n in out]

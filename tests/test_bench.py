@@ -100,6 +100,12 @@ class TestStats:
         mean, se, _ = kl_bias_estimate(samples, PAIR.target, n_groups=10, seed=4)
         assert abs(mean) <= 3 * se + 0.05
 
+    def test_kl_bias_needs_two_groups(self):
+        # one group has no standard error: numpy's ddof=1 spread is NaN there
+        samples = PAIR.target.quantile(np.random.default_rng(3).random(400))
+        with pytest.raises(ValueError, match="2 groups"):
+            kl_bias_estimate(samples, PAIR.target, n_groups=1)
+
     def test_ks_unbiasedness_happy_path(self):
         cfg = small_config(
             mode="unbiasedness", dinf_grid=(4.0,), seeds_per_point=5000,

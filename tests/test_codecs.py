@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relcode.bench.vector import _code_joint, _decode_joint
 from relcode.codecs import (
     ArithmeticDecoder,
     ArithmeticEncoder,
@@ -21,11 +20,13 @@ from relcode.codecs import (
     PrecisionExhausted,
     Unfittable,
     ZetaModel,
+    decode_joint,
     deserialize,
     elias_delta_decode,
     elias_delta_encode,
     elias_gamma_decode,
     elias_gamma_encode,
+    encode_joint,
     encode_payload,
     decode_payload,
     fit_zeta,
@@ -280,16 +281,16 @@ class TestArithmeticCoder:
     def test_truncated_joint_stream_raises_or_is_a_shorter_codeword(self):
         # every dim modeled, so no delta read can raise in the coder's place
         models = [m for m in JOINT_MODELS if m is not None]
-        stream = _code_joint([3, 1, 2, 2], models)
+        stream = encode_joint([3, 1, 2, 2], models)
         raised = 0
         for cut in range(len(stream)):
             try:
-                out = _decode_joint(Bits(map(int, stream.to01()[:cut])), models)
+                out = decode_joint(Bits(map(int, stream.to01()[:cut])), models)
             except DecodeError:
                 raised += 1
                 continue
             # no end marker: a codeword that ends inside the cut is valid
-            assert len(_code_joint(out, models)) <= cut
+            assert len(encode_joint(out, models)) <= cut
         assert raised > 0
 
     def test_joint_stream_escapes_an_empty_interval(self):
@@ -298,8 +299,8 @@ class TestArithmeticCoder:
         models = [m for m in JOINT_MODELS if m is not None]
         steep = models[-1]
         assert steep.quantized_cum(40) == steep.quantized_cum(41)
-        stream = _code_joint([3, 1, 2, 40], models)
-        assert _decode_joint(stream, models) == [3, 1, 2, 40]
+        stream = encode_joint([3, 1, 2, 40], models)
+        assert decode_joint(stream, models) == [3, 1, 2, 40]
         assert stream.to01().endswith(elias_delta_encode(40).to01())
 
     @settings(max_examples=300, deadline=None)
@@ -323,7 +324,7 @@ class TestArithmeticCoder:
     def test_joint_stream_round_trips_every_index(self, dims):
         models = [None if s is None else ZetaModel(s) for s, _ in dims]
         indices = [n for _, n in dims]
-        assert _decode_joint(_code_joint(indices, models), models) == indices
+        assert decode_joint(encode_joint(indices, models), models) == indices
 
 
 class TestZeta:
@@ -897,7 +898,7 @@ class TestContainer:
             except DecodeError:
                 pass
             try:
-                _decode_joint(bits, JOINT_MODELS)
+                decode_joint(bits, JOINT_MODELS)
             except DecodeError:
                 pass
 

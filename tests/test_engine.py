@@ -12,6 +12,8 @@ from relcode.codecs import (
     Bits,
     decode_payload,
     deserialize,
+    elias_delta_encode,
+    elias_gamma_encode,
     encode_payload,
     serialize,
 )
@@ -410,6 +412,13 @@ class TestEncodeDecode:
             x = decode(PAIR35.proposal, rule, 1, index)
             assert decode(PAIR35.proposal, rule, 1, np.int64(index)) == x
         assert encode_payload("dyadic", 2, np.int64(5)) == encode_payload("dyadic", 2, 5)
+        # so may a depth: at 64 and beyond, 1 << np.int64(depth) would wrap to 0
+        for depth in (2, 70):
+            index = (1 << depth) + 3
+            want = encode_payload("dyadic", depth, index)
+            assert encode_payload("dyadic", np.int64(depth), index) == want
+        assert elias_gamma_encode(np.int64(9)) == elias_gamma_encode(9)
+        assert elias_delta_encode(np.int64(9)) == elias_delta_encode(9)
         assert node_randoms(1, np.int64(5)) == node_randoms(1, 5)
 
     def test_depth_limit_infinite_is_exact(self):

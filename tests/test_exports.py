@@ -11,9 +11,13 @@ import pytest
         "relcode.partition",
         "relcode.distributions",
         "relcode.codecs",
+        "relcode.codecs.zeta",
+        "relcode.codecs.stream",
+        "relcode.randomness",
         "relcode.bench",
         "relcode.bench.sweep",
         "relcode.bench.bias",
+        "relcode.bench.vector",
     ],
 )
 def test_all_names_resolve(module):
