@@ -9,9 +9,8 @@ Layers:
 
 * :mod:`relcode.distributions` - Gaussian target/proposal pairs and their
   density-ratio services.
-* :mod:`relcode.partition` - heap indices.
 * :mod:`relcode.randomness` - the shared counter-based per-node stream.
-* :mod:`relcode.engine` - the encoder/decoder recursion.
+* :mod:`relcode.engine` - the encoder/decoder recursion and heap indices.
 * :mod:`relcode.codecs` - bitstream serialization (universal integer codes,
   arithmetic coding, power-law index models).
 * :mod:`relcode.bench` - the benchmark harness and ``bench`` CLI.
@@ -34,9 +33,9 @@ from .engine import (
     decode,
     encode,
     encode_batch,
+    path_bits,
     simulate_bound_masses,
 )
-from .partition import path_bits
 from .randomness import NodeRandoms, derive_seeds, node_randoms
 
 __version__ = "0.1.0"

@@ -138,6 +138,17 @@ def _print_rows(rows) -> None:
         ))
 
 
+def _check_status(violations) -> int:
+    """Print one ``CHECK FAILED`` line per violation (status 2), or
+    ``all checks passed`` (status 0)."""
+    for v in violations:
+        print(f"CHECK FAILED: {v}", file=sys.stderr)
+    if violations:
+        return 2
+    print("all checks passed")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -174,11 +185,14 @@ def main(argv=None) -> int:
                      else f"{d.fitted_exponent:.6g}")
                 for d in report.dims
             ], args.out)
-        ok = report.round_trip_ok and report.zeta_total_bits <= report.delta_total_bits
-        if args.check and not ok:
-            print("CHECK FAILED: zeta totals exceed delta totals", file=sys.stderr)
-            return 2
-        return 0
+        if not args.check:
+            return 0
+        violations = []
+        if not report.round_trip_ok:
+            violations.append("joint index stream failed to round-trip")
+        if not report.zeta_total_bits <= report.delta_total_bits:
+            violations.append("zeta totals exceed delta totals")
+        return _check_status(violations)
 
     if args.command == "bias":
         try:
@@ -210,13 +224,7 @@ def main(argv=None) -> int:
     if args.out:
         write_rows(rows, args.out)
     _print_rows(rows)
-    if args.check:
-        if violations:
-            for v in violations:
-                print(f"CHECK FAILED: {v}", file=sys.stderr)
-            return 2
-        print("all checks passed")
-    return 0
+    return _check_status(violations) if args.check else 0
 
 
 if __name__ == "__main__":

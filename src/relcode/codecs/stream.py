@@ -20,8 +20,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from ..engine import GLOBAL_STEP_CAP, RecResult, SplitRule
-from ..partition import path_bits
+from ..engine import GLOBAL_STEP_CAP, RecResult, SplitRule, path_bits
 from ..randomness import MAX_OFFSET_BITS, node_randoms
 from .arith import ArithmeticDecoder, ArithmeticEncoder, quantize_p0
 from .bits import BitReader, Bits, DecodeError

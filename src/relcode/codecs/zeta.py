@@ -314,6 +314,8 @@ def zeta_decode(reader: BitReader, model: ZetaModel) -> int:
 def encode_joint(indices: list[int], models: list[ZetaModel | None]) -> Bits:
     """Arithmetic-code modeled dims jointly, then delta-code the fallback
     dims (model None) and the escaped indices, in dimension order."""
+    if len(indices) != len(models):
+        raise ValueError("need one model (or None) per index")
     enc = ArithmeticEncoder()
     delta = []
     for n, model in zip(indices, models):

@@ -5,9 +5,11 @@ the proposal restricted to the active interval, accepts it with a clipped
 density-ratio probability, and on rejection descends into one child,
 raising a running acceptance level so that already-ruled-out target mass is
 never counted twice.  The code for an accepted sample is the node's heap
-index.  The decoder never sees the target distribution: it replays the
-root-to-node path from the heap index and the shared per-node random
-stream, reconstructing the same restricted-quantile draw bit for bit.
+index.  Sibling intervals share an endpoint; the proposal is continuous, so
+it carries zero mass, and the engine never resamples one.  The decoder
+never sees the target distribution: it replays the root-to-node path from
+the heap index and the shared per-node random stream, reconstructing the
+same restricted-quantile draw bit for bit.
 
 State bookkeeping follows the level formulation: with level ``L_d`` and
 ruled-out mass ``T_d`` (``L_0 = T_0 = 0``),
@@ -57,8 +59,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .distributions import DistributionPair, Distribution1D, NoFiniteMode, _PairRows
-from .partition import path_bits
-from .randomness import node_randoms, node_uniforms, seed_words
+from .randomness import MAX_OFFSET_BITS, node_randoms, node_uniforms, seed_words
 
 __all__ = [
     "SplitRule",
@@ -69,6 +70,7 @@ __all__ = [
     "encode",
     "encode_batch",
     "decode",
+    "path_bits",
     "simulate_bound_masses",
 ]
 
@@ -91,8 +93,8 @@ class SplitRule(str, enum.Enum):
 
 class NonTermination(RuntimeError):
     """The encoder cannot finish a run: it passed the hard step cap, a node
-    offset passed the 192-bit ceiling, or the global rule ran out of levels
-    (past ``GLOBAL_STEP_CAP``, or exhausted with runs still live)."""
+    offset passed the ``MAX_OFFSET_BITS`` ceiling, or the global rule ran out
+    of levels (past ``GLOBAL_STEP_CAP``, or exhausted with runs still live)."""
 
 
 class InvalidIndex(ValueError):
@@ -221,6 +223,13 @@ def _heap_indices(depths: np.ndarray, words) -> list:
     return out
 
 
+def path_bits(index: int) -> tuple[int, ...]:
+    """Branch bits from the root to ``index`` (binary expansion sans leading 1)."""
+    if index < 1:
+        raise ValueError("heap indices start at 1")
+    return tuple(map(int, bin(index)[3:]))
+
+
 def _draw(st: _BatchState, d: int):
     """Node draw at depth ``d`` for every run: the proposal restricted to the
     active interval, sampled by its quantile.
@@ -288,7 +297,7 @@ def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
         st.k_hi = (st.k_hi << _ONE) | (st.k_mid >> _S63)
         st.k_mid = (st.k_mid << _ONE) | (st.k_lo >> _S63)
         if overflow.any():
-            raise NonTermination("tree offset exceeded 192 bits")
+            raise NonTermination(f"tree offset exceeded {MAX_OFFSET_BITS} bits")
     st.k_lo = (st.k_lo << _ONE) | go_right.astype(np.uint64)
     st.level = level_next
     st.ruled = np.minimum(np.maximum(1.0 - res_child, 0.0), 1.0)  # NaN marks exhausted runs

@@ -18,6 +18,7 @@ from relcode.bench import (
     write_rows,
 )
 from relcode.bench.cli import main as cli_main
+from relcode.bench.vector import VectorReport
 from relcode.codecs import encode_payload
 from relcode.distributions import (
     Distribution1D,
@@ -293,6 +294,17 @@ class TestVector:
         assert report.dims[0].mean_zeta_info_bits == math.inf
         assert math.isfinite(report.dims[1].mean_zeta_info_bits)
 
+    def test_failed_round_trip_is_reported_and_costs_the_same(self, monkeypatch):
+        pairs = [gaussian_pair_for_targets(k, k + 0.75) for k in (0.1, 0.3, 0.5)]
+        clean = encode_vector(pairs, seed=3, calibration_runs=32, repeats=2)
+        monkeypatch.setattr(
+            "relcode.bench.vector.decode_joint", lambda stream, models: [0] * len(models)
+        )
+        report = encode_vector(pairs, seed=3, calibration_runs=32, repeats=2)
+        assert clean.round_trip_ok and report.round_trip_ok is False
+        assert report.zeta_total_bits == clean.zeta_total_bits
+        assert report.delta_total_bits == clean.delta_total_bits
+
     @pytest.mark.parametrize("dims, calib, repeats", [
         (0, 256, 1), (2, 0, 1), (2, -3, 1), (2, 256, 0),
     ])
@@ -406,19 +418,39 @@ class TestCli:
         ])
         assert rc == 0
 
-    def test_vector_check(self, tmp_path):
+    def test_vector_check(self, tmp_path, capsys):
         rc = cli_main([
             "vector", "--dims", "6", "--kl-min", "0.1", "--kl-max", "0.4",
             "--seed-base", "4", "--calib", "64", "--repeats", "2",
             "--out", str(tmp_path / "v.csv"), "--check",
         ])
         assert rc == 0
+        assert "all checks passed" in capsys.readouterr().out
         lines = (tmp_path / "v.csv").read_text().splitlines()
         assert lines[0] == (
             "dim,kl_bits,log_overhead_bits,fitted_exponent,mean_log2_index,"
             "mean_delta_bits,mean_zeta_info_bits,failure"
         )
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("round_trip_ok, zeta_bits, failed", [
+        (False, 5.0, ["joint index stream failed to round-trip"]),
+        (True, 20.0, ["zeta totals exceed delta totals"]),
+        (False, 20.0, ["joint index stream failed to round-trip",
+                       "zeta totals exceed delta totals"]),
+    ])
+    def test_vector_check_names_each_failure(
+        self, round_trip_ok, zeta_bits, failed, monkeypatch, capsys
+    ):
+        report = VectorReport(
+            dims=(), repeats=1, delta_total_bits=10.0, zeta_total_bits=zeta_bits,
+            kl_total_bits=1.0, log_overhead_total_bits=1.0, round_trip_ok=round_trip_ok,
+        )
+        monkeypatch.setattr("relcode.bench.cli.encode_vector", lambda *a, **k: report)
+        assert cli_main(["vector", "--dims", "3", "--check"]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"CHECK FAILED: {f}" for f in failed]
+        assert "all checks passed" not in out
 
     def test_bias_out_and_check(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

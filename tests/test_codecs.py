@@ -303,6 +303,15 @@ class TestArithmeticCoder:
         assert decode_joint(stream, models) == [3, 1, 2, 40]
         assert stream.to01().endswith(elias_delta_encode(40).to01())
 
+    @pytest.mark.parametrize("indices, models", [
+        ([5, 6, 7], [ZetaModel(2.0)]),
+        ([5], [ZetaModel(2.0), ZetaModel(3.0)]),
+    ])
+    def test_joint_stream_needs_one_model_per_index(self, indices, models):
+        # a zip over the two lists used to code the shorter one silently
+        with pytest.raises(ValueError, match="one model"):
+            encode_joint(indices, models)
+
     @settings(max_examples=300, deadline=None)
     @given(
         dims=st.lists(

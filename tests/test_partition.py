@@ -13,8 +13,8 @@ from relcode.engine import (
     _quiet,
     decode,
     encode,
+    path_bits,
 )
-from relcode.partition import path_bits
 
 from oracles import Interval, REAL_LINE
 
