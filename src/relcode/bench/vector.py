@@ -21,7 +21,7 @@ from ..codecs import (
     Unfittable,
     ZetaModel,
     decode_joint,
-    elias_delta_encode,
+    elias_delta_length,
     encode_joint,
     fit_zeta,
 )
@@ -100,7 +100,7 @@ def encode_vector(
     for r in range(repeats):
         indices = heap_indices[n_calib + r * n_dims:n_calib + (r + 1) * n_dims]
         for d, n in enumerate(indices):
-            per_dim_delta[r, d] = len(elias_delta_encode(n))
+            per_dim_delta[r, d] = elias_delta_length(n)
             per_dim_log2[r, d] = math.log2(n)
             if models[d] is not None:
                 p = models[d].pmf(n)

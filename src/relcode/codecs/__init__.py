@@ -7,6 +7,7 @@ from .elias import (
     elias_gamma_decode,
     elias_delta_encode,
     elias_delta_decode,
+    elias_delta_length,
 )
 from .arith import ArithmeticEncoder, ArithmeticDecoder, PrecisionExhausted, quantize_p0
 from .zeta import ZetaModel, Unfittable, OutOfRange, fit_zeta, zeta_encode, zeta_decode
@@ -26,6 +27,7 @@ __all__ = [
     "elias_gamma_decode",
     "elias_delta_encode",
     "elias_delta_decode",
+    "elias_delta_length",
     "ArithmeticEncoder",
     "ArithmeticDecoder",
     "PrecisionExhausted",

@@ -22,6 +22,8 @@ HALF = FULL >> 1
 QUARTER = FULL >> 2
 THREE_QUARTERS = HALF + QUARTER
 MAX_TOTAL = 1 << 60
+_MASK = FULL - 1
+_BELOW_TOP = HALF - 1
 
 PROB_BITS = 32
 PROB_ONE = 1 << PROB_BITS
@@ -39,11 +41,16 @@ def quantize_p0(p_zero: float) -> int:
 
 def _narrow(
     low: int, high: int, c_lo: int, c_hi: int, total: int
-) -> tuple[int, int, list[int]]:
+) -> tuple[int, int, int, int, int]:
     """Narrow ``[low, high]`` to one symbol and renormalize (docs/FORMAT.md).
 
-    Returns the new ends and, for each shift, the amount subtracted from the
-    registers before it: 0, ``HALF`` or ``QUARTER`` for cases 1, 2 and 3.
+    Returns the narrowed low end before renormalization, the new ends and
+    the number of shifts of each kind.  Cases 1 and 2 come first: they shift
+    out the ``emits`` top bits on which the narrowed ends agree.  Then
+    ``low = 01...`` and ``high = 10...``, and case 3 shifts out each next bit
+    that is 1 in low and 0 in high, ``waits`` times.  The shifted-in bits (0
+    in low, 1 in high) never meet either condition, so the counts come from
+    the narrowed ends alone.
     """
     if total > MAX_TOTAL:
         raise PrecisionExhausted("total exceeds the register headroom")
@@ -51,20 +58,17 @@ def _narrow(
         raise PrecisionExhausted("empty or inverted symbol interval")
     span = high - low + 1
     high = low + span * c_hi // total - 1
-    low = low + span * c_lo // total
-    cuts = []
-    while True:
-        if high < HALF:
-            cut = 0
-        elif low >= HALF:
-            cut = HALF
-        elif low >= QUARTER and high < THREE_QUARTERS:
-            cut = QUARTER
-        else:
-            return low, high, cuts
-        cuts.append(cut)
-        low = (low - cut) << 1
-        high = (high - cut) << 1 | 1
+    low = narrowed = low + span * c_lo // total
+    emits = PRECISION - (low ^ high).bit_length()
+    if emits:
+        low = low << emits & _MASK
+        high = (high << emits | (1 << emits) - 1) & _MASK
+    waits = 0
+    if low >= QUARTER and high < THREE_QUARTERS:
+        waits = PRECISION - 1 - (low & ~high & _BELOW_TOP ^ _BELOW_TOP).bit_length()
+        low = low << waits & _BELOW_TOP
+        high = HALF | high << waits & _BELOW_TOP | (1 << waits) - 1
+    return narrowed, low, high, emits, waits
 
 
 class ArithmeticEncoder:
@@ -79,12 +83,15 @@ class ArithmeticEncoder:
     def encode(self, c_lo: int, c_hi: int, total: int) -> None:
         if self._finished:
             raise RuntimeError("encoder already finished")
-        self._low, self._high, cuts = _narrow(self._low, self._high, c_lo, c_hi, total)
-        for cut in cuts:
-            if cut == QUARTER:
-                self._pending += 1
-            else:
-                self._emit(cut == HALF)
+        narrowed, self._low, self._high, emits, waits = _narrow(
+            self._low, self._high, c_lo, c_hi, total)
+        if emits:
+            # the top bits of the narrowed low, the first after the pending run
+            self._emit(narrowed >> (PRECISION - 1))
+            rest = emits - 1
+            self._out = self._out << rest | narrowed >> (PRECISION - emits) & (1 << rest) - 1
+            self._nbits += rest
+        self._pending += waits
 
     def encode_bit(self, bit: int, c_zero: int) -> None:
         if bit == 0:
@@ -123,9 +130,7 @@ class ArithmeticDecoder:
         self._shifts = 0
         self._low = 0
         self._high = FULL - 1
-        self._code = 0
-        for i in range(PRECISION):
-            self._code = (self._code << 1) | reader.read_padded(i)
+        self._code = reader.read_padded(0, PRECISION)
         self._check()
 
     def _check(self) -> None:
@@ -139,11 +144,13 @@ class ArithmeticDecoder:
         return min(value, total - 1)
 
     def consume(self, c_lo: int, c_hi: int, total: int) -> None:
-        self._low, self._high, cuts = _narrow(self._low, self._high, c_lo, c_hi, total)
-        for cut in cuts:
-            bit = self._reader.read_padded(PRECISION + self._shifts)
-            self._code = (self._code - cut) << 1 | bit
-            self._shifts += 1
+        narrowed, self._low, self._high, emits, waits = _narrow(
+            self._low, self._high, c_lo, c_hi, total)
+        # every shift maps code - low to 2 * (code - low) + the next bit
+        shifts = emits + waits
+        bits = self._reader.read_padded(PRECISION + self._shifts, shifts)
+        self._code = self._low + ((self._code - narrowed) << shifts | bits)
+        self._shifts += shifts
         self._check()
 
     def decode_bit(self, c_zero: int) -> int:

@@ -106,9 +106,12 @@ class BitReader:
         self.pos += n
         return int(field or "0", 2)
 
-    def read_padded(self, offset: int) -> int:
+    def read_padded(self, offset: int, n: int) -> int:
+        """The ``n`` bits from ``offset`` past the position, as ``read_int``
+        reads them, with zeros past the end; the position stays put."""
         i = self.pos + offset
-        return 1 if i < len(self._text) and self._text[i] == "1" else 0
+        field = self._text[i:i + n]
+        return int(field or "0", 2) << (n - len(field))
 
     def advance(self, n: int) -> None:
         self.pos += n

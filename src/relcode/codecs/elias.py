@@ -11,6 +11,7 @@ __all__ = [
     "elias_gamma_decode",
     "elias_delta_encode",
     "elias_delta_decode",
+    "elias_delta_length",
 ]
 
 
@@ -38,6 +39,14 @@ def elias_delta_encode(n: int) -> Bits:
         raise ValueError("delta codes positive integers only")
     width = n.bit_length()
     return elias_gamma_encode(width) + Bits.of(n - (1 << (width - 1)), width - 1)
+
+
+def elias_delta_length(n: int) -> int:
+    """``len(elias_delta_encode(n))``, without building the code."""
+    width = operator.index(n).bit_length()
+    if n < 1:
+        raise ValueError("delta codes positive integers only")
+    return width + 2 * width.bit_length() - 2
 
 
 def elias_delta_decode(reader: BitReader) -> int:

@@ -5,11 +5,14 @@ support of the format (N_MAX = 2**62, docs/FORMAT.md).  Over the head
 (n <= 2**12) the weight of n is exp(fl(-exponent * fl(ln n))) and the mass
 below n is the float64 running sum of the weights of 1..n-1, left to right;
 beyond it, mass comes from midpoint integrals.  The normalizer is the
-running sum at 2**12 plus the tail integral; a model keeps the 4,097
-running sums as one table.  All cumulative queries go through the same
-head+tail machinery, so encoder and decoder agree exactly.  Both inverse
-CDFs are one search on ``cdf_before``: it gallops from a guess read off the
-head table, then bisects, in at most 2 * 62 + 2 evaluations per target.
+running sum at 2**12 plus the tail integral.  A model keeps one table, the
+4,097 head cdfs (each running sum divided by the normalizer, the division
+``cdf_before`` defines), with the head total and the normalizer beside it.
+All cumulative queries go through the same head+tail machinery, so encoder
+and decoder agree exactly.  Both inverse CDFs are one search on
+``cdf_before``: a target below the table's last entry is answered by one
+binary search of the table; past it, the search gallops from the head's
+end, then bisects, in at most 2 * 62 + 2 evaluations per target.
 
 ``fit_zeta`` moment-matches the exponent to an observed mean log2-index:
 the untruncated max-entropy closed form always lands at or below exponent
@@ -129,29 +132,35 @@ class ZetaModel:
             raise ValueError("exponent must be finite and exceed 1")
 
     @cached_property
-    def _head(self) -> np.ndarray:
-        return _head_sums(self.exponent)
+    def _head(self) -> tuple[np.ndarray, float, float]:
+        """The head's cdf table (entry n - 1 is cdf_before(n) for n <= HEAD + 1),
+        the head total and the normalizer, from one ``_head_sums`` pass."""
+        cdf = _head_sums(self.exponent)
+        total = float(cdf[-1])
+        norm = total + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI)
+        cdf /= norm  # the float division cdf_before defines, once per entry
+        return cdf, total, norm
 
-    @cached_property
+    @property
     def _norm(self) -> float:
-        return float(self._head[-1]) + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI)
+        return self._head[2]
 
     def cdf_before(self, n: int) -> float:
         """Total mass of indices strictly below n (0 for n = 1)."""
         if n < 1:
             raise OutOfRange("indices start at 1")
-        n = min(n, N_MAX + 1)
+        cdf, total, norm = self._head
         if n <= HEAD + 1:
-            return float(self._head[n - 1]) / self._norm
-        tail = _tail_mass(self.exponent - 1.0, _LN_LO, math.log(n - 0.5))
-        return (float(self._head[-1]) + tail) / self._norm
+            return float(cdf[n - 1])
+        tail = _tail_mass(self.exponent - 1.0, _LN_LO, math.log(min(n, N_MAX + 1) - 0.5))
+        return (total + tail) / norm
 
     def pmf(self, n: int) -> float:
         if not 1 <= n <= N_MAX:
             raise OutOfRange(f"index {n} outside 1..N_MAX")
         if n <= HEAD:
             # numpy's exp, as in _head_sums: math.exp can differ by an ulp
-            return float(np.exp(-self.exponent * _HEAD_LN[n - 1 : n])[0]) / self._norm
+            return float(np.exp(-self.exponent * _HEAD_LN[n - 1])) / self._norm
         eps = self.exponent - 1.0
         return _tail_mass(eps, math.log(n - 0.5), math.log(n + 0.5)) / self._norm
 
@@ -159,9 +168,11 @@ class ZetaModel:
         """Largest n with cdf_before(n) <= target (inverse CDF)."""
         if target < 0.0:
             raise ValueError("target must be nonnegative")
-        # past the head, the guess is its end
-        guess = int(np.searchsorted(self._head, target * self._norm, side="right"))
-        return _largest_at_most(self.cdf_before, target, guess)
+        cdf = self._head[0]
+        n = int(np.searchsorted(cdf, target, side="right"))
+        if n <= HEAD:  # cdf_before(n + 1) = cdf[n] > target
+            return n
+        return _largest_at_most(self.cdf_before, target, HEAD + 1)
 
     def quantized_cum(self, n: int) -> int:
         """cdf_before on a 48-bit integer grid, for arithmetic coding."""

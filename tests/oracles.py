@@ -8,7 +8,9 @@ library's head logs and tail integrals.  The zeta head table, CDF and
 codewords below read the same logs and tail integrals, and build the head
 table apart from the model's own, which must match it bit for bit;
 ``zeta_decode_per_length`` tries a codeword's every prefix length,
-which the decoder skips.  ``path_intervals`` replays a code's active
+which the decoder skips.  ``narrow_per_shift`` renormalizes the
+arithmetic coder one shift at a time, where the coder counts its shifts.
+``path_intervals`` replays a code's active
 intervals by the decoder's walk; the encoder does not record them.
 """
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from relcode.codecs import DecodeError, zeta
+from relcode.codecs import DecodeError, arith, zeta
 from relcode.distributions import DistributionPair
 from relcode.engine import SplitRule
 from relcode.randomness import node_randoms
@@ -184,6 +186,28 @@ def zeta_decode_per_length(reader, model: zeta.ZetaModel) -> int:
 def zeta_entropy_bits(model: zeta.ZetaModel) -> float:
     """Entropy of the model in bits: exponent * E[log2 n] + log2(normalizer)."""
     return model.exponent * mean_log2(model.exponent) + math.log2(model._norm)
+
+
+def narrow_per_shift(low, high, c_lo, c_hi, total) -> tuple[int, int, list[int]]:
+    """The coder's narrowing and the three renormalization cases of
+    docs/FORMAT.md, one shift at a time: the new ends and the amount each
+    shift subtracts from both (0, HALF or QUARTER for cases 1, 2 and 3)."""
+    span = high - low + 1
+    high = low + span * c_hi // total - 1
+    low = low + span * c_lo // total
+    cuts = []
+    while True:
+        if high < arith.HALF:
+            cut = 0
+        elif low >= arith.HALF:
+            cut = arith.HALF
+        elif low >= arith.QUARTER and high < arith.THREE_QUARTERS:
+            cut = arith.QUARTER
+        else:
+            return low, high, cuts
+        cuts.append(cut)
+        low = (low - cut) << 1
+        high = (high - cut) << 1 | 1
 
 
 def grid_ratio_argmax(pair, lo=-10.0, hi=10.0, step=1e-4) -> float:

@@ -24,6 +24,7 @@ from relcode.codecs import (
     deserialize,
     elias_delta_decode,
     elias_delta_encode,
+    elias_delta_length,
     elias_gamma_decode,
     elias_gamma_encode,
     encode_joint,
@@ -35,7 +36,7 @@ from relcode.codecs import (
     zeta_decode,
     zeta_encode,
 )
-from relcode.codecs import zeta
+from relcode.codecs import arith, zeta
 from relcode.distributions import gaussian_pair_for_targets
 from relcode.engine import (
     GLOBAL_STEP_CAP,
@@ -51,6 +52,7 @@ from relcode.randomness import derive_seeds
 from oracles import (
     head_cum,
     mean_log2,
+    narrow_per_shift,
     zeta_cdf_before,
     zeta_codeword,
     zeta_decode_per_length,
@@ -190,6 +192,14 @@ class TestElias:
         r = BitReader(d)
         assert elias_delta_decode(r) == n and r.remaining == 0
 
+    def test_delta_length_matches_code(self):
+        powers = [(1 << k) + d for k in range(1, 131) for d in (-1, 0, 1)]
+        for n in [*range(1, (1 << 16) + 1), *powers]:
+            assert elias_delta_length(n) == len(elias_delta_encode(n)), n
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                elias_delta_length(bad)
+
     def test_prefix_free_concatenation(self):
         rng = np.random.default_rng(0)
         values = [int(v) for v in rng.integers(1, 10**6, 100)]
@@ -253,6 +263,24 @@ class TestArithmeticCoder:
             dec.consume(cum[s], cum[s + 1], 100)
             out.append(s)
         assert out == syms
+
+    def test_narrow_counts_the_per_shift_cases(self):
+        # from every state a long random stream passes through, the coder's
+        # ends are those of the one-shift-at-a-time renormalization, which
+        # takes ``emits`` shifts of cases 1 and 2, then ``waits`` of case 3
+        rng = np.random.default_rng(4)
+        low, high = 0, arith.FULL - 1
+        waited = 0
+        for _ in range(5000):
+            total = int(rng.choice([2, 2**32, 2**48 + 1, 2**60]))
+            c_lo = int(rng.integers(0, total - 1))
+            c_hi = c_lo + 1 if rng.random() < 0.5 else int(rng.integers(c_lo + 1, total + 1))
+            want_low, want_high, cuts = narrow_per_shift(low, high, c_lo, c_hi, total)
+            _, low, high, emits, waits = arith._narrow(low, high, c_lo, c_hi, total)
+            assert (low, high) == (want_low, want_high)
+            assert [cut == arith.QUARTER for cut in cuts] == [False] * emits + [True] * waits
+            waited += waits > 0
+        assert waited >= 100
 
     @pytest.mark.parametrize(
         "c_lo, c_hi, total",
