@@ -43,9 +43,10 @@ def elias_delta_encode(n: int) -> Bits:
 
 def elias_delta_length(n: int) -> int:
     """``len(elias_delta_encode(n))``, without building the code."""
-    width = operator.index(n).bit_length()
+    n = operator.index(n)
     if n < 1:
         raise ValueError("delta codes positive integers only")
+    width = n.bit_length()
     return width + 2 * width.bit_length() - 2
 
 

@@ -18,15 +18,17 @@ end, then bisects, in at most 2 * 62 + 2 evaluations per target.
 the untruncated max-entropy closed form always lands at or below exponent
 1, where the power law is not normalizable, so the truncated-support fit is
 what keeps the max-entropy intent well defined.  Each step evaluates the
-model's exact mean (``_mean_log2``: one exp pass over the 4,096 head terms,
-their sum and dot, plus the tail integrals) and narrows a bracket kept in
-exponent space.  The steps are Illinois steps (modified regula falsi;
-Dowell & Jarratt, BIT 11, 1971) on ln(s - 1) towards ln(mean) = ln(target),
-with a bisection step wherever the secant point is not strictly inside the
-bracket: about 11 means per fit on the bench vector grid, at most 12.  The
-fit ends at the first exponent whose mean is within a relative 2**-40 of
-the target.  The format fixes a model by its exponent alone
-(docs/FORMAT.md), so how the exponent was fitted is not part of it.
+model's exact mean and the slope of its log (``_mean_and_slope``: one exp
+pass over the 4,096 head terms, their sum and two dots, plus the tail's
+closed-form integrals) and narrows a bracket kept in exponent space.  The
+bracket starts at two neighbours of a cached grid of 17 exact means; the
+steps are safeguarded Newton steps on u = ln(s - 1) towards ln(mean) =
+ln(target), starting from the grid's secant point, with a bisection step
+in u wherever a step is not strictly inside the bracket: 4 means per fit on
+the bench vector grid, and at most 5 on 4,000 random targets across the
+fittable range.  The fit ends at the first exponent whose mean is within a
+relative 2**-40 of the target.  The format fixes a model by its exponent
+alone (docs/FORMAT.md), so how the exponent was fitted is not part of it.
 
 ``zeta_encode`` is one-shot Shannon-Fano-Elias coding (codeword length
 within 2 bits of the information content).  Sequences of indices are better
@@ -64,6 +66,7 @@ MAX_EXPONENT = 20.0
 MIN_EXPONENT = 1.0 + 1e-6
 
 _HEAD_LN = np.log(np.arange(1, HEAD + 1, dtype=np.float64))
+_HEAD_LN_SQ = _HEAD_LN * _HEAD_LN
 
 
 class Unfittable(ValueError):
@@ -107,6 +110,29 @@ def _tail_log_moment(eps: float) -> float:
     y = eps * width
     e1 = -math.expm1(-y) / y
     return math.exp(-eps * _LN_LO) * width * (_LN_LO * e1 + width * _psi(y))
+
+
+def _chi(y: float) -> float:
+    """(2 - e**-y (2 + 2y + y**2)) / y**3 for y > 0, to a few ulp."""
+    if y < 1.0:
+        # alternating series sum_k (-1)**k y**k / (k! (k+3)): 20 terms leave
+        # less than 1e-19, where the closed form loses digits to cancellation
+        term, total = 1.0 / 3.0, 0.0
+        for k in range(20):
+            total += term
+            term *= -y * (k + 3) / ((k + 1) * (k + 4))
+        return total
+    return (-2.0 * math.expm1(-y) - y * (2.0 + y) * math.exp(-y)) / (y * y * y)
+
+
+def _tail_log_sq_moment(eps: float) -> float:
+    """Integral of x**-(1+eps) * ln(x)**2 over the whole tail; stable as
+    eps -> 0 via expm1 and the series forms of ``_psi`` and ``_chi``."""
+    width = _LN_HI - _LN_LO
+    y = eps * width
+    e1 = -math.expm1(-y) / y
+    inner = _LN_LO * _LN_LO * e1 + width * (2.0 * _LN_LO * _psi(y) + width * _chi(y))
+    return math.exp(-eps * _LN_LO) * width * inner
 
 
 def _head_sums(exponent: float) -> np.ndarray:
@@ -202,24 +228,47 @@ def _largest_at_most(f, target: float, guess: int) -> int:
 
 
 _FIT_TOL = 2.0**-40  # relative distance at which a fitted mean stops the fit
+_GRID_POINTS = 17
 
 
 def _mean_log2(exponent: float) -> float:
     """The model's mean log2-index: the head's 4,096 terms summed in
     float64, plus the tail integrals."""
+    return _mean_and_slope(exponent)[0]
+
+
+def _mean_and_slope(exponent: float) -> tuple[float, float]:
+    """``_mean_log2(exponent)`` and, from the same exp pass, the slope of
+    ln(mean) in u = ln(exponent - 1): -Var[ln n] / E[ln n] * (exponent - 1),
+    since the derivative of E[ln n] in the exponent is -Var[ln n]."""
     eps = exponent - 1.0
     w = np.exp(-exponent * _HEAD_LN)
     z = float(w.sum()) + _tail_mass(eps, _LN_LO, _LN_HI)
     num = float(w @ _HEAD_LN) + _tail_log_moment(eps)
-    return num / z / LN2
+    mean_ln = num / z
+    var = (float(w @ _HEAD_LN_SQ) + _tail_log_sq_moment(eps)) / z - mean_ln * mean_ln
+    return mean_ln / LN2, -var / mean_ln * eps
+
+
+@cache
+def _mean_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents evenly spaced in u = ln(s - 1) from MIN_EXPONENT to
+    MAX_EXPONENT (both exact), their u, and their exact means, which fall
+    along the grid."""
+    u = np.linspace(math.log(MIN_EXPONENT - 1.0), math.log(MAX_EXPONENT - 1.0), _GRID_POINTS)
+    exponents = 1.0 + np.exp(u)
+    exponents[0], exponents[-1] = MIN_EXPONENT, MAX_EXPONENT
+    means = np.array([_mean_log2(float(s)) for s in exponents])
+    return exponents, np.log(exponents - 1.0), means
 
 
 @cache
 def _fittable_range() -> tuple[float, float]:
-    """The exact means at MIN_EXPONENT and MAX_EXPONENT: a target at or
-    above the first is :class:`Unfittable`, one at or below the second fits
-    MAX_EXPONENT, and the fit's first step starts from both."""
-    return _mean_log2(MIN_EXPONENT), _mean_log2(MAX_EXPONENT)
+    """The exact means at MIN_EXPONENT and MAX_EXPONENT, the grid's ends: a
+    target at or above the first is :class:`Unfittable`, and one at or below
+    the second fits MAX_EXPONENT."""
+    means = _mean_grid()[2]
+    return float(means[0]), float(means[-1])
 
 
 def fit_zeta(log_index_samples) -> ZetaModel:
@@ -231,15 +280,18 @@ def fit_zeta(log_index_samples) -> ZetaModel:
     raise :class:`Unfittable` and callers fall back to delta coding.  Both
     ends are decided by ``_fittable_range``.
 
-    The bracket [lo, hi] starts at [MIN_EXPONENT, MAX_EXPONENT] and stays in
-    exponent space.  Each step evaluates the exact mean ``_mean_log2`` at
-    one exponent s: within a relative 2**-40 of the target, s is returned;
-    above it, s becomes lo; below it, hi.  s is the Illinois step (regula
-    falsi that halves the gap of an end kept twice running) on
-    u = ln(s - 1) towards ln(mean) = ln(target), or the bracket's midpoint
-    where that step is not strictly inside the bracket.  So the returned
-    model's mean is the target to 2**-40 relative, unless the bracket
-    closes to adjacent floats first.
+    The bracket [lo, hi] starts at the two points of ``_mean_grid`` whose
+    means straddle the target (either is returned if its mean is within
+    2**-40 of the target), and stays in exponent space.  Each step
+    evaluates the exact mean and its slope (``_mean_and_slope``) at one
+    exponent s: within a relative 2**-40 of the target, s is returned;
+    above it, s becomes lo; below it, hi.  The first s is the secant point
+    of the bracket's ends in (u, ln mean), u = ln(s - 1); each next one is
+    the Newton step on u towards ln(mean) = ln(target), or the bracket's
+    midpoint in u where that step is not strictly inside the bracket (the
+    safeguarded Newton of Numerical Recipes' ``rtsafe``).  So the returned
+    model's mean is the target to 2**-40 relative, unless the bracket closes
+    to adjacent floats first.
     """
     samples = np.asarray(log_index_samples, dtype=np.float64)
     if samples.size == 0:
@@ -254,31 +306,36 @@ def fit_zeta(log_index_samples) -> ZetaModel:
         )
     if target <= at_max:
         return ZetaModel(MAX_EXPONENT)
+    exponents, us, means = _mean_grid()
+    # means[k - 1] > target >= means[k], with 1 <= k <= _GRID_POINTS - 1
+    k = int(np.searchsorted(-means, -target))
+    for j in (k - 1, k):
+        # a grid mean is a step taken; an end at the root would leave every
+        # Newton step from the other side outside the bracket
+        if abs(means[j] - target) <= _FIT_TOL * target:
+            return ZetaModel(float(exponents[j]))
+    lo, hi = float(exponents[k - 1]), float(exponents[k])
+    u_lo, u_hi = float(us[k - 1]), float(us[k])
     ln_target = math.log(target)
-    # the gap ln(mean) - ln(target) falls in s: positive at lo, negative at
-    # hi, or zero at a range end an ulp from the target (then a step bisects)
-    lo, g_lo = MIN_EXPONENT, math.log(at_min) - ln_target
-    hi, g_hi = MAX_EXPONENT, math.log(at_max) - ln_target
-    kept = None  # the end the last step left in place
+    g_lo, g_hi = math.log(means[k - 1]) - ln_target, math.log(means[k]) - ln_target
+    u = u_lo + g_lo / (g_lo - g_hi) * (u_hi - u_lo)
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return ZetaModel(mid)
-        u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
-        s = 1.0 + math.exp(u_lo + g_lo / (g_lo - g_hi) * (u_hi - u_lo))
-        if lo < s < hi:
-            mid = s
-        f = _mean_log2(mid)
+        s = 1.0 + math.exp(min(u, u_hi))  # clamped: exp overflows past u = 709
+        if not lo < s < hi:
+            s = 1.0 + math.exp(0.5 * (u_lo + u_hi))
+            if not lo < s < hi:
+                s = 0.5 * (lo + hi)
+                if s == lo or s == hi:
+                    return ZetaModel(s)
+        f, slope = _mean_and_slope(s)
         if abs(f - target) <= _FIT_TOL * target:
-            return ZetaModel(mid)
+            return ZetaModel(s)
+        u = math.log(s - 1.0)
         if f > target:
-            lo, g_lo = mid, math.log(f) - ln_target
-            g_hi *= 0.5 if kept == "hi" else 1.0
-            kept = "hi"
+            lo, u_lo = s, u
         else:
-            hi, g_hi = mid, math.log(f) - ln_target
-            g_lo *= 0.5 if kept == "lo" else 1.0
-            kept = "lo"
+            hi, u_hi = s, u
+        u -= (math.log(f) - ln_target) / slope
 
 
 def _codeword(model: ZetaModel, n: int) -> tuple[int, int]:

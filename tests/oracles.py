@@ -10,8 +10,8 @@ table apart from the model's own, which must match it bit for bit;
 ``zeta_decode_per_length`` tries a codeword's every prefix length,
 which the decoder skips.  ``narrow_per_shift`` renormalizes the
 arithmetic coder one shift at a time, where the coder counts its shifts.
-``path_intervals`` replays a code's active
-intervals by the decoder's walk; the encoder does not record them.
+``path_intervals`` replays a code's active intervals by the decoder's
+walk; the encoder does not record them.
 """
 
 from __future__ import annotations

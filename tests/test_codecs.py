@@ -399,11 +399,17 @@ class TestZeta:
     @pytest.mark.parametrize("target", [1e-6, 0.05, 0.5, 1.0, 3.0, 9.5, 25.0])
     def test_bisection_stops_at_its_fixed_point(self, target, monkeypatch):
         # the fit stops at the first exponent whose exact mean is within
-        # 2**-40 of the target, after one mean per step
+        # 2**-40 of the target, after one mean and slope per step
         zeta._fittable_range()  # cached before the count starts
-        mean = zeta._mean_log2
+        step = zeta._mean_and_slope
         calls = []
-        monkeypatch.setattr(zeta, "_mean_log2", lambda s: calls.append((s, mean(s))) or mean(s))
+
+        def counted(s):
+            out = step(s)
+            calls.append((s, out[0]))
+            return out
+
+        monkeypatch.setattr(zeta, "_mean_and_slope", counted)
         exponent = fit_zeta([target]).exponent
         assert calls[-1][0] == exponent
         close = [abs(f - target) <= 2.0**-40 * target for _, f in calls]
@@ -411,14 +417,14 @@ class TestZeta:
         assert len(calls) <= 60
         self._assert_exact_fits([target])
 
-    def test_vector_grid_fits_take_at_most_12_steps(self, monkeypatch):
-        # the Illinois steps on the calibration sets the bench vector fits
+    def test_vector_grid_fits_take_at_most_5_steps(self, monkeypatch):
+        # the Newton steps on the calibration sets the bench vector fits
         from relcode.bench import vector
 
         zeta._fittable_range()  # cached before the count starts
-        mean = zeta._mean_log2
+        step = zeta._mean_and_slope
         calls, counts = [], []
-        monkeypatch.setattr(zeta, "_mean_log2", lambda s: calls.append(s) or mean(s))
+        monkeypatch.setattr(zeta, "_mean_and_slope", lambda s: calls.append(s) or step(s))
         fit = vector.fit_zeta
 
         def counting_fit(log_indices):
@@ -433,7 +439,7 @@ class TestZeta:
         for seed in range(3):
             assert vector.encode_vector(VECTOR_GRID, seed).round_trip_ok
         assert len(counts) == 3 * len(VECTOR_GRID)
-        assert max(counts) <= 12, counts
+        assert max(counts) <= 5, counts
 
     @staticmethod
     def _exact_fit(target):
@@ -483,6 +489,22 @@ class TestZeta:
                 targets += [math.nextafter(f, 0.0), f, math.nextafter(f, math.inf)]
         self._assert_exact_fits(targets)
 
+    def test_fit_matches_exact_bisection_at_grid_means(self, monkeypatch):
+        # targets at the cached grid's inner means, where a bracket end is
+        # the root, and near them; a fit returns its last step, or the grid
+        # exponent whose mean is within 2**-40 of the target
+        grid, _, means = zeta._mean_grid()
+        targets = [float(m) * (1.0 + d) for m in means[1:-1] for d in (0.0, -1e-12, 1e-12, -1e-6, 1e-6)]
+        self._assert_exact_fits(targets)
+        step = zeta._mean_and_slope
+        calls = []
+        monkeypatch.setattr(zeta, "_mean_and_slope", lambda s: calls.append(s) or step(s))
+        for target in targets:
+            calls.clear()
+            exponent = fit_zeta([target]).exponent
+            assert exponent == calls[-1] if calls else exponent in grid, target
+            assert len(calls) <= 5, target
+
     def test_fit_matches_exact_bisection_at_range_ends(self):
         top, bottom = zeta._fittable_range()
         below_top = [math.nextafter(top, 0.0), math.nextafter(math.nextafter(top, 0.0), 0.0)]
@@ -515,6 +537,31 @@ class TestZeta:
                 want = (fa - fb) / (e * e)
             got = zeta._tail_log_moment(eps)
             assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), eps
+
+    def test_tail_log_sq_moment_against_decimal(self):
+        # the closed form (ga - gb) / eps**3, g(L) = e**(-eps L) ((eps L)**2
+        # + 2 eps L + 2), at 40 digits, on the float ends
+        for eps in (1e-6, 1e-5, 1e-4, 1e-2, 0.5, 19.0):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                e, a, b = Decimal(eps), Decimal(zeta._LN_LO), Decimal(zeta._LN_HI)
+                ga = (-e * a).exp() * ((e * a) ** 2 + 2 * e * a + 2)
+                gb = (-e * b).exp() * ((e * b) ** 2 + 2 * e * b + 2)
+                want = (ga - gb) / e**3
+            got = zeta._tail_log_sq_moment(eps)
+            assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), eps
+
+    def test_newton_slope_matches_central_difference(self):
+        # d ln(mean) / du at u = ln(s - 1), against the exact means a step
+        # either side in u (its truncation error is about 2e-7)
+        h = 1e-3
+        for s in (1.0 + 1e-6, 1.0 + 1e-3, 1.05, 2.0, 19.0):
+            u = math.log(s - 1.0)
+            up, down = (zeta._mean_log2(1.0 + math.exp(u + d)) for d in (h, -h))
+            want = (math.log(up) - math.log(down)) / (2 * h)
+            mean, slope = zeta._mean_and_slope(s)
+            assert mean == zeta._mean_log2(s)
+            assert abs(slope / want - 1) <= 1e-6, s
 
     HEAD_EXPONENTS = (1.0 + 1e-6, 1.05, 2.0, 7.3, 20.0)
 
@@ -680,11 +727,13 @@ class TestZeta:
                 return np.exp(x, *args, **kwargs)
 
         monkeypatch.setattr(zeta, "np", CountingNumpy())
-        zeta._fittable_range.cache_clear()  # its two means count too
+        # the grid's means count too
+        zeta._mean_grid.cache_clear()
+        zeta._fittable_range.cache_clear()
         report = encode_vector(VECTOR_GRID, 0, calibration_runs=256)
         assert all(d.fitted_exponent is not None for d in report.dims)
-        # per fitted model, at most 12 exact means and one head table
-        assert CountingNumpy.head_exps <= 13 * len(report.dims) + 2
+        # per fitted model, at most 5 exact means and one head table
+        assert CountingNumpy.head_exps <= 6 * len(report.dims) + zeta._GRID_POINTS
 
     def test_out_of_range(self):
         model = ZetaModel(2.0)
