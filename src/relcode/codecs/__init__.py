@@ -10,7 +10,7 @@ from .elias import (
     elias_delta_length,
 )
 from .arith import ArithmeticEncoder, ArithmeticDecoder, PrecisionExhausted, quantize_p0
-from .zeta import ZetaModel, Unfittable, OutOfRange, fit_zeta, zeta_encode, zeta_decode
+from .zeta import ZetaModel, Unfittable, OutOfRange, fit_zeta
 from .zeta import encode_joint, decode_joint
 from .stream import (
     serialize,
@@ -36,8 +36,6 @@ __all__ = [
     "Unfittable",
     "OutOfRange",
     "fit_zeta",
-    "zeta_encode",
-    "zeta_decode",
     "encode_joint",
     "decode_joint",
     "serialize",

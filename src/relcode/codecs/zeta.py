@@ -29,11 +29,6 @@ the bench vector grid, and at most 5 on 4,000 random targets across the
 fittable range.  The fit ends at the first exponent whose mean is within a
 relative 2**-40 of the target.  The format fixes a model by its exponent
 alone (docs/FORMAT.md), so how the exponent was fitted is not part of it.
-
-``zeta_encode`` is one-shot Shannon-Fano-Elias coding (codeword length
-within 2 bits of the information content).  Sequences of indices are better
-coded jointly by ``encode_joint`` on the 48-bit grid of ``quantized_cum``,
-which amortizes the 2-bit termination.
 """
 
 from __future__ import annotations
@@ -45,11 +40,10 @@ from functools import cache, cached_property
 import numpy as np
 
 from .arith import ArithmeticDecoder, ArithmeticEncoder
-from .bits import Bits, BitReader, DecodeError
+from .bits import Bits, BitReader
 from .elias import elias_delta_decode, elias_delta_encode
 
-__all__ = ["ZetaModel", "Unfittable", "OutOfRange", "fit_zeta", "zeta_encode", "zeta_decode",
-           "encode_joint", "decode_joint"]
+__all__ = ["ZetaModel", "Unfittable", "OutOfRange", "fit_zeta", "encode_joint", "decode_joint"]
 
 LN2 = math.log(2.0)
 HEAD = 1 << 12
@@ -59,9 +53,6 @@ CUM_ONE = 1 << CUM_BITS
 # every modeled index is coded out of CUM_ONE + 1: [CUM_ONE, CUM_ONE + 1)
 # escapes an index whose interval on the 48-bit grid is empty
 _TOTAL = CUM_ONE + 1
-# codewords cap at 49 bits: below pmf ~ 2**-48 the float CDF's ulp could
-# make adjacent codeword intervals collide, breaking prefix-freeness
-MAX_CODE_LEN = 49
 MAX_EXPONENT = 20.0
 MIN_EXPONENT = 1.0 + 1e-6
 
@@ -231,16 +222,12 @@ _FIT_TOL = 2.0**-40  # relative distance at which a fitted mean stops the fit
 _GRID_POINTS = 17
 
 
-def _mean_log2(exponent: float) -> float:
-    """The model's mean log2-index: the head's 4,096 terms summed in
-    float64, plus the tail integrals."""
-    return _mean_and_slope(exponent)[0]
-
-
 def _mean_and_slope(exponent: float) -> tuple[float, float]:
-    """``_mean_log2(exponent)`` and, from the same exp pass, the slope of
-    ln(mean) in u = ln(exponent - 1): -Var[ln n] / E[ln n] * (exponent - 1),
-    since the derivative of E[ln n] in the exponent is -Var[ln n]."""
+    """The model's mean log2-index (the head's 4,096 terms summed in
+    float64, plus the tail integrals) and, from the same exp pass, the
+    slope of ln(mean) in u = ln(exponent - 1): -Var[ln n] / E[ln n] *
+    (exponent - 1), since the derivative of E[ln n] in the exponent is
+    -Var[ln n]."""
     eps = exponent - 1.0
     w = np.exp(-exponent * _HEAD_LN)
     z = float(w.sum()) + _tail_mass(eps, _LN_LO, _LN_HI)
@@ -258,7 +245,7 @@ def _mean_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = np.linspace(math.log(MIN_EXPONENT - 1.0), math.log(MAX_EXPONENT - 1.0), _GRID_POINTS)
     exponents = 1.0 + np.exp(u)
     exponents[0], exponents[-1] = MIN_EXPONENT, MAX_EXPONENT
-    means = np.array([_mean_log2(float(s)) for s in exponents])
+    means = np.array([_mean_and_slope(float(s))[0] for s in exponents])
     return exponents, np.log(exponents - 1.0), means
 
 
@@ -336,47 +323,6 @@ def fit_zeta(log_index_samples) -> ZetaModel:
         else:
             hi, u_hi = s, u
         u -= (math.log(f) - ln_target) / slope
-
-
-def _codeword(model: ZetaModel, n: int) -> tuple[int, int]:
-    p = model.pmf(n)
-    if not p > 0.0:
-        raise OutOfRange(f"index {n} has vanishing mass under the model")
-    length = math.ceil(-math.log2(p)) + 1
-    if length > MAX_CODE_LEN:
-        raise OutOfRange(f"index {n} needs more than {MAX_CODE_LEN} code bits")
-    z = model.cdf_before(n) + 0.5 * p
-    value = min(int(z * (1 << length)), (1 << length) - 1)
-    return value, length
-
-
-def zeta_encode(n: int, model: ZetaModel) -> Bits:
-    """Shannon-Fano-Elias codeword for ``n`` under the model (prefix-free)."""
-    if not 1 <= n <= N_MAX:
-        raise OutOfRange(f"index {n} outside 1..N_MAX")
-    value, length = _codeword(model, n)
-    return Bits.of(value, length)
-
-
-def zeta_decode(reader: BitReader, model: ZetaModel) -> int:
-    """Read one codeword.  A longer prefix maps to a candidate index no
-    smaller, whose codeword is no shorter, so the decoder reads straight on
-    to each candidate's codeword length."""
-    value, length, want = 0, 0, 1
-    while want <= MAX_CODE_LEN:
-        value = (value << (want - length)) | reader.read_int(want - length)
-        length = want
-        n = model.search_before(value / (1 << length))
-        try:
-            cand_value, cand_length = _codeword(model, n)
-        except OutOfRange as exc:
-            # a codeword's prefixes map to indices no larger than its own,
-            # and the pmf falls in n, so no codeword extends this prefix
-            raise DecodeError("not a zeta codeword") from exc
-        if cand_length == length and cand_value == value:
-            return n
-        want = max(cand_length, length + 1)
-    raise DecodeError("not a zeta codeword")
 
 
 def encode_joint(indices: list[int], models: list[ZetaModel | None]) -> Bits:

@@ -8,10 +8,11 @@ Run from the root of a checkout to (re)write the fixture that
 Every value is recorded exactly (floats as ``float.hex``, indices as hex,
 codewords as byte hex, batch outputs as sha256 digests), so the fixture only
 stays unchanged while every sample, heap index and codeword does.  The
-``codecs`` section pins the bit strings of the integer codes, the standalone
-power-law codewords and the arithmetic coder, each as
-``"<nbits>:<byte hex>"``.  The inputs come from fixed integers and
-``numpy.random.default_rng``, never from ``relcode``'s own seed derivation.
+``codecs`` section pins the bit strings of the integer codes and the
+arithmetic coder, each as ``"<nbits>:<byte hex>"``, and the power-law
+models' ``cdf_before`` and ``pmf`` floats.  The inputs come from fixed
+integers and ``numpy.random.default_rng``, never from ``relcode``'s own seed
+derivation.
 The ``trace_*`` leaves of a code pin its active intervals, which
 ``oracles.path_intervals`` replays from the code's heap index.
 """
@@ -29,14 +30,12 @@ import numpy as np
 from relcode.bench import SweepConfig, encode_vector, run_sweep, write_rows
 from relcode.codecs import (
     ArithmeticEncoder,
-    OutOfRange,
     ZetaModel,
     elias_delta_encode,
     elias_gamma_encode,
     fit_zeta,
     quantize_p0,
     serialize,
-    zeta_encode,
 )
 from relcode.codecs.zeta import N_MAX
 from relcode.distributions import Distribution1D, DistributionPair, gaussian_pair_for_targets
@@ -135,14 +134,13 @@ def _codec_ints() -> list[int]:
     return sorted(ints)
 
 
-def _zeta_codewords(model: ZetaModel) -> dict:
-    out = {}
-    for n in list(range(1, 65)) + [10**k for k in range(2, 19)] + [N_MAX]:
-        try:
-            out[str(n)] = _bits(zeta_encode(n, model))
-        except OutOfRange:
-            out[str(n)] = "OutOfRange"
-    return out
+def _zeta_masses(model: ZetaModel) -> dict:
+    """[cdf_before(n), pmf(n)] as float hex; quantized_cum is a function of
+    the first."""
+    return {
+        str(n): [model.cdf_before(n).hex(), model.pmf(n).hex()]
+        for n in list(range(1, 65)) + [10**k for k in range(2, 19)] + [N_MAX]
+    }
 
 
 def _arith_stream() -> str:
@@ -165,9 +163,9 @@ def _codecs() -> dict:
         "gamma": {str(n): _bits(elias_gamma_encode(n)) for n in ints},
         "delta": {str(n): _bits(elias_delta_encode(n)) for n in ints},
         "zeta": {
-            "1.05": _zeta_codewords(ZetaModel(1.05)),
-            "2.0": _zeta_codewords(ZetaModel(2.0)),
-            "fitted": _zeta_codewords(fitted),
+            "1.05": _zeta_masses(ZetaModel(1.05)),
+            "2.0": _zeta_masses(ZetaModel(2.0)),
+            "fitted": _zeta_masses(fitted),
             "fitted_exponent": fitted.exponent.hex(),
         },
         "arith": _arith_stream(),

@@ -4,14 +4,12 @@ Everything here is deliberately dumb and slow: quadrature, grid search,
 bisection, and a closure-based implementation of the ruled-out-mass
 recursion.  None of it shares code paths with the library's closed forms,
 except the zeta model's mean, whose 4,096-term float evaluation reads the
-library's head logs and tail integrals.  The zeta head table, CDF and
-codewords below read the same logs and tail integrals, and build the head
-table apart from the model's own, which must match it bit for bit;
-``zeta_decode_per_length`` tries a codeword's every prefix length,
-which the decoder skips.  ``narrow_per_shift`` renormalizes the
-arithmetic coder one shift at a time, where the coder counts its shifts.
-``path_intervals`` replays a code's active intervals by the decoder's
-walk; the encoder does not record them.
+library's head logs and tail integrals.  The zeta head table and CDF below
+read the same logs and tail integrals, and build the head table apart from
+the model's own, which must match it bit for bit.  ``narrow_per_shift``
+renormalizes the arithmetic coder one shift at a time, where the coder
+counts its shifts.  ``path_intervals`` replays a code's active intervals by
+the decoder's walk; the encoder does not record them.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from relcode.codecs import DecodeError, arith, zeta
+from relcode.codecs import arith, zeta
 from relcode.distributions import DistributionPair
 from relcode.engine import SplitRule
 from relcode.randomness import node_randoms
@@ -153,39 +151,6 @@ def zeta_cdf_before(exponent: float, n: int, cum: np.ndarray) -> float:
         return float(cum[n - 1]) / norm
     tail = zeta._tail_mass(exponent - 1.0, zeta._LN_LO, math.log(n - 0.5))
     return (float(cum[-1]) + tail) / norm
-
-
-def zeta_codeword(exponent: float, n: int, cum: np.ndarray) -> tuple[int, int]:
-    """(value, length) of the Shannon-Fano-Elias codeword of n (docs/FORMAT.md)."""
-    if n <= zeta.HEAD:
-        weight = float(np.exp(-exponent * zeta._HEAD_LN[n - 1 : n])[0])
-    else:
-        weight = zeta._tail_mass(exponent - 1.0, math.log(n - 0.5), math.log(n + 0.5))
-    p = weight / zeta_norm(exponent, cum)
-    length = math.ceil(-math.log2(p)) + 1
-    z = zeta_cdf_before(exponent, n, cum) + 0.5 * p
-    return min(int(z * (1 << length)), (1 << length) - 1), length
-
-
-def zeta_decode_per_length(reader, model: zeta.ZetaModel) -> int:
-    """``zeta_decode`` one bit at a time: a search and a candidate codeword
-    at every prefix length."""
-    value = 0
-    for length in range(1, zeta.MAX_CODE_LEN + 1):
-        value = (value << 1) | reader.read_bit()
-        n = model.search_before(value / (1 << length))
-        try:
-            candidate = zeta._codeword(model, n)
-        except zeta.OutOfRange as exc:
-            raise DecodeError("not a zeta codeword") from exc
-        if candidate == (value, length):
-            return n
-    raise DecodeError("not a zeta codeword")
-
-
-def zeta_entropy_bits(model: zeta.ZetaModel) -> float:
-    """Entropy of the model in bits: exponent * E[log2 n] + log2(normalizer)."""
-    return model.exponent * mean_log2(model.exponent) + math.log2(model._norm)
 
 
 def narrow_per_shift(low, high, c_lo, c_hi, total) -> tuple[int, int, list[int]]:
