@@ -129,12 +129,14 @@ def _tail_log_sq_moment(eps: float) -> float:
 def _head_sums(exponent: float) -> np.ndarray:
     """Entry i is the float64 sum of the weights of 1..i, left to right;
     the weight of n is exp(fl(-exponent * fl(ln n)))."""
+    return _running_sums(np.exp(-exponent * _HEAD_LN))
+
+
+def _running_sums(weights: np.ndarray) -> np.ndarray:
+    """The head's running sums (``_head_sums``) from its weights."""
     out = np.empty(HEAD + 1)
     out[0] = 0.0
-    w = out[1:]
-    np.multiply(_HEAD_LN, -exponent, out=w)
-    np.exp(w, out=w)
-    np.cumsum(w, out=w)
+    np.cumsum(weights, out=out[1:])
     return out
 
 
@@ -152,7 +154,10 @@ class ZetaModel:
     def _head(self) -> tuple[np.ndarray, float, float]:
         """The head's cdf table (entry n - 1 is cdf_before(n) for n <= HEAD + 1),
         the head total and the normalizer, from one ``_head_sums`` pass."""
-        cdf = _head_sums(self.exponent)
+        return self._head_from(_head_sums(self.exponent))
+
+    def _head_from(self, cdf: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """``_head`` from the head's running sums, divided in place."""
         total = float(cdf[-1])
         norm = total + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI)
         cdf /= norm  # the float division cdf_before defines, once per entry
@@ -222,19 +227,20 @@ _FIT_TOL = 2.0**-40  # relative distance at which a fitted mean stops the fit
 _GRID_POINTS = 17
 
 
-def _mean_and_slope(exponent: float) -> tuple[float, float]:
+def _mean_and_slope(exponent: float) -> tuple[float, float, np.ndarray]:
     """The model's mean log2-index (the head's 4,096 terms summed in
     float64, plus the tail integrals) and, from the same exp pass, the
     slope of ln(mean) in u = ln(exponent - 1): -Var[ln n] / E[ln n] *
     (exponent - 1), since the derivative of E[ln n] in the exponent is
-    -Var[ln n]."""
+    -Var[ln n].  Third comes that pass, the head's weights, as
+    ``_head_sums`` computes them."""
     eps = exponent - 1.0
     w = np.exp(-exponent * _HEAD_LN)
     z = float(w.sum()) + _tail_mass(eps, _LN_LO, _LN_HI)
     num = float(w @ _HEAD_LN) + _tail_log_moment(eps)
     mean_ln = num / z
     var = (float(w @ _HEAD_LN_SQ) + _tail_log_sq_moment(eps)) / z - mean_ln * mean_ln
-    return mean_ln / LN2, -var / mean_ln * eps
+    return mean_ln / LN2, -var / mean_ln * eps, w
 
 
 @cache
@@ -314,9 +320,12 @@ def fit_zeta(log_index_samples) -> ZetaModel:
                 s = 0.5 * (lo + hi)
                 if s == lo or s == hi:
                     return ZetaModel(s)
-        f, slope = _mean_and_slope(s)
+        f, slope, weights = _mean_and_slope(s)
         if abs(f - target) <= _FIT_TOL * target:
-            return ZetaModel(s)
+            # the model's head table comes from this exp pass, not a second
+            model = ZetaModel(s)
+            model.__dict__["_head"] = model._head_from(_running_sums(weights))
+            return model
         u = math.log(s - 1.0)
         if f > target:
             lo, u_lo = s, u

@@ -226,15 +226,43 @@ class DistributionPair:
         """:meth:`residual_above` given the level set's ``bounds`` from
         :meth:`level_bounds`, so that intervals at one level share them.
         Arrays of intervals and levels broadcast against each other."""
+        return self.residuals_between((lo, hi), level, bounds)[0]
+
+    def residuals_between(self, ends, level, bounds):
+        """:meth:`residual_within` of each interval between consecutive
+        ``ends`` (nondecreasing), all at one ``level`` with the level set's
+        ``bounds`` from :meth:`level_bounds`: a list one shorter than ``ends``.
+
+        Each end is clamped into the level set ``[ls_lo, ls_hi]`` once, as
+        ``min(max(e, ls_lo), ls_hi)``, and both laws' CDFs are taken there
+        once, so adjacent intervals share their common end's two ``ndtr``
+        calls.  This is exact.  An interval ``[e, f]`` meets the level set
+        in ``[max(e, ls_lo), min(f, ls_hi)]``.  Where that is nonempty it
+        equals the clamped ``[e', f']``; where it is empty, or the level set
+        is (``ls_lo > ls_hi``), ``[e', f']`` is empty too, and the residual
+        is 0 under both.  The ends are worked through one at a time, and
+        each array is dropped or overwritten once it has been used, so no
+        more full-size arrays are live at once than in a two-end call.
+        """
         ls_lo, ls_hi = bounds
-        # the ends [a, b] of A = [lo, hi] intersected with the level set
-        a, b = np.maximum(lo, ls_lo), np.minimum(hi, ls_hi)
         t, p = self.target, self.proposal
-        q_mass = ndtr((b - t.loc) / t.scale) - ndtr((a - t.loc) / t.scale)
-        p_mass = ndtr((b - p.loc) / p.scale) - ndtr((a - p.loc) / p.scale)
-        # Q(A) - level * P(A), zero where A is empty, clamped to [0, 1]
-        out = np.where(a < b, q_mass - level * p_mass, 0.0)
-        return np.minimum(np.maximum(out, 0.0), 1.0)
+        a = np.minimum(np.maximum(ends[0], ls_lo), ls_hi)
+        q_a, p_a = ndtr((a - t.loc) / t.scale), ndtr((a - p.loc) / p.scale)
+        out = []
+        for e in ends[1:]:
+            e = np.minimum(np.maximum(e, ls_lo), ls_hi)
+            nonempty, a = a < e, e
+            q_e = ndtr((e - t.loc) / t.scale)
+            res, q_a = q_e - q_a, q_e
+            p_e = ndtr((e - p.loc) / p.scale)
+            p_mass, p_a = p_e - p_a, p_e
+            # Q(A) - level * P(A), zero where A is empty, clamped to [0, 1]
+            p_mass *= level
+            res -= p_mass
+            del p_mass
+            res = np.where(nonempty, res, 0.0)
+            out.append(np.minimum(np.maximum(res, 0.0), 1.0))
+        return out
 
 
 class _LawRows(Distribution1D):

@@ -34,11 +34,16 @@ elementwise.
 
 The kernel holds a node as docs/FORMAT.md does, as its depth and three
 uint64 offset words, and ``_heap_indices`` alone turns these into heap
-indices.  A one-run step is numpy dispatch on 1-element arrays, so its
-fixed work is kept small: the kernel enters one ``np.errstate`` per call
-(``_quiet``), so a dyadic step enters none and a sample step only the one
-inside ``residual_above``; and as an offset at depth ``d`` is below
-``2**d``, a descent below depth 63 shifts only the low word ``k_lo``.
+indices.  As an offset at depth ``d`` is below ``2**d``, a descent below
+depth 63 shifts only the low word ``k_lo``, and a draw below depth 64
+passes the node stream scalar zeros for ``k_mid`` and ``k_hi``.  A dyadic
+descent takes both children's residuals from one call,
+``residuals_between((lo, cut, hi), ...)``: the cut's CDFs are computed
+once for both, which gives the floats of two separate calls.  A one-run
+step is numpy dispatch on 1-element arrays, so its fixed work is kept
+small: the kernel enters one ``np.errstate`` per call (``_quiet``), so a
+dyadic step enters none and a sample step only the one inside
+``residual_above``.
 
 The descent serves the split rules only.  The global rule keeps the whole
 line active, so its runs share one level sequence and need no per-run
@@ -180,10 +185,12 @@ class _BatchState:
         n = seeds.shape[0]
         self.pair = pair
         self.seeds = seeds
-        self.lo = np.full(n, -np.inf)
-        self.hi = np.full(n, np.inf)
+        # np.zeros plus a constant: np.full and np.ones are Python wrappers,
+        # whose calls weigh on a one-run encode
+        self.lo = np.zeros(n) - np.inf
+        self.hi = np.zeros(n) + np.inf
         self.f_lo = np.zeros(n)
-        self.f_hi = np.ones(n)
+        self.f_hi = np.zeros(n) + 1.0
         self.level = np.zeros(n)
         self.ruled = np.zeros(n)
         self.k_lo = np.zeros(n, np.uint64)
@@ -237,7 +244,10 @@ def _draw(st: _BatchState, d: int):
     Returns ``(x, t, mass, u_accept, u_branch)`` with ``t`` the draw's CDF
     coordinate and ``mass`` the interval's proposal mass.
     """
-    u_s, u_a, u_b = node_uniforms(st.seeds, d, st.k_lo, st.k_mid, st.k_hi)
+    if d < 64:  # the offset is below 2**d, so k_mid and k_hi are 0 for every run
+        u_s, u_a, u_b = node_uniforms(st.seeds, d, st.k_lo, 0, 0)
+    else:
+        u_s, u_a, u_b = node_uniforms(st.seeds, d, st.k_lo, st.k_mid, st.k_hi)
     mass = st.f_hi - st.f_lo
     t = st.f_lo + u_s * mass
     return st.pair.proposal.quantile(t), t, mass, u_a, u_b
@@ -275,8 +285,7 @@ def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
         cut = pair.proposal.quantile(f_cut)
         # both children lie at one level: solve its level set once
         bounds = pair._level_bounds(level_next)
-        res_left = pair.residual_within(st.lo, cut, level_next, bounds)
-        res_right = pair.residual_within(cut, st.hi, level_next, bounds)
+        res_left, res_right = pair.residuals_between((st.lo, cut, st.hi), level_next, bounds)
         total = res_left + res_right
         # an exhausted run's 0 / 0 is NaN, and u < NaN is False as u < 0 is
         go_right = u_branch < res_right / total
@@ -385,7 +394,7 @@ def _run_batch(pair, rule: SplitRule, seeds, d_max):
     out_sample = np.empty(n)
     out_depth = np.zeros(n, np.int64)
     out_accepted = np.zeros(n, bool)
-    out_mass = np.ones(n)
+    out_mass = np.zeros(n) + 1.0  # no np.ones wrapper, as in _BatchState
     out_words = [np.zeros(n, np.uint64)]  # k_lo, then k_mid and k_hi from depth 64
     d = 0
     exhausted_runs = 0

@@ -16,17 +16,23 @@ fans a benchmark base seed out into per-run seeds.
 
 One stream, three ways to run the rounds.  Every Philox lane (one counter
 block under one key) is independent, so :func:`philox4x64_10` runs up to
-``_INT_LANES`` broadcast lanes one at a time on Python ints (one lane, the
-step of a single code, by an early exit that builds its four words in one
-array), more lanes as numpy uint64 arrays, whose fixed cost per call
-outweighs the per-lane cost of ints below about 64 lanes, and from
-``2 * _CHUNK_LANES`` lanes as numpy arrays over near-equal blocks of about
-``_CHUNK_LANES`` lanes, whose temporaries stay in cache;
-:func:`node_randoms` calls the integer rounds directly.  All three give the
-same words (a counter-based block does not depend on how lanes are grouped)
-and the same exact map to floats.  Python ints do not wrap, so seeds pass
-:func:`seed_words` and offsets the ``MAX_OFFSET_BITS`` check before any word
-reaches the rounds.
+``_INT_LANES`` broadcast lanes one at a time on Python ints, more lanes as
+numpy uint64 arrays, whose fixed cost per call outweighs the per-lane cost
+of ints below about 64 lanes, and from ``2 * _CHUNK_LANES`` lanes as numpy
+arrays over near-equal blocks of about ``_CHUNK_LANES`` lanes, whose
+temporaries stay in cache.  The numpy rounds do only the work their lanes
+differ in: a word that is the same for every lane (the depth of a step,
+the zero upper offset words below depth 64, the key's domain) stays a
+scalar, and a column of seeds or a row of depths keeps its shape in every
+block, so the first round on such words is three array operations, not
+about thirty-five; the multiply-high updates its own temporaries in place.
+:func:`node_randoms` calls the integer rounds directly, and so does a
+one-lane :func:`node_uniforms` (the step of a single code), which maps the
+words to floats by the same integer arithmetic (``_units``), with no word
+array.  All three give the same words (a counter-based block does not
+depend on how lanes are grouped) and the same exact map to floats.  Python
+ints do not wrap, so seeds pass :func:`seed_words` and offsets the
+``MAX_OFFSET_BITS`` check before any word reaches the rounds.
 
 Encoder and decoder share one seed contract (:func:`seed_words`): a seed is
 an integer with ``0 <= seed < 2**64``; any other value raises ValueError
@@ -74,6 +80,7 @@ _MASK64 = (1 << 64) - 1
 # derivation statistically independent
 _DOMAIN_NODE = np.uint64(0x6E6F64652D726E67)
 _DOMAIN_SEED = np.uint64(0x736565642D726E67)
+_NODE_KEY = int(_DOMAIN_NODE)
 
 MAX_OFFSET_BITS = 192
 _INT_LANES = 32  # half the lane count where numpy's rounds start to win
@@ -93,14 +100,23 @@ class NodeRandoms:
 
 def _mulhilo(a_lo, a_hi, a, b):
     """High and low words of ``a * b`` for the constant ``a`` (halves
-    ``a_lo``, ``a_hi``) and a uint64 array ``b``: the 32-bit schoolbook
-    multiply-high, with no carry lost."""
-    b_lo, b_hi = b & _M32, b >> _S32
-    ll = a_lo * b_lo
-    t = a_hi * b_lo + (ll >> _S32)
-    mid = a_lo * b_hi + (t & _M32)
-    hi = a_hi * b_hi + (t >> _S32) + (mid >> _S32)
-    return hi, a * b
+    ``a_lo``, ``a_hi``) and a uint64 array (or scalar) ``b``: the 32-bit
+    schoolbook multiply-high, with no carry lost.  The steps update the
+    temporaries made here in place, never ``b``."""
+    b_lo = b & _M32
+    b_hi = b >> _S32
+    t = b_lo * a_hi
+    b_lo *= a_lo
+    b_lo >>= _S32
+    t += b_lo  # a_hi * b_lo + (a_lo * b_lo >> 32)
+    mid = t & _M32
+    t >>= _S32
+    mid += b_hi * a_lo
+    mid >>= _S32
+    b_hi *= a_hi
+    b_hi += t
+    b_hi += mid
+    return b_hi, a * b
 
 
 def _rounds_numpy(c0, c1, c2, c3, k0, k1):
@@ -130,9 +146,6 @@ def philox4x64_10(c0, c1, c2, c3, k0, k1):
     """Philox4x64 with 10 rounds; inputs are uint64 scalars or arrays,
     outputs the four uint64 words broadcast together (scalars for scalars)."""
     lanes = np.broadcast(c0, c1, c2, c3, k0, k1)
-    if lanes.size == 1:
-        words = _rounds_int(*map(int, next(lanes)))
-        return tuple(np.array(words, np.uint64).reshape(4, *lanes.shape))
     if lanes.size > _INT_LANES:
         return _rounds_chunked(lanes.shape, c0, c1, c2, c3, k0, k1)
     words = np.array([_rounds_int(*map(int, lane)) for lane in lanes], np.uint64)
@@ -145,27 +158,51 @@ def _rounds_chunked(shape, *args):
     when a row spans a block.  One block is one call, whose words return as
     they are; more are written into four preallocated word arrays (one
     ``(4, *shape)`` array raised the batch benchmark's peak RSS by 1 MiB).
-    For 1-D and 2-D shapes broadcast inputs stay stride-0 views."""
+    Each word is sliced along its own axes only: a word that is constant
+    along an axis (a scalar, a column of seeds, a row of depths) enters
+    every block at length 1 there, so the rounds never widen it."""
     blocks = math.prod(shape) // _CHUNK_LANES
     if blocks < 2:
         return _rounds_numpy(*args)
     out = tuple(np.empty(shape, np.uint64) for _ in range(4))
     cols = shape[-1]
     grids = [word.reshape(-1, cols) for word in out]
-    views = [np.broadcast_to(a, shape).reshape(-1, cols) for a in args]
+    views = [_as_grid(a, shape) for a in args]
     rows = grids[0].shape[0]
     row_parts, col_parts = min(rows, blocks), max(1, cols // _CHUNK_LANES)
     for i in range(row_parts):
         row_span = slice(rows * i // row_parts, rows * (i + 1) // row_parts)
         for j in range(col_parts):
-            block = (row_span, slice(cols * j // col_parts, cols * (j + 1) // col_parts))
-            for grid, word in zip(grids, _rounds_numpy(*(v[block] for v in views))):
-                grid[block] = word
+            col_span = slice(cols * j // col_parts, cols * (j + 1) // col_parts)
+            words = _rounds_numpy(*(
+                v[row_span if v.shape[0] > 1 else slice(None),
+                  col_span if v.shape[1] > 1 else slice(None)]
+                for v in views
+            ))
+            for grid, word in zip(grids, words):
+                grid[row_span, col_span] = word
     return out
+
+
+def _as_grid(a, shape):
+    """Word ``a`` as a 2-D view over the ``(rows, cols)`` grid of ``shape``,
+    of length 1 along each grid axis that ``a`` does not vary on."""
+    a = np.asarray(a)
+    a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+    if math.prod(a.shape[:-1]) not in (1, math.prod(shape[:-1])):
+        # constant along some leading axes but not all: spread it over them
+        a = np.broadcast_to(a, shape[:-1] + a.shape[-1:])
+    return a.reshape(-1, a.shape[-1])
 
 
 def _to_unit(word):
     return (word >> _S11) * _U53_INV
+
+
+def _units(w0, w1, w2, _):
+    """The three uniforms of one lane's Python-int words: the top 53 bits
+    of each of the first three, as ``_to_unit`` maps a uint64 word."""
+    return (w0 >> 11) * _U53_INV, (w1 >> 11) * _U53_INV, (w2 >> 11) * _U53_INV
 
 
 def node_uniforms(seeds, depths, off_lo, off_mid, off_hi):
@@ -173,14 +210,21 @@ def node_uniforms(seeds, depths, off_lo, off_mid, off_hi):
 
     ``seeds``, ``depths`` and the three offset words are uint64 arrays (or
     scalars) broadcasting together; returns (u_sample, u_accept, u_branch).
+    A word that is the same for every lane may be passed as a scalar, and
+    the rounds then never widen it.
     """
-    k0 = np.asarray(seeds, dtype=np.uint64)
+    lanes = np.broadcast(seeds, depths, off_lo, off_mid, off_hi)
+    if lanes.size == 1:
+        # one lane: the integer rounds, mapped to floats as node_randoms does
+        seed, *counter = map(int, next(lanes))
+        units = _units(*_rounds_int(*counter, seed, _NODE_KEY))
+        return tuple(np.array(units).reshape(3, *lanes.shape))
     w0, w1, w2, _ = philox4x64_10(
         np.asarray(depths, dtype=np.uint64),
         np.asarray(off_lo, dtype=np.uint64),
         np.asarray(off_mid, dtype=np.uint64),
         np.asarray(off_hi, dtype=np.uint64),
-        k0,
+        np.asarray(seeds, dtype=np.uint64),
         _DOMAIN_NODE,
     )
     return _to_unit(w0), _to_unit(w1), _to_unit(w2)
@@ -215,8 +259,7 @@ def node_randoms(seed: int, index: int) -> NodeRandoms:
     if offset >> MAX_OFFSET_BITS:
         raise ValueError(f"node offset exceeds {MAX_OFFSET_BITS} bits")
     counter = (d, offset & _MASK64, (offset >> 64) & _MASK64, offset >> 128)
-    w0, w1, w2, _ = _rounds_int(*counter, int(seed_words(seed)), int(_DOMAIN_NODE))
-    return NodeRandoms((w0 >> 11) * _U53_INV, (w1 >> 11) * _U53_INV, (w2 >> 11) * _U53_INV)
+    return NodeRandoms(*_units(*_rounds_int(*counter, int(seed_words(seed)), _NODE_KEY)))
 
 
 def derive_seeds(base_seed: int, tag: int, block, n: int) -> np.ndarray:

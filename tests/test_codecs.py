@@ -599,6 +599,29 @@ class TestZeta:
         model.pmf(zeta.HEAD)
         assert passes == [2.0]
 
+    def test_fit_hands_its_last_pass_to_the_model(self, monkeypatch):
+        # the fit's exp pass gives the head's weights and running sums of
+        # _head_sums, byte for byte, and a model returned from a Newton step
+        # takes its table from that pass: its queries make no second pass
+        spread = 1.0 + np.logspace(-6, math.log10(19.0), 400)
+        for s in [zeta.MIN_EXPONENT, 2.0, 20.0, *map(float, spread)]:
+            sums = zeta._running_sums(zeta._mean_and_slope(s)[2])
+            assert sums.tobytes() == zeta._head_sums(s).tobytes() == head_cum(s).tobytes(), s
+        at_min, at_max = zeta._fittable_range()
+        targets = np.random.default_rng(28).uniform(at_max, at_min, 40)
+        passes = []
+        head_sums = zeta._head_sums
+        monkeypatch.setattr(zeta, "_head_sums", lambda s: passes.append(s) or head_sums(s))
+        for target in map(float, targets):
+            model = fit_zeta([target])
+            model.cdf_before(zeta.HEAD + 1)
+            model.search_before(0.5)
+            assert passes == [], target
+            cdf, total, norm = ZetaModel(model.exponent)._head
+            passes.clear()
+            assert model._head[0].tobytes() == cdf.tobytes()
+            assert model._head[1:] == (total, norm)
+
     def test_search_before_matches_whole_table(self):
         # at, and one ulp either side of, the cdf of indices around the
         # head's end, plus uniform targets and the top of the range

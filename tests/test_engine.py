@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,9 +67,9 @@ class _NoResidualAbove(DistributionPair):
     """A pair whose residual mass vanishes above a level, which forces the
     dyadic descent into numerical exhaustion (both children empty)."""
 
-    def residual_within(self, lo, hi, level, bounds):
-        out = super().residual_within(lo, hi, level, bounds)
-        return np.where(np.asarray(level) > 4.0, 0.0, out)
+    def residuals_between(self, ends, level, bounds):
+        out = super().residuals_between(ends, level, bounds)
+        return [np.where(np.asarray(level) > 4.0, 0.0, res) for res in out]
 
 
 NO_RESIDUAL_ABOVE_4 = _NoResidualAbove(PAIR35.target, PAIR35.proposal)
@@ -764,6 +765,41 @@ class TestKernelShortcuts:
             assert row.tobytes() == residual_reference(pair, a, b, level).tobytes()
         assert (stacked[:, -8:] == 0.0).all() and (stacked[:, :4] > 0.0).any()
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_shared_cut_equals_two_calls(self, mixed):
+        # both children's residuals from one clamp of (lo, cut, hi) equal
+        # one residual_within call per child and the plain expressions
+        rng = np.random.default_rng(5)
+        n = 96
+        lo, c, hi = np.sort(rng.normal(0.0, 2.0, (3, n)), axis=0)
+        lo[:8], hi[4:12] = -np.inf, np.inf  # infinite ends
+        c[16:20] = lo[16:20]  # an empty left child
+        c[20:24] = hi[20:24]  # an empty right child
+        # level 0 (the whole line), ordinary levels, and levels above the
+        # ratio's maximum (an empty level set)
+        level = np.concatenate([[0.0] * 4, rng.uniform(0.5, 6.0, n - 12), [1e3] * 8])
+        if mixed:
+            pairs = [PAIR35, SAME, NARROW, self.LINEAR]
+            pair = _PairRows.of(pairs, np.arange(n) % len(pairs))
+        else:
+            pair = PAIR35
+        bounds = pair.level_bounds(level)
+        ls_lo, ls_hi = bounds
+        # cuts below and above a nonempty level set, inside the interval
+        inside = np.isfinite(ls_lo) & np.isfinite(ls_hi) & (ls_lo < ls_hi)
+        below, above = np.flatnonzero(inside)[24:40:2], np.flatnonzero(inside)[25:40:2]
+        lo[below], c[below] = ls_lo[below] - 2.0, ls_lo[below] - 1.0
+        c[above], hi[above] = ls_hi[above] + 1.0, ls_hi[above] + 2.0
+        hi[below], lo[above] = np.maximum(hi[below], c[below]), np.minimum(lo[above], c[above])
+        assert below.size and above.size
+        left, right = pair.residuals_between((lo, c, hi), level, bounds)
+        for got, (a, b) in zip((left, right), [(lo, c), (c, hi)]):
+            assert got.tobytes() == pair.residual_within(a, b, level, bounds).tobytes()
+            assert got.tobytes() == residual_reference(pair, a, b, level).tobytes()
+        assert (left[below] == 0.0).all() and (right[above] == 0.0).all()
+        assert (left[above] > 0.0).any() and (right[below] > 0.0).any()
+        assert (left[-8:] == 0.0).all() and (right[-8:] == 0.0).all()
+
     def test_offsets_through_depth_63(self):
         # offsets at depth 61 with their top bits set, stepped to depth 66:
         # below depth 63 only k_lo shifts, from depth 64 bits carry over
@@ -815,6 +851,26 @@ class TestCallBudget:
             sys.setprofile(None)
         per_step = calls / (sum(depths) + len(depths))
         assert per_step <= 1.1 * self.DYADIC_CALLS_PER_STEP, per_step
+
+
+class TestPeakMemory:
+    """The dyadic descent sets a large batch's peak memory: its residual
+    routine holds no more full-size arrays than two plain calls did."""
+
+    # tracemalloc peak of the call below with two residual_within calls per
+    # step (Python 3.11, numpy 2.4, which reports its data to tracemalloc)
+    TWO_CALLS_PEAK_MIB = 19.22
+
+    def test_dyadic_batch_peak(self):
+        seeds = np.arange(65_536, dtype=np.uint64)
+        encode_batch(PAIR35, SplitRule.DYADIC, seeds[:64])  # lazy set-up first
+        tracemalloc.start()
+        try:
+            encode_batch(PAIR35, SplitRule.DYADIC, seeds)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * self.TWO_CALLS_PEAK_MIB, peak
 
 
 class TestSeedContract:

@@ -163,6 +163,41 @@ class TestPhiloxPaths:
         self._check_chunked(args, (alive, w), monkeypatch)
 
     @pytest.mark.parametrize(
+        "shape", [(2 * CHUNK - 1,), (2 * CHUNK,), (3 * CHUNK + 1234,),
+                  (5, 4000), (3, 2 * CHUNK + 77), (40, 2 * CHUNK // 40 + 3)],
+    )
+    def test_chunks_never_widen_a_word(self, shape, monkeypatch):
+        # a 1-D batch call as ``_draw`` makes it below depth 64 (one depth,
+        # zero k_mid and k_hi) and a 2-D global window (seeds down, depths
+        # across): each block gets every word at no more than its own size,
+        # and the words are those of the rounds over fully broadcast words
+        rng = np.random.default_rng(shape[-1])
+        zero = np.uint64(0)
+        if len(shape) == 1:
+            seeds, k_lo = rng.integers(0, 2**64, (2, shape[0]), dtype=np.uint64)
+            seeds[:2] = k_lo[:2] = [0, U64_MAX]
+            args = (np.uint64(37), k_lo, zero, zero, seeds, randomness._DOMAIN_NODE)
+        else:
+            seeds = rng.integers(0, 2**64, (shape[0], 1), dtype=np.uint64)
+            depths = np.arange(100, 100 + shape[1], dtype=np.uint64)[None, :]
+            args = (depths, zero, zero, zero, seeds, randomness._DOMAIN_NODE)
+        rounds_numpy = randomness._rounds_numpy
+        sizes = []
+
+        def spy(*a):
+            sizes.append([np.size(w) for w in a])
+            return rounds_numpy(*a)
+
+        monkeypatch.setattr(randomness, "_rounds_numpy", spy)
+        out = philox4x64_10(*args)
+        assert (len(sizes) > 1) == (np.prod(shape) >= 2 * CHUNK)
+        for block in sizes:
+            assert all(got <= np.size(word) for got, word in zip(block, args)), block
+        want = rounds_numpy(*np.broadcast_arrays(*args))
+        for got, w in zip(out, want):
+            assert got.shape == shape and got.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
         "args",
         [
             (3, 1, 2, 3, 4, 5),
@@ -235,6 +270,33 @@ class TestOneLaneExit:
             seed, lo, mid, hi = (a[i:i + 1] for a in (seeds, off_lo, off_mid, off_hi))
             one = node_uniforms(seed, depth, lo, mid, hi)
             assert [u.tobytes() for u in one] == [u[i:i + 1].tobytes() for u in wide]
+
+    @pytest.mark.parametrize("depth", [0, 63, 64, 65, 191])
+    def test_one_lane_node_uniforms_is_node_randoms(self, depth, monkeypatch):
+        # an offset with its top bits set (all of them, or the top one over
+        # random low bits), as a (1,)-shaped lane, as 0-d words and as one
+        # lane of a wide call; the one-lane exit uses neither the words'
+        # numpy path nor its float map
+        rng = np.random.default_rng(depth)
+        n = 40
+        seeds = rng.integers(0, 2**64, n, dtype=np.uint64)
+        seeds[1] = U64_MAX
+        low = int(rng.integers(0, 2**63, dtype=np.uint64)) << 128 | 12345
+        offsets = [(1 << depth) - 1, low % (1 << depth) | (1 << depth) >> 1]
+        offsets += [int(k) % (1 << depth) for k in rng.integers(0, 2**63, n - 2, dtype=np.uint64)]
+        words = np.array([[k & U64_MAX, k >> 64 & U64_MAX, k >> 128] for k in offsets], np.uint64).T
+        wide = node_uniforms(seeds, np.uint64(depth), *words)
+        monkeypatch.setattr(randomness, "philox4x64_10", None)
+        monkeypatch.setattr(randomness, "_to_unit", None)
+        for i in (0, 1, n - 1):
+            nr = node_randoms(int(seeds[i]), (1 << depth) + offsets[i])
+            want = [nr.u_sample, nr.u_accept, nr.u_branch]
+            lane = node_uniforms(seeds[i:i + 1], depth, *words[:, i:i + 1])
+            assert [u.shape for u in lane] == [(1,)] * 3
+            assert [u.tobytes() for u in lane] == [u[i:i + 1].tobytes() for u in wide]
+            assert [float(u[0]) for u in lane] == want
+            scalar = node_uniforms(seeds[i], np.uint64(depth), *words[:, i])
+            assert all(type(u) is np.float64 for u in scalar) and list(scalar) == want
 
 
 class TestNodeRandoms:
