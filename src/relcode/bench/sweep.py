@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as _sstats
 
 from ..codecs import encode_payload
 from ..distributions import Unsatisfiable, gaussian_pair_for_targets
@@ -126,7 +125,9 @@ def measure_point(
         row["mean_" + name] = float(values.mean())
         row["se_" + name] = float(values.std(ddof=1) / np.sqrt(n))
     row["n"] = n
-    row["ks_p"] = float(_sstats.kstest(out.samples, pair.target.cdf).pvalue)
+    from scipy.stats import kstest  # about 45 MiB of imports: load on first use
+
+    row["ks_p"] = float(kstest(out.samples, pair.target.cdf).pvalue)
     return row
 
 

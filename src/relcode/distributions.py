@@ -220,16 +220,10 @@ class DistributionPair:
         Computes Q(A) - level * P(A) where A is [lo, hi] intersected with
         {r >= level}, clamped to [0, 1].
         """
-        return self.residual_within(lo, hi, level, self.level_bounds(level))
-
-    def residual_within(self, lo, hi, level, bounds):
-        """:meth:`residual_above` given the level set's ``bounds`` from
-        :meth:`level_bounds`, so that intervals at one level share them.
-        Arrays of intervals and levels broadcast against each other."""
-        return self.residuals_between((lo, hi), level, bounds)[0]
+        return self.residuals_between((lo, hi), level, self.level_bounds(level))[0]
 
     def residuals_between(self, ends, level, bounds):
-        """:meth:`residual_within` of each interval between consecutive
+        """:meth:`residual_above` of each interval between consecutive
         ``ends`` (nondecreasing), all at one ``level`` with the level set's
         ``bounds`` from :meth:`level_bounds`: a list one shorter than ``ends``.
 

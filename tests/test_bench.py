@@ -1,5 +1,9 @@
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,37 @@ class TestSweep:
         rows = run_sweep(cfg)
         for r in rows:
             assert r["mean_steps"] <= 1.0
+
+
+class TestColdStart:
+    """Importing the package and the ``bench`` harness leaves ``scipy.stats``
+    unloaded: its one use, the sweep's KS p-value, imports it when first
+    needed and gives the same value."""
+
+    CHILD = textwrap.dedent("""
+        import sys
+        import relcode, relcode.codecs, relcode.bench, relcode.bench.vector
+        import relcode.bench.cli
+        assert "scipy.stats" not in sys.modules, "import loaded scipy.stats"
+        from relcode import SplitRule, derive_seeds, encode_batch
+        from relcode import gaussian_pair_for_targets
+        from relcode.bench import SweepConfig, run_sweep
+        cfg = SweepConfig("unbiasedness", (2.0,), (4.0,), seeds_per_point=100,
+                          variants=(SplitRule.DYADIC,), seed_base=5)
+        (row,) = run_sweep(cfg)
+        pair = gaussian_pair_for_targets(2.0, 4.0)
+        out = encode_batch(pair, SplitRule.DYADIC, derive_seeds(5, 3, 0, 100))
+        from scipy.stats import kstest
+        want = float(kstest(out.samples, pair.target.cdf).pvalue)
+        assert row["ks_p"].hex() == want.hex(), (row["ks_p"], want)
+    """)
+
+    def test_scipy_stats_loads_only_for_ks(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", self.CHILD],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestBiasMode:

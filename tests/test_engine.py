@@ -735,7 +735,7 @@ def residual_reference(pair, lo, hi, level):
 
 
 class TestKernelShortcuts:
-    """``residual_within`` over stacked intervals (which broadcast against
+    """``residuals_between`` over stacked intervals (which broadcast against
     one row of levels) and the offsets' shift below depth 63 give what the
     plain computations give, bit for bit."""
 
@@ -757,10 +757,10 @@ class TestKernelShortcuts:
         else:
             pair = PAIR35
         bounds = pair.level_bounds(level)
-        stacked = pair.residual_within(np.array((lo, c)), np.array((c, hi)), level, bounds)
+        stacked = pair.residuals_between((np.array((lo, c)), np.array((c, hi))), level, bounds)[0]
         assert stacked.shape == (2, n)
         for row, (a, b) in zip(stacked, [(lo, c), (c, hi)]):
-            one = pair.residual_within(a, b, level, bounds)
+            one = pair.residuals_between((a, b), level, bounds)[0]
             assert row.tobytes() == one.tobytes()
             assert row.tobytes() == residual_reference(pair, a, b, level).tobytes()
         assert (stacked[:, -8:] == 0.0).all() and (stacked[:, :4] > 0.0).any()
@@ -768,7 +768,7 @@ class TestKernelShortcuts:
     @pytest.mark.parametrize("mixed", [False, True])
     def test_shared_cut_equals_two_calls(self, mixed):
         # both children's residuals from one clamp of (lo, cut, hi) equal
-        # one residual_within call per child and the plain expressions
+        # one two-end residuals_between call per child and the plain expressions
         rng = np.random.default_rng(5)
         n = 96
         lo, c, hi = np.sort(rng.normal(0.0, 2.0, (3, n)), axis=0)
@@ -794,7 +794,7 @@ class TestKernelShortcuts:
         assert below.size and above.size
         left, right = pair.residuals_between((lo, c, hi), level, bounds)
         for got, (a, b) in zip((left, right), [(lo, c), (c, hi)]):
-            assert got.tobytes() == pair.residual_within(a, b, level, bounds).tobytes()
+            assert got.tobytes() == pair.residuals_between((a, b), level, bounds)[0].tobytes()
             assert got.tobytes() == residual_reference(pair, a, b, level).tobytes()
         assert (left[below] == 0.0).all() and (right[above] == 0.0).all()
         assert (left[above] > 0.0).any() and (right[below] > 0.0).any()
@@ -857,7 +857,7 @@ class TestPeakMemory:
     """The dyadic descent sets a large batch's peak memory: its residual
     routine holds no more full-size arrays than two plain calls did."""
 
-    # tracemalloc peak of the call below with two residual_within calls per
+    # tracemalloc peak of the call below with one residual call per child per
     # step (Python 3.11, numpy 2.4, which reports its data to tracemalloc)
     TWO_CALLS_PEAK_MIB = 19.22
 
