@@ -20,15 +20,16 @@ the untruncated max-entropy closed form always lands at or below exponent
 what keeps the max-entropy intent well defined.  Each step evaluates the
 model's exact mean and the slope of its log (``_mean_and_slope``: one exp
 pass over the 4,096 head terms, their sum and two dots, plus the tail's
-closed-form integrals) and narrows a bracket kept in exponent space.  The
-bracket starts at two neighbours of a cached grid of 17 exact means; the
-steps are safeguarded Newton steps on u = ln(s - 1) towards ln(mean) =
-ln(target), starting from the grid's secant point, with a bisection step
-in u wherever a step is not strictly inside the bracket: 4 means per fit on
-the bench vector grid, and at most 5 on 4,000 random targets across the
-fittable range.  The fit ends at the first exponent whose mean is within a
-relative 2**-40 of the target.  The format fixes a model by its exponent
-alone (docs/FORMAT.md), so how the exponent was fitted is not part of it.
+integrals from one call of the lower incomplete gamma function) and narrows
+a bracket kept in exponent space.  The bracket starts at two neighbours of
+a cached grid of 17 exact means; the steps are safeguarded Newton steps on
+u = ln(s - 1) towards ln(mean) = ln(target), starting from the grid's
+secant point, with a bisection step in u wherever a step is not strictly
+inside the bracket: 4 means per fit on the bench vector grid, and at most 5
+on 4,000 random targets across the fittable range.  The fit ends at the
+first exponent whose mean is within a relative 2**-40 of the target.  The
+format fixes a model by its exponent alone (docs/FORMAT.md), so how the
+exponent was fitted is not part of it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+from scipy.special import gammainc
 
 from .arith import ArithmeticDecoder, ArithmeticEncoder
 from .bits import Bits, BitReader
@@ -81,49 +83,25 @@ def _tail_mass(eps: float, ln_a: float, ln_b: float) -> float:
     return math.exp(-eps * ln_a) * -math.expm1(-eps * (ln_b - ln_a)) / eps
 
 
-def _psi(y: float) -> float:
-    """(1 - e**-y (1 + y)) / y**2 for y > 0, to a few ulp."""
-    if y < 0.25:
-        # alternating series sum_k (-1)**k (k+1)/(k+2)! y**k: 12 terms leave
-        # less than 1e-17, where the closed form loses digits to cancellation
-        term, total = 0.5, 0.0
-        for k in range(12):
-            total += term
-            term *= -y * (k + 2) / ((k + 1) * (k + 3))
-        return total
-    return (-math.expm1(-y) - y * math.exp(-y)) / (y * y)
+def _tail_log_moments(eps: float) -> tuple[float, float, float]:
+    """Integrals of x**-(1+eps) * ln(x)**k over the whole tail, k = 0, 1, 2.
 
-
-def _tail_log_moment(eps: float) -> float:
-    """Integral of x**-(1+eps) * ln(x) over the whole tail; stable as
-    eps -> 0 via expm1 and the series form of ``_psi``."""
+    With W the tail's log width, y = eps * W and t = ln(x) - _LN_LO, they
+    expand in the integrals of e**(-eps t) t**j over [0, W], which are
+    j! * gammainc(j + 1, y) / eps**(j + 1) (the regularized lower
+    incomplete gamma function): stable as eps -> 0, where closed forms in
+    e**-y lose digits to cancellation."""
     width = _LN_HI - _LN_LO
     y = eps * width
-    e1 = -math.expm1(-y) / y
-    return math.exp(-eps * _LN_LO) * width * (_LN_LO * e1 + width * _psi(y))
-
-
-def _chi(y: float) -> float:
-    """(2 - e**-y (2 + 2y + y**2)) / y**3 for y > 0, to a few ulp."""
-    if y < 1.0:
-        # alternating series sum_k (-1)**k y**k / (k! (k+3)): 20 terms leave
-        # less than 1e-19, where the closed form loses digits to cancellation
-        term, total = 1.0 / 3.0, 0.0
-        for k in range(20):
-            total += term
-            term *= -y * (k + 3) / ((k + 1) * (k + 4))
-        return total
-    return (-2.0 * math.expm1(-y) - y * (2.0 + y) * math.exp(-y)) / (y * y * y)
-
-
-def _tail_log_sq_moment(eps: float) -> float:
-    """Integral of x**-(1+eps) * ln(x)**2 over the whole tail; stable as
-    eps -> 0 via expm1 and the series forms of ``_psi`` and ``_chi``."""
-    width = _LN_HI - _LN_LO
-    y = eps * width
-    e1 = -math.expm1(-y) / y
-    inner = _LN_LO * _LN_LO * e1 + width * (2.0 * _LN_LO * _psi(y) + width * _chi(y))
-    return math.exp(-eps * _LN_LO) * width * inner
+    g1, g2, g3 = gammainc((1.0, 2.0, 3.0), y).tolist()
+    # (1 - e**-y) / y, gamma(2, y) / y**2 and gamma(3, y) / y**3
+    e1, psi, chi = g1 / y, g2 / (y * y), 2.0 * g3 / (y * y * y)
+    scale = math.exp(-eps * _LN_LO) * width
+    return (
+        scale * e1,
+        scale * (_LN_LO * e1 + width * psi),
+        scale * (_LN_LO * _LN_LO * e1 + width * (2.0 * _LN_LO * psi + width * chi)),
+    )
 
 
 def _head_sums(exponent: float) -> np.ndarray:
@@ -229,17 +207,18 @@ _GRID_POINTS = 17
 
 def _mean_and_slope(exponent: float) -> tuple[float, float, np.ndarray]:
     """The model's mean log2-index (the head's 4,096 terms summed in
-    float64, plus the tail integrals) and, from the same exp pass, the
-    slope of ln(mean) in u = ln(exponent - 1): -Var[ln n] / E[ln n] *
-    (exponent - 1), since the derivative of E[ln n] in the exponent is
-    -Var[ln n].  Third comes that pass, the head's weights, as
+    float64, plus the tail's incomplete-gamma integrals) and, from the same
+    exp pass, the slope of ln(mean) in u = ln(exponent - 1): -Var[ln n] /
+    E[ln n] * (exponent - 1), since the derivative of E[ln n] in the
+    exponent is -Var[ln n].  Third comes that pass, the head's weights, as
     ``_head_sums`` computes them."""
     eps = exponent - 1.0
     w = np.exp(-exponent * _HEAD_LN)
-    z = float(w.sum()) + _tail_mass(eps, _LN_LO, _LN_HI)
-    num = float(w @ _HEAD_LN) + _tail_log_moment(eps)
+    m0, m1, m2 = _tail_log_moments(eps)
+    z = float(w.sum()) + m0
+    num = float(w @ _HEAD_LN) + m1
     mean_ln = num / z
-    var = (float(w @ _HEAD_LN_SQ) + _tail_log_sq_moment(eps)) / z - mean_ln * mean_ln
+    var = (float(w @ _HEAD_LN_SQ) + m2) / z - mean_ln * mean_ln
     return mean_ln / LN2, -var / mean_ln * eps, w
 
 

@@ -121,8 +121,9 @@ def mean_log2(exponent: float) -> float:
     """Expected log2 of the index under the zeta model, every head term summed."""
     eps = exponent - 1.0
     w = np.exp(-exponent * zeta._HEAD_LN)
-    z = float(w.sum()) + zeta._tail_mass(eps, zeta._LN_LO, zeta._LN_HI)
-    num = float(w @ zeta._HEAD_LN) + zeta._tail_log_moment(eps)
+    m0, m1, _ = zeta._tail_log_moments(eps)
+    z = float(w.sum()) + m0
+    num = float(w @ zeta._HEAD_LN) + m1
     return num / z / LN2
 
 

@@ -525,30 +525,21 @@ class TestZeta:
         above = math.nextafter(bottom, math.inf)
         assert abs(mean_log2(fit_zeta([above]).exponent) - above) <= 2.0**-40 * above
 
-    def test_tail_log_moment_against_decimal(self):
-        # the closed form (fa - fb) / eps**2 at 40 digits, on the float ends
+    def test_tail_log_moments_against_decimal(self):
+        # the closed forms (f(a) - f(b)) / eps**(k+1), f(L) = e**(-eps L)
+        # P_k(eps L) with P_0 = 1, P_1(x) = x + 1 and P_2(x) = x**2 + 2x + 2,
+        # at 40 digits, on the float ends
         for eps in (1e-6, 1e-5, 1e-4, 1e-2, 0.5, 19.0):
             with localcontext() as ctx:
                 ctx.prec = 40
                 e, a, b = Decimal(eps), Decimal(zeta._LN_LO), Decimal(zeta._LN_HI)
-                fa = (-e * a).exp() * (e * a + 1)
-                fb = (-e * b).exp() * (e * b + 1)
-                want = (fa - fb) / (e * e)
-            got = zeta._tail_log_moment(eps)
-            assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), eps
-
-    def test_tail_log_sq_moment_against_decimal(self):
-        # the closed form (ga - gb) / eps**3, g(L) = e**(-eps L) ((eps L)**2
-        # + 2 eps L + 2), at 40 digits, on the float ends
-        for eps in (1e-6, 1e-5, 1e-4, 1e-2, 0.5, 19.0):
-            with localcontext() as ctx:
-                ctx.prec = 40
-                e, a, b = Decimal(eps), Decimal(zeta._LN_LO), Decimal(zeta._LN_HI)
-                ga = (-e * a).exp() * ((e * a) ** 2 + 2 * e * a + 2)
-                gb = (-e * b).exp() * ((e * b) ** 2 + 2 * e * b + 2)
-                want = (ga - gb) / e**3
-            got = zeta._tail_log_sq_moment(eps)
-            assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), eps
+                fa, fb = (
+                    [(-x).exp() * p for p in (1, x + 1, x * x + 2 * x + 2)]
+                    for x in (e * a, e * b)
+                )
+                wants = [(fa[k] - fb[k]) / e ** (k + 1) for k in range(3)]
+            for k, (got, want) in enumerate(zip(zeta._tail_log_moments(eps), wants)):
+                assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), (eps, k)
 
     def test_newton_slope_matches_central_difference(self):
         # d ln(mean) / du at u = ln(s - 1), against the exact means a step
