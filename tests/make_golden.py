@@ -5,6 +5,9 @@ Run from the root of a checkout to (re)write the fixture that
 
     PYTHONPATH=src python tests/make_golden.py
 
+Before it writes, it prints the path of every leaf whose value the rewrite
+changes, adds or drops, or ``no leaf moved``.
+
 Every value is recorded exactly (floats as ``float.hex``, indices as hex,
 codewords as byte hex, batch outputs as sha256 digests), so the fixture only
 stays unchanged while every sample, heap index and codeword does.  The
@@ -207,11 +210,29 @@ def build() -> dict:
     }
 
 
+def differing_leaves(got, want, path=""):
+    """The path of every leaf, such as ``codecs/zeta/fitted_exponent``, whose
+    value differs between the two trees or that only one of them has."""
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        return [] if got == want else [path]
+    out = []
+    for key in sorted(got.keys() | want.keys()):
+        sub = f"{path}/{key}" if path else key
+        if key in got and key in want:
+            out += differing_leaves(got[key], want[key], sub)
+        else:
+            out.append(sub)
+    return out
+
+
 def dumps(golden: dict) -> str:
     return json.dumps(golden, indent=1, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":
+    golden = build()
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    print("\n".join(differing_leaves(golden, old)) or "no leaf moved")
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(dumps(build()))
+    FIXTURE.write_text(dumps(golden))
     print(f"wrote {FIXTURE}")
