@@ -75,12 +75,12 @@ _LN_LO = math.log(HEAD + 0.5)
 _LN_HI = math.log(N_MAX + 0.5)
 
 
-def _tail_mass(eps: float, ln_a: float, ln_b: float) -> float:
-    """Integral of x**-(1+eps) over [a, b], endpoints given as logs; stable
-    as eps -> 0 via expm1."""
-    if ln_b <= ln_a:
+def _tail_mass(eps: float, ln_a: float, width: float) -> float:
+    """Integral of x**-(1+eps) over [a, b], given ln(a) and the log width
+    ln(b) - ln(a); stable as eps -> 0 via expm1."""
+    if width <= 0.0:
         return 0.0
-    return math.exp(-eps * ln_a) * -math.expm1(-eps * (ln_b - ln_a)) / eps
+    return math.exp(-eps * ln_a) * -math.expm1(-eps * width) / eps
 
 
 def _tail_log_moments(eps: float) -> tuple[float, float, float]:
@@ -137,7 +137,7 @@ class ZetaModel:
     def _head_from(self, cdf: np.ndarray) -> tuple[np.ndarray, float, float]:
         """``_head`` from the head's running sums, divided in place."""
         total = float(cdf[-1])
-        norm = total + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI)
+        norm = total + _tail_mass(self.exponent - 1.0, _LN_LO, _LN_HI - _LN_LO)
         cdf /= norm  # the float division cdf_before defines, once per entry
         return cdf, total, norm
 
@@ -152,7 +152,7 @@ class ZetaModel:
         cdf, total, norm = self._head
         if n <= HEAD + 1:
             return float(cdf[n - 1])
-        tail = _tail_mass(self.exponent - 1.0, _LN_LO, math.log(min(n, N_MAX + 1) - 0.5))
+        tail = _tail_mass(self.exponent - 1.0, _LN_LO, math.log(min(n, N_MAX + 1) - 0.5) - _LN_LO)
         return (total + tail) / norm
 
     def pmf(self, n: int) -> float:
@@ -161,8 +161,9 @@ class ZetaModel:
         if n <= HEAD:
             # numpy's exp, as in _head_sums: math.exp can differ by an ulp
             return float(np.exp(-self.exponent * _HEAD_LN[n - 1])) / self._norm
-        eps = self.exponent - 1.0
-        return _tail_mass(eps, math.log(n - 0.5), math.log(n + 0.5)) / self._norm
+        # log(n + 0.5) - log(n - 0.5) loses digits, and is 0 from 2**49 on
+        width = math.log1p(1.0 / (n - 0.5))
+        return _tail_mass(self.exponent - 1.0, math.log(n - 0.5), width) / self._norm
 
     def search_before(self, target: float) -> int:
         """Largest n with cdf_before(n) <= target (inverse CDF)."""

@@ -142,7 +142,8 @@ def head_cum(exponent: float) -> np.ndarray:
 
 def zeta_norm(exponent: float, cum: np.ndarray) -> float:
     """The normalizer from the whole table ``cum = head_cum(exponent)``."""
-    return float(cum[-1]) + zeta._tail_mass(exponent - 1.0, zeta._LN_LO, zeta._LN_HI)
+    width = zeta._LN_HI - zeta._LN_LO
+    return float(cum[-1]) + zeta._tail_mass(exponent - 1.0, zeta._LN_LO, width)
 
 
 def zeta_cdf_before(exponent: float, n: int, cum: np.ndarray) -> float:
@@ -150,7 +151,7 @@ def zeta_cdf_before(exponent: float, n: int, cum: np.ndarray) -> float:
     norm = zeta_norm(exponent, cum)
     if n <= zeta.HEAD + 1:
         return float(cum[n - 1]) / norm
-    tail = zeta._tail_mass(exponent - 1.0, zeta._LN_LO, math.log(n - 0.5))
+    tail = zeta._tail_mass(exponent - 1.0, zeta._LN_LO, math.log(n - 0.5) - zeta._LN_LO)
     return (float(cum[-1]) + tail) / norm
 
 

@@ -314,12 +314,12 @@ class TestVector:
         assert report.delta_total_bits == 6.0
 
     def test_zero_mass_index_reports_infinite_info(self, monkeypatch):
-        # all-ones calibration fits MAX_EXPONENT, under which 2**50 has pmf
+        # all-ones calibration fits MAX_EXPONENT, under which 2**60 has pmf
         # 0.0: the joint stream escapes it, and its information is infinite
         import relcode.bench.vector as bench_vector
 
         class Batch:
-            heap_indices = [1] * 8 + [2**50, 3]
+            heap_indices = [1] * 8 + [2**60, 3]
 
         monkeypatch.setattr(bench_vector, "encode_batch", lambda *a, **k: Batch)
         pairs = [gaussian_pair_for_targets(0.2, 0.95)] * 2

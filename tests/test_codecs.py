@@ -564,6 +564,19 @@ class TestZeta:
             pmf = np.array([model.pmf(n) for n in range(1, zeta.HEAD + 1)])
             assert np.array_equal(pmf, weights / model._norm)
 
+    def test_tail_pmf_against_decimal(self):
+        # the midpoint integral ((n - 1/2)**(1-s) - (n + 1/2)**(1-s)) / (s - 1)
+        # over the model's normalizer, at 40 digits, out to the support's end
+        for s in self.HEAD_EXPONENTS:
+            model = ZetaModel(s)
+            for n in (zeta.HEAD + 1, 10**6, 10**12, 2**48, 2**49, 2**50, 2**62):
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    e, half = 1 - Decimal(s), Decimal("0.5")
+                    want = ((n - half) ** e - (n + half) ** e) / -e / Decimal(model._norm)
+                if want >= Decimal(2) ** -1022:
+                    assert abs(Decimal(model.pmf(n)) / want - 1) <= Decimal("1e-12"), (s, n)
+
     def test_cdf_and_norm_match_whole_table(self):
         # the normalizer and every head cdf are the oracle table's, bit for
         # bit, and so are the tail cdfs past the head
