@@ -3,8 +3,9 @@
 Subcommands: ``sweep`` (grid runs), ``unbias`` (KS tests), ``bias``
 (depth-limited sampling bias), ``vector`` (dimensionwise coding), and
 ``plot`` (plot-data emission from a sweep CSV).  Each study returns rows,
-which are printed and, with ``--out``, written as CSV.  Invalid options
-exit with status 2 and a usage line before the first encode.  With
+which are printed and, with ``--out``, written as CSV.  Invalid options,
+and a ``plot`` input that is missing or lacks the sweep schema, exit with
+status 2 and a usage line before the first encode or write.  With
 ``--check``, exits with status 2 when any acceptance-style threshold is
 violated.
 """
@@ -18,7 +19,7 @@ from dataclasses import asdict
 from ..engine import SplitRule
 from ..distributions import Unsatisfiable, gaussian_pair_for_targets
 from .bias import bias_plan, bias_study, check_bias
-from .plots import emit_plots
+from .plots import SchemaError, emit_plots
 from .sweep import MODES, SweepConfig, check_thresholds, run_sweep, write_rows
 from .vector import encode_vector
 
@@ -154,7 +155,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "plot":
-        for path in emit_plots(args.csv, args.outdir):
+        try:
+            paths = emit_plots(args.csv, args.outdir)
+        except (FileNotFoundError, SchemaError) as err:
+            parser.error(str(err))
+        for path in paths:
             print(path)
         return 0
 

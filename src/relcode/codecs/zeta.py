@@ -20,16 +20,15 @@ the untruncated max-entropy closed form always lands at or below exponent
 what keeps the max-entropy intent well defined.  Each step evaluates the
 model's exact mean and the slope of its log (``_mean_and_slope``: one exp
 pass over the 4,096 head terms, their sum and two dots, plus the tail's
-integrals from one call of the lower incomplete gamma function) and narrows
-a bracket kept in exponent space.  The bracket starts at two neighbours of
-a cached grid of 17 exact means; the steps are safeguarded Newton steps on
-u = ln(s - 1) towards ln(mean) = ln(target), starting from the grid's
-secant point, with a bisection step in u wherever a step is not strictly
-inside the bracket: 4 means per fit on the bench vector grid, and at most 5
-on 4,000 random targets across the fittable range.  The fit ends at the
-first exponent whose mean is within a relative 2**-40 of the target.  The
-format fixes a model by its exponent alone (docs/FORMAT.md), so how the
-exponent was fitted is not part of it.
+incomplete-gamma integrals) and narrows a bracket kept in exponent space.  The
+bracket starts at two neighbours of a cached grid of 17 exact means; the
+steps are safeguarded Newton steps on u = ln(s - 1) towards ln(mean) =
+ln(target), starting from the grid's secant point, with a bisection step
+in u wherever a step is not strictly inside the bracket: 4 means per fit on
+the bench vector grid, and at most 5 on 4,000 random targets across the
+fittable range.  The fit ends at the first exponent whose mean is within a
+relative 2**-40 of the target.  The format fixes a model by its exponent
+alone (docs/FORMAT.md), so how the exponent was fitted is not part of it.
 """
 
 from __future__ import annotations

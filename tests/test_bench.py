@@ -529,6 +529,19 @@ class TestCli:
         assert "usage:" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("header", [None, "dkl_target,variant\n"])
+    def test_plot_bad_input_is_usage_error(self, header, tmp_path, capsys):
+        # a missing file, or a CSV without the sweep schema, exits 2 before
+        # anything is written
+        csv_path = tmp_path / "in.csv"
+        if header is not None:
+            csv_path.write_text(header)
+        with pytest.raises(SystemExit) as err:
+            cli_main(["plot", str(csv_path), "--outdir", str(tmp_path / "plots")])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "plots").exists()
+
     def test_bias_error_after_first_encode_is_not_a_usage_error(self, monkeypatch):
         # only the option checks become usage errors; a fault inside the study
         # keeps its traceback

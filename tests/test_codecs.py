@@ -175,6 +175,13 @@ class TestElias:
         with pytest.raises(DecodeError):
             elias_gamma_decode(BitReader(Bits("001")))
 
+    def test_gamma_prefix_limit(self):
+        # docs/FORMAT.md: at most 4,096 leading zeros, however many bits follow
+        ok = "0" * 4096 + "1" + "0" * 4096
+        assert elias_gamma_decode(BitReader(Bits(ok))) == 1 << 4096
+        with pytest.raises(DecodeError, match="too long"):
+            elias_gamma_decode(BitReader(Bits("0" + ok + "0")))
+
     @given(st.integers(1, 10**5))
     def test_round_trip_and_lengths(self, n):
         g = elias_gamma_encode(n)
