@@ -532,8 +532,9 @@ class TestZeta:
         above = math.nextafter(bottom, math.inf)
         assert abs(mean_log2(fit_zeta([above]).exponent) - above) <= 2.0**-40 * above
 
-    def test_tail_log_moments_against_decimal(self):
-        # the closed forms (f(a) - f(b)) / eps**(k+1), f(L) = e**(-eps L)
+    @staticmethod
+    def _check_tail_log_moment(k):
+        # the closed form (f(a) - f(b)) / eps**(k+1), f(L) = e**(-eps L)
         # P_k(eps L) with P_0 = 1, P_1(x) = x + 1 and P_2(x) = x**2 + 2x + 2,
         # at 40 digits, on the float ends
         for eps in (1e-6, 1e-5, 1e-4, 1e-2, 0.5, 19.0):
@@ -541,12 +542,20 @@ class TestZeta:
                 ctx.prec = 40
                 e, a, b = Decimal(eps), Decimal(zeta._LN_LO), Decimal(zeta._LN_HI)
                 fa, fb = (
-                    [(-x).exp() * p for p in (1, x + 1, x * x + 2 * x + 2)]
-                    for x in (e * a, e * b)
+                    (-x).exp() * (1, x + 1, x * x + 2 * x + 2)[k] for x in (e * a, e * b)
                 )
-                wants = [(fa[k] - fb[k]) / e ** (k + 1) for k in range(3)]
-            for k, (got, want) in enumerate(zip(zeta._tail_log_moments(eps), wants)):
-                assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), (eps, k)
+                want = (fa - fb) / e ** (k + 1)
+            got = zeta._tail_log_moments(eps)[k]
+            assert abs(Decimal(got) / want - 1) <= Decimal("1e-14"), eps
+
+    def test_tail_normalizer_against_decimal(self):
+        self._check_tail_log_moment(0)
+
+    def test_tail_log_moment_against_decimal(self):
+        self._check_tail_log_moment(1)
+
+    def test_tail_log_sq_moment_against_decimal(self):
+        self._check_tail_log_moment(2)
 
     def test_newton_slope_matches_central_difference(self):
         # d ln(mean) / du at u = ln(s - 1), against the exact means a step
