@@ -1,11 +1,10 @@
-"""Benchmark harness: sweeps, sampling-bias study, vector coding, plot-data
-emission, and the ``bench`` CLI.  Each study returns rows for ``write_rows``."""
+"""Benchmark harness: sweeps, sampling-bias study, vector coding and the
+``bench`` CLI.  Each study returns rows for ``write_rows``."""
 
 from .bias import bias_study, check_bias, knn_kl_bits, kl_bias_estimate
 from .sweep import SweepConfig, CSV_HEADER, MODES, BETA_STEPS
 from .sweep import run_sweep, check_thresholds, write_rows
 from .vector import encode_vector, VectorReport, DimensionReport
-from .plots import emit_plots, SchemaError
 
 __all__ = [
     "SweepConfig",
@@ -22,6 +21,4 @@ __all__ = [
     "encode_vector",
     "VectorReport",
     "DimensionReport",
-    "emit_plots",
-    "SchemaError",
 ]

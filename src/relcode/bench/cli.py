@@ -1,13 +1,11 @@
 """Command-line benchmark harness.
 
 Subcommands: ``sweep`` (grid runs), ``unbias`` (KS tests), ``bias``
-(depth-limited sampling bias), ``vector`` (dimensionwise coding), and
-``plot`` (plot-data emission from a sweep CSV).  Each study returns rows,
-which are printed and, with ``--out``, written as CSV.  Invalid options,
-and a ``plot`` input that is missing or lacks the sweep schema, exit with
-status 2 and a usage line before the first encode or write.  With
-``--check``, exits with status 2 when any acceptance-style threshold is
-violated.
+(depth-limited sampling bias) and ``vector`` (dimensionwise coding).  Each
+study returns rows, which are printed and, with ``--out``, written as CSV.
+Invalid options exit with status 2 and a usage line before the first
+encode.  With ``--check``, exits with status 2 when any acceptance-style
+threshold is violated.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import asdict
 from ..engine import SplitRule
 from ..distributions import Unsatisfiable, gaussian_pair_for_targets
 from .bias import bias_plan, bias_study, check_bias
-from .plots import SchemaError, emit_plots
 from .sweep import MODES, SweepConfig, check_thresholds, run_sweep, write_rows
 from .vector import encode_vector
 
@@ -120,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib", type=_count, default=256)
     p.add_argument("--repeats", type=_count, default=10)
     common(p)
-
-    p = sub.add_parser("plot", help="emit plot data from a sweep CSV")
-    p.add_argument("csv")
-    p.add_argument("--outdir", default="plots")
     return parser
 
 
@@ -153,15 +146,6 @@ def _check_status(violations) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "plot":
-        try:
-            paths = emit_plots(args.csv, args.outdir)
-        except (FileNotFoundError, SchemaError) as err:
-            parser.error(str(err))
-        for path in paths:
-            print(path)
-        return 0
 
     if args.command == "vector":
         kls = [

@@ -98,8 +98,10 @@ class SplitRule(str, enum.Enum):
 
 class NonTermination(RuntimeError):
     """The encoder cannot finish a run: it passed the hard step cap, a node
-    offset passed the ``MAX_OFFSET_BITS`` ceiling, or the global rule ran out
-    of levels (past ``GLOBAL_STEP_CAP``, or exhausted with runs still live)."""
+    offset passed the ``MAX_OFFSET_BITS`` ceiling, a split-rule run stopped
+    on a non-finite sample (the proposal's quantile at a CDF coordinate that
+    rounds to 0 or 1), or the global rule ran out of levels (past
+    ``GLOBAL_STEP_CAP``, or exhausted with runs still live)."""
 
 
 class InvalidIndex(ValueError):
@@ -445,6 +447,11 @@ def _run_batch(pair, rule: SplitRule, seeds, d_max):
                 alive_ids = alive_ids[~stop]
             st = child
             d += 1
+    if not np.isfinite(out_sample).all():
+        raise NonTermination(
+            f"{np.count_nonzero(~np.isfinite(out_sample))} of {n} {rule.value} "
+            "runs stopped on a non-finite sample"
+        )
     if exhausted_runs:
         _log.warning(
             "%d of %d %s runs found no residual mass in either child and "

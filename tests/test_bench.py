@@ -1,5 +1,8 @@
+import argparse
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -9,19 +12,17 @@ import numpy as np
 import pytest
 
 from relcode.bench import (
-    SchemaError,
     SweepConfig,
     bias_study,
     check_bias,
     check_thresholds,
-    emit_plots,
     encode_vector,
     kl_bias_estimate,
     knn_kl_bits,
     run_sweep,
     write_rows,
 )
-from relcode.bench.cli import main as cli_main
+from relcode.bench.cli import build_parser, main as cli_main
 from relcode.bench.vector import VectorReport
 from relcode.codecs import encode_payload
 from relcode.distributions import (
@@ -372,69 +373,8 @@ class TestVector:
         assert calls == [] and steps == []
 
 
-def plot_row(variant):
-    return dict(
-        dkl_target=2.0, dinf_target=3.0, variant=variant, mean_steps=1.5,
-        se_steps=0.1, mean_bits=3.2, se_bits=0.2, reason="",
-    )
-
-
-class TestPlots:
-    def test_emit_and_determinism(self, tmp_path):
-        csv_path = tmp_path / "sweep.csv"
-        write_rows(run_sweep(small_config()), str(csv_path))
-        out1 = tmp_path / "p1"
-        out2 = tmp_path / "p2"
-        files1 = emit_plots(str(csv_path), str(out1))
-        files2 = emit_plots(str(csv_path), str(out2))
-        assert [os.path.basename(f) for f in files1] == [
-            os.path.basename(f) for f in files2
-        ]
-        for f1, f2 in zip(files1, files2):
-            assert open(f1, "rb").read() == open(f2, "rb").read()
-        names = {os.path.basename(f) for f in files1}
-        assert "sweep_steps_sample.dat" in names
-        assert "sweep.gp" in names
-
-    def test_schema_error(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        with pytest.raises(SchemaError):
-            emit_plots(str(bad), str(tmp_path / "out"))
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        with pytest.raises(SchemaError):
-            emit_plots(str(empty), str(tmp_path / "out2"))
-
-    @pytest.mark.parametrize(
-        "variant",
-        ["x' ; system('echo PWNED') ; '", "../escaped", "dyadic\nsystem('ls')"],
-        ids=["quote", "path", "line-break"],
-    )
-    def test_variant_not_a_rule_is_schema_error(self, tmp_path, variant):
-        # variants go into quoted strings of the gnuplot script and into
-        # file names, so only split rules get there
-        path = tmp_path / "sweep.csv"
-        write_rows([plot_row("dyadic"), plot_row(variant)], str(path))
-        with pytest.raises(SchemaError, match="split rule"):
-            emit_plots(str(path), str(tmp_path / "out"))
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "name",
-        ["it's.csv", "a\nsystem('ls').csv", "sweep.csv\n'"],
-        ids=["quote", "line-break", "line-break-in-extension"],
-    )
-    def test_quote_or_line_break_in_file_name_is_schema_error(self, tmp_path, name):
-        path = tmp_path / name
-        write_rows([plot_row("dyadic")], str(path))
-        with pytest.raises(SchemaError, match="file name"):
-            emit_plots(str(path), str(tmp_path / "out"))
-        assert not (tmp_path / "out").exists()
-
-
 class TestCli:
-    def test_sweep_and_plot(self, tmp_path, capsys):
+    def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         rc = cli_main([
             "sweep", "--mode", "runtime_vs_dinf", "--dkl", "2",
@@ -442,9 +382,33 @@ class TestCli:
             "--seed-base", "2", "--out", str(out),
         ])
         assert rc == 0 and out.exists()
-        rc = cli_main(["plot", str(out), "--outdir", str(tmp_path / "plots")])
-        assert rc == 0
-        assert (tmp_path / "plots" / "s.gp").exists()
+
+    def test_subcommands(self, tmp_path, capsys):
+        # sweep CSVs hold the (x, y, yerr) columns themselves; there is no
+        # plot-data emitter
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {"sweep", "unbias", "bias", "vector"}
+        with pytest.raises(SystemExit) as err:
+            cli_main(["plot", "s.csv", "--outdir", str(tmp_path / "plots")])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_examples_parse(self):
+        # every `bench` line in README.md's bash blocks is one the parser takes
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = []
+        for block in re.findall(r"^```bash\n(.*?)^```", text, re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line.startswith("bench "):
+                    lines.append(line)
+        assert lines
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
     def test_unbias_check_passes(self):
         rc = cli_main([
@@ -528,19 +492,6 @@ class TestCli:
         assert err.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert calls == []
-
-    @pytest.mark.parametrize("header", [None, "dkl_target,variant\n"])
-    def test_plot_bad_input_is_usage_error(self, header, tmp_path, capsys):
-        # a missing file, or a CSV without the sweep schema, exits 2 before
-        # anything is written
-        csv_path = tmp_path / "in.csv"
-        if header is not None:
-            csv_path.write_text(header)
-        with pytest.raises(SystemExit) as err:
-            cli_main(["plot", str(csv_path), "--outdir", str(tmp_path / "plots")])
-        assert err.value.code == 2
-        assert "usage:" in capsys.readouterr().err
-        assert not (tmp_path / "plots").exists()
 
     def test_bias_error_after_first_encode_is_not_a_usage_error(self, monkeypatch):
         # only the option checks become usage errors; a fault inside the study

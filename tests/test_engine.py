@@ -29,6 +29,7 @@ from relcode.distributions import (
 from relcode import engine
 from relcode.engine import (
     InvalidIndex,
+    NonTermination,
     SplitRule,
     _accept_prob,
     _BatchState,
@@ -493,6 +494,18 @@ class TestEncodeDecode:
         for seed in np.flatnonzero(out.depths == 2)[:20]:
             res = encode(NO_RESIDUAL_ABOVE_4, SplitRule.DYADIC, int(seed))
             assert (res.sample, res.heap_index) == (out.samples[seed], out.heap_indices[seed])
+
+    @pytest.mark.parametrize("rule", [SplitRule.SAMPLE, SplitRule.DYADIC])
+    def test_non_finite_sample_raises(self, rule):
+        # N(8, 0.3^2) sits where the proposal's upper tail is below the ulp
+        # of 1.0: some runs draw quantile(1.0) = +inf, which must not come
+        # back as an accepted sample
+        far = DistributionPair(Distribution1D(8.0, 0.3), STD)
+        with pytest.raises(NonTermination, match="non-finite sample"):
+            encode_batch(far, rule, range(2000))
+        near = DistributionPair(Distribution1D(7.5, 0.3), STD)
+        out = encode_batch(near, rule, range(2000))
+        assert np.isfinite(out.samples).all()
 
     def test_decode_never_sees_target(self):
         import inspect
