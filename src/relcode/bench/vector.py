@@ -79,8 +79,7 @@ def encode_vector(
         derive_seeds(seed, _TAG_EVAL, np.arange(repeats * n_dims), 1).ravel(),
     ])
     run_dims = np.concatenate([np.repeat(dims, calibration_runs), np.tile(dims, repeats)])
-    run_pairs = np.array(pairs, dtype=object)[run_dims]
-    heap_indices = encode_batch(run_pairs, SplitRule.DYADIC, seeds).heap_indices
+    heap_indices = encode_batch((pairs, run_dims), SplitRule.DYADIC, seeds).heap_indices
     n_calib = n_dims * calibration_runs
     models: list[Optional[ZetaModel]] = []
     failures = [""] * n_dims

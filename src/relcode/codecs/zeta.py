@@ -34,6 +34,7 @@ alone (docs/FORMAT.md), so how the exponent was fitted is not part of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -146,7 +147,7 @@ class ZetaModel:
 
     def cdf_before(self, n: int) -> float:
         """Total mass of indices strictly below n (0 for n = 1)."""
-        if n < 1:
+        if (n := operator.index(n)) < 1:  # TypeError for a non-integer
             raise OutOfRange("indices start at 1")
         cdf, total, norm = self._head
         if n <= HEAD + 1:
@@ -155,7 +156,7 @@ class ZetaModel:
         return (total + tail) / norm
 
     def pmf(self, n: int) -> float:
-        if not 1 <= n <= N_MAX:
+        if not 1 <= (n := operator.index(n)) <= N_MAX:  # TypeError for a non-integer
             raise OutOfRange(f"index {n} outside 1..N_MAX")
         if n <= HEAD:
             # numpy's exp, as in _head_sums: math.exp can differ by an ulp

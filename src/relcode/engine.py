@@ -28,9 +28,9 @@ every encode: each step is a draw (``_draw``), the clipped accept test
 (``_accept_prob``) and, on rejection, the level raise and descent
 (``_branch_arrays``).  ``encode`` is the single-run wrapper around it and
 ``simulate_bound_masses`` runs its draws and descents with no accept test.
-A batch may code one pair per run: the distinct pairs' parameters are then
-indexed out into per-run rows, on which the same kernel expressions run
-elementwise.
+A batch may code one of several pairs per run, given as ``(pairs, ids)``:
+the distinct pairs' parameters are then indexed out by ``ids`` into per-run
+rows, on which the same kernel expressions run elementwise.
 
 The kernel holds a node as docs/FORMAT.md does, as its depth and three
 uint64 offset words, and ``_heap_indices`` alone turns these into heap
@@ -148,35 +148,30 @@ def _check_rule(pair: DistributionPair, rule: SplitRule) -> None:
 
 
 def _batch_pair(pair, rule: SplitRule, n: int) -> Optional[DistributionPair]:
-    """The pair of a batch of ``n`` runs: ``pair`` itself, the one distinct
-    pair of a sequence, or else the sequence's :class:`_PairRows`, which the
-    global rule refuses (its runs share one level sequence).  Every distinct
-    pair is checked against the rule before the first step.  An empty
-    sequence gives None: a batch without runs reads no pair."""
+    """The pair of a batch of ``n`` runs: ``pair`` itself or, for ``(pairs,
+    ids)`` (run ``i`` codes ``pairs[ids[i]]``), the one pair ``pairs`` holds
+    by value, or else the runs' :class:`_PairRows`, which the global rule
+    refuses (its runs share one level sequence).  ``ids`` and every pair are
+    checked before the first step; a batch without runs reads no pair (None)."""
     if isinstance(pair, DistributionPair):
         _check_rule(pair, rule)
         return pair
-    if len(pair) != n:
-        raise ValueError(f"{len(pair)} pairs for {n} seeds")
-    if n == 0:
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise TypeError("pair must be a DistributionPair or a (pairs, ids) tuple")
+    pairs, ids = pair[0], np.asarray(pair[1])
+    if ids.shape != (n,):
+        raise ValueError(f"ids of shape {ids.shape} do not number the run pairs for {n} seeds")
+    if n == 0:  # np.asarray([]) is float64
         return None
-    # distinct objects in one pass over their ids, then distinct values
-    # among those objects, numbered in order of first appearance
-    _, first, inverse = np.unique(
-        np.fromiter(map(id, pair), np.uint64, n), return_index=True, return_inverse=True
-    )
-    numbers: dict = {}
-    for i in np.sort(first):
-        numbers.setdefault(pair[i], len(numbers))
-    distinct = list(numbers)
-    if len(distinct) > 1 and rule is SplitRule.GLOBAL:
+    if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= len(pairs):
+        raise ValueError(f"ids must be integers in [0, {len(pairs)})")
+    numbers: dict = {}  # distinct pairs by value, in order of first appearance
+    remap = np.array([numbers.setdefault(p, len(numbers)) for p in pairs])
+    if len(numbers) > 1 and rule is SplitRule.GLOBAL:
         raise ValueError("the global rule codes one pair per batch")
-    for p in distinct:
+    for p in numbers:
         _check_rule(p, rule)
-    if len(distinct) == 1:
-        return distinct[0]
-    ids = np.array([numbers[pair[i]] for i in first])[inverse]
-    return _PairRows.of(distinct, ids)
+    return pairs[0] if len(numbers) == 1 else _PairRows.of(list(numbers), remap[ids])
 
 
 class _BatchState:
@@ -467,17 +462,18 @@ def _run_batch(pair, rule: SplitRule, seeds, d_max):
 
 
 def encode_batch(
-    pair: Union[DistributionPair, Sequence[DistributionPair]],
+    pair: Union[DistributionPair, tuple[Sequence[DistributionPair], Sequence[int]]],
     rule: SplitRule,
     seeds: Sequence[int],
     d_max: Optional[int] = None,
 ) -> BatchResult:
     """Encode one sample per seed; heavy lifting is vectorized across runs.
 
-    ``pair`` is one pair for every run, or a sequence of one pair per seed
-    (the global rule takes one pair).  Every pair is checked against the
-    rule before the first step.  ``rule`` is a :class:`SplitRule` or its
-    value, as in every public function here; any other name raises
+    ``pair`` is one pair for every run, or a tuple ``(pairs, ids)`` under
+    which run ``i`` codes ``pairs[ids[i]]``, ``ids`` holding one integer per
+    seed (the global rule takes one distinct pair).  ``ids`` and every pair
+    are checked before the first step.  ``rule`` is a :class:`SplitRule` or
+    its value, as in every public function here; any other name raises
     ``ValueError``.  ``d_max`` is None (no budget) or a nonnegative integer
     step budget.
     """

@@ -233,15 +233,16 @@ def node_uniforms(seeds, depths, off_lo, off_mid, off_hi):
 def seed_words(seeds, what: str = "seed"):
     """Seeds as Philox key words, under the one seed contract.
 
-    Takes one integer (returns an ``np.uint64``) or a 1-D sequence or array
-    of integers (returns a uint64 array).  Raises ValueError for any seed
-    outside ``0 <= seed < 2**64``; none is wrapped or masked.  ``what``
-    names the value in that error, for other words under the same contract.
+    Takes one integer (returns an ``np.uint64``; TypeError for another 0-d
+    value) or a 1-D sequence or array of integers (returns a uint64 array).
+    Raises ValueError for any seed outside ``0 <= seed < 2**64``; none is
+    wrapped or masked.  ``what`` names the value in that error, for other
+    words under the same contract.
     """
-    if isinstance(seeds, (int, np.integer)):
-        if not 0 <= seeds <= _MASK64:
-            raise ValueError(f"{what} {seeds} outside 0 <= {what} < 2**64")
-        return np.uint64(seeds)
+    if isinstance(seeds, (int, np.integer)) or np.ndim(seeds) == 0:
+        if not 0 <= (seed := operator.index(seeds)) <= _MASK64:  # TypeError for a non-integer
+            raise ValueError(f"{what} {seed} outside 0 <= {what} < 2**64")
+        return np.uint64(seed)
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
             raise ValueError(f"{what} {seeds.min()} outside 0 <= {what} < 2**64")

@@ -314,6 +314,20 @@ class TestVector:
         assert report.zeta_total_bits <= 3.0
         assert report.delta_total_bits == 6.0
 
+    def test_equal_pairs_give_the_same_report(self):
+        # equal pairs are one pair, whichever objects carry them
+        pair = gaussian_pair_for_targets(0.2, 0.95)
+        equal = [gaussian_pair_for_targets(0.2, 0.95) for _ in range(4)]
+        assert len({id(p) for p in equal}) == 4
+        assert encode_vector(equal, 7, calibration_runs=64, repeats=3) == encode_vector(
+            [pair] * 4, 7, calibration_runs=64, repeats=3
+        )
+
+    def test_non_integer_seed_raises_type_error(self):
+        pairs = [gaussian_pair_for_targets(0.2, 0.95)] * 2
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            encode_vector(pairs, 1.5)
+
     def test_zero_mass_index_reports_infinite_info(self, monkeypatch):
         # all-ones calibration fits MAX_EXPONENT, under which 2**60 has pmf
         # 0.0: the joint stream escapes it, and its information is infinite

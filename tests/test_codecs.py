@@ -342,6 +342,19 @@ class TestArithmeticCoder:
         with pytest.raises(ValueError, match="one model"):
             encode_joint(indices, models)
 
+    @pytest.mark.parametrize("call", [
+        lambda m: encode_joint([5000.5], [m]),
+        lambda m: m.pmf(4096.5),
+        lambda m: m.pmf(2.5),
+        lambda m: m.cdf_before(5000.5),
+        lambda m: m.cdf_before(2.5),
+    ], ids=["encode_joint-5000.5", "pmf-4096.5", "pmf-2.5", "cdf_before-5000.5",
+            "cdf_before-2.5"])
+    def test_non_integer_index_raises(self, call):
+        # a non-integer index is refused, never coded as a neighbouring integer
+        with pytest.raises(TypeError):
+            call(ZetaModel(2.0))
+
     @settings(max_examples=300, deadline=None)
     @given(
         dims=st.lists(

@@ -609,7 +609,7 @@ def assert_same_runs(got, want, rows=slice(None)):
 
 
 class TestPairBatches:
-    """``encode_batch`` with one pair per run."""
+    """``encode_batch`` with one pair per run, given as ``(pairs, ids)``."""
 
     # linear log-ratios (c2 == 0): no finite mode, so dyadic only
     SHIFTED = [DistributionPair(Distribution1D(m, 1.0), STD) for m in (1.0, -1.0)]
@@ -620,7 +620,7 @@ class TestPairBatches:
         seeds = derive_seeds(8, 0, 0, 300)
         for pair in golden_pairs().values():
             assert_same_runs(
-                encode_batch([pair] * 300, rule, seeds, d_max=d_max),
+                encode_batch(([pair] * 300, np.arange(300)), rule, seeds, d_max=d_max),
                 encode_batch(pair, rule, seeds, d_max=d_max),
             )
 
@@ -633,7 +633,7 @@ class TestPairBatches:
         n = 1200
         seeds = derive_seeds(9, 0, 0, n)
         ids = np.random.default_rng(3).integers(len(pairs), size=n)
-        out = encode_batch([pairs[i] for i in ids], rule, seeds, d_max=d_max)
+        out = encode_batch((pairs, ids), rule, seeds, d_max=d_max)
         for j, pair in enumerate(pairs):
             rows = np.flatnonzero(ids == j)
             assert rows.size > 50
@@ -647,19 +647,19 @@ class TestPairBatches:
         steps = []
         monkeypatch.setattr(engine, "node_uniforms", lambda *a: steps.append(a))
         with pytest.raises(ValueError, match="one pair"):
-            encode_batch([PAIR35] * 39 + [NARROW], SplitRule.GLOBAL, seeds)
+            encode_batch(([PAIR35, NARROW], np.arange(40) // 39), SplitRule.GLOBAL, seeds)
         assert steps == []
         monkeypatch.undo()
         # equal pairs are one pair, whichever objects carry them
         pairs = [gaussian_pair_for_targets(2.0, 4.0) for _ in range(40)]
         assert_same_runs(
-            encode_batch(pairs, SplitRule.GLOBAL, seeds),
+            encode_batch((pairs, np.arange(40)), SplitRule.GLOBAL, seeds),
             encode_batch(pairs[0], SplitRule.GLOBAL, seeds),
         )
 
     @pytest.mark.parametrize("rule", list(SplitRule))
     def test_no_pairs_for_no_seeds_is_an_empty_batch(self, rule):
-        empty = encode_batch([], rule, [])
+        empty = encode_batch(([], []), rule, [])
         assert empty.heap_indices == [] and empty.depths.shape == (0,)
         assert_same_runs(empty, encode_batch(PAIR35, rule, []))
 
@@ -667,7 +667,7 @@ class TestPairBatches:
         seeds = derive_seeds(11, 0, 0, 10)
         for count in (9, 11, 0):
             with pytest.raises(ValueError, match="pairs for 10 seeds"):
-                encode_batch(([PAIR35, NARROW] * 6)[:count], SplitRule.DYADIC, seeds)
+                encode_batch(([PAIR35, NARROW], np.arange(count) % 2), SplitRule.DYADIC, seeds)
 
     @pytest.mark.parametrize("rule, bad, error", [
         (SplitRule.DYADIC, DistributionPair(Distribution1D(0.5, 1.5), STD), NotUnimodal),
@@ -679,7 +679,23 @@ class TestPairBatches:
         steps = []
         monkeypatch.setattr(engine, "node_uniforms", lambda *a: steps.append(a))
         with pytest.raises(error):
-            encode_batch([PAIR35, NARROW] * 100 + [bad], rule, seeds)
+            encode_batch(([PAIR35, NARROW, bad], np.append(np.arange(200) % 2, 2)), rule, seeds)
+        assert steps == []
+
+    @pytest.mark.parametrize("pair, error", [
+        ([PAIR35, NARROW] * 5, TypeError),  # a plain list of one pair per seed
+        ((PAIR35, NARROW), ValueError),  # a pair in place of ids
+        (([PAIR35, NARROW], np.zeros((2, 5), np.int64)), ValueError),
+        (([PAIR35, NARROW], np.zeros(10)), ValueError),
+        (([PAIR35, NARROW], np.zeros(10, bool)), ValueError),
+        (([PAIR35, NARROW], np.arange(10) - 1), ValueError),
+        (([PAIR35, NARROW], np.arange(10) % 3), ValueError),
+    ], ids=["list", "two-pairs", "2-d", "float", "bool", "negative", "out-of-range"])
+    def test_bad_pairs_and_ids_raise_before_first_step(self, pair, error, monkeypatch):
+        steps = []
+        monkeypatch.setattr(engine, "node_uniforms", lambda *a: steps.append(a))
+        with pytest.raises(error):
+            encode_batch(pair, SplitRule.DYADIC, derive_seeds(13, 0, 0, 10))
         assert steps == []
 
 

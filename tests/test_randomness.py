@@ -8,6 +8,7 @@ from relcode.randomness import (
     node_randoms,
     node_uniforms,
     philox4x64_10,
+    seed_words,
 )
 
 U64_MAX = 2**64 - 1
@@ -404,6 +405,16 @@ class TestDeriveSeeds:
     def test_out_of_range_tag_or_block_raises(self, tag, block):
         with pytest.raises(ValueError):
             derive_seeds(0, tag, block, 3)
+
+    def test_non_integer_word_names_its_type(self):
+        for args in [(0, 1, 2.5, 3), (0, 1.5, 2, 3), (0.5, 1, 2, 3), (0, 1, np.float64(2), 3)]:
+            with pytest.raises(TypeError, match="object cannot be interpreted as an integer"):
+                derive_seeds(*args)
+
+    def test_zero_d_integer_array_is_one_word(self):
+        assert seed_words(np.array(5)) == np.uint64(5) and seed_words(np.array(5)).ndim == 0
+        assert np.array_equal(derive_seeds(0, 1, np.array(5), 3), derive_seeds(0, 1, 5, 3))
+        assert np.array_equal(derive_seeds(np.array(4), 1, 5, 3), derive_seeds(4, 1, 5, 3))
 
     def test_range_ends_of_tag_and_block(self):
         top = 2**64 - 1
