@@ -81,12 +81,14 @@ def encode_vector(
     run_dims = np.concatenate([np.repeat(dims, calibration_runs), np.tile(dims, repeats)])
     heap_indices = encode_batch((pairs, run_dims), SplitRule.DYADIC, seeds).heap_indices
     n_calib = n_dims * calibration_runs
+    # one conversion for every calibration index; numpy rounds a Python int
+    # to float64 as float() does
+    calib_log2 = np.log2(np.array(heap_indices[:n_calib], dtype=np.float64))
     models: list[Optional[ZetaModel]] = []
     failures = [""] * n_dims
     for d in range(n_dims):
-        calib = heap_indices[d * calibration_runs:(d + 1) * calibration_runs]
         try:
-            models.append(fit_zeta(np.log2([float(i) for i in calib])))
+            models.append(fit_zeta(calib_log2[d * calibration_runs:(d + 1) * calibration_runs]))
         except Unfittable as err:
             models.append(None)
             failures[d] = f"unfittable: {err}"

@@ -316,9 +316,13 @@ def _run_global(pair, seeds, limit):
     The active interval never shrinks, so every step draws from the whole
     proposal and all runs share one level sequence, L_{d+1} = L_d + res(L_d)
     with res the residual mass of the real line.  Steps are processed in
-    windows of columns that start at 16 and double, so a call computes
-    levels and Philox blocks only about as deep as its deepest run; where
-    the windows fall does not change which column first stops a run.
+    windows of columns that start at 16 and double up to 65,536, so a call
+    computes levels and Philox blocks only about as deep as its deepest
+    run.  A window also spans at most 65,536 nodes of its live runs, and
+    at least one column: a lone run keeps the full doubling, while 16,384
+    live runs, most of which stop within a few steps, test 4 columns at a
+    time.  Where the windows fall does not change which column first stops
+    a run.
     """
     n = seeds.shape[0]
     out_sample = np.empty(n)
@@ -329,9 +333,8 @@ def _run_global(pair, seeds, limit):
     levels, resid = [0.0], [1.0]
     d0 = 0
     window = 16
-    target_elems = 1 << 20  # per-window work cap keeps memory flat
     while alive.size:
-        width = max(16, min(window, target_elems // alive.size))
+        width = min(window, max(1, (1 << 16) // alive.size))
         window = min(2 * window, 1 << 16)
         # from the first residual <= eps on, every run accepts: stop there
         while len(levels) < d0 + width and resid[-1] > _DEGENERATE_EPS:
@@ -488,7 +491,7 @@ def encode(
 ) -> RecResult:
     """Encode a single sample from the target using the shared random stream."""
     rule = SplitRule(rule)
-    out = _run_batch(pair, rule, [seed], d_max)
+    out = _run_batch(pair, rule, operator.index(seed), d_max)  # TypeError for a non-integer
     return RecResult(
         sample=float(out.samples[0]),
         heap_index=out.heap_indices[0],

@@ -15,24 +15,33 @@ rejected branches.  The same primitive (under a different domain constant)
 fans a benchmark base seed out into per-run seeds.
 
 One stream, three ways to run the rounds.  Every Philox lane (one counter
-block under one key) is independent, so :func:`philox4x64_10` runs up to
-``_INT_LANES`` broadcast lanes one at a time on Python ints, more lanes as
-numpy uint64 arrays, whose fixed cost per call outweighs the per-lane cost
-of ints below about 64 lanes, and from ``2 * _CHUNK_LANES`` lanes as numpy
-arrays over near-equal blocks of about ``_CHUNK_LANES`` lanes, whose
-temporaries stay in cache.  The numpy rounds do only the work their lanes
-differ in: a word that is the same for every lane (the depth of a step,
-the zero upper offset words below depth 64, the key's domain) stays a
-scalar, and a column of seeds or a row of depths keeps its shape in every
-block, so the first round on such words is three array operations, not
-about thirty-five; the multiply-high updates its own temporaries in place.
-:func:`node_randoms` calls the integer rounds directly, and so does a
-one-lane :func:`node_uniforms` (the step of a single code), which maps the
-words to floats by the same integer arithmetic (``_units``), with no word
-array.  All three give the same words (a counter-based block does not
-depend on how lanes are grouped) and the same exact map to floats.  Python
-ints do not wrap, so seeds pass :func:`seed_words` and offsets the
-``MAX_OFFSET_BITS`` check before any word reaches the rounds.
+block under one key) is independent, so any grouping of lanes gives the
+same words, and :func:`philox4x64_10` runs a call in one of three ways:
+
+- up to ``_INT_LANES`` broadcast lanes as packed ints: each word is one
+  Python int with a 128-bit slot per lane, so a round is two big-int
+  multiplies and a few shifts, xors and masks over all lanes at once
+  (``_rounds_packed``).  Below about 300 lanes this beats numpy's rounds,
+  whose some 360 ufunc calls cost about 180 us however few the lanes;
+- more lanes as numpy uint64 arrays (``_rounds_numpy``);
+- from ``2 * _CHUNK_LANES`` lanes as numpy arrays over near-equal blocks
+  of about ``_CHUNK_LANES`` lanes, whose temporaries stay in cache
+  (``_rounds_chunked``).
+
+The numpy rounds do only the work their lanes differ in: a word that is
+the same for every lane (the depth of a step, the zero upper offset words
+below depth 64, the key's domain) stays a scalar, and a column of seeds or
+a row of depths keeps its shape in every block, so the first round on such
+words is three array operations, not about thirty-five; the multiply-high
+updates its own temporaries in place.  The packed rounds take such a word
+as one small int times the int with a 1 in every slot.
+:func:`node_randoms` calls the one-lane integer rounds (``_rounds_int``)
+directly, and so does a one-lane :func:`node_uniforms` (the step of a
+single code), which maps the words to floats by the same integer
+arithmetic (``_units``), with no word array.  Every way gives the same
+words and the same exact map to floats.  Python ints do not wrap, so seeds
+pass :func:`seed_words` and offsets the ``MAX_OFFSET_BITS`` check before
+any word reaches the rounds.
 
 Encoder and decoder share one seed contract (:func:`seed_words`): a seed is
 an integer with ``0 <= seed < 2**64``; any other value raises ValueError
@@ -83,7 +92,8 @@ _DOMAIN_SEED = np.uint64(0x736565642D726E67)
 _NODE_KEY = int(_DOMAIN_NODE)
 
 MAX_OFFSET_BITS = 192
-_INT_LANES = 32  # half the lane count where numpy's rounds start to win
+_INT_LANES = 256  # about where numpy's rounds start to win over the packed ints
+_SLOT_ONE = (1).to_bytes(16, "little")  # one 128-bit lane slot holding 1
 # n numpy lanes run in n // _CHUNK_LANES near-equal blocks, each of fewer
 # than 2 * _CHUNK_LANES lanes, whose temporaries stay in cache
 _CHUNK_LANES = 8192
@@ -142,14 +152,52 @@ def _rounds_int(c0, c1, c2, c3, k0, k1):
     return c0, c1, c2, c3
 
 
+def _rounds_packed(shape, *args):
+    """The rounds of all lanes of the broadcast ``shape`` at once, on
+    one Python int per word with a 128-bit slot per lane (lane ``i`` in bits
+    ``128 i`` up).  No slot ever reaches 2**128: a product of two words is
+    below it, and a key below 2**68 after its ten additions.  So no carry
+    crosses into the next slot, and masking each slot to its low 64 bits
+    gives every lane's words; the products' high halves, kept in ``c1`` and
+    ``c3`` from one round to the next, are masked away there and at the end.
+    Returns ``np.uint64`` scalars for shape ``()`` and new arrays otherwise."""
+    n = math.prod(shape)
+    rep = int.from_bytes(_SLOT_ONE * n, "little")  # a 1 in every slot
+    c0, c1, c2, c3, k0, k1 = (_pack(a, shape, rep) for a in args)
+    mask = rep * _MASK64
+    w0, w1 = rep * _W0, rep * _W1
+    for _ in range(10):
+        p0 = _M0 * c0
+        p1 = _M1 * c2
+        c0 = ((p1 >> 64) ^ c1 ^ k0) & mask
+        c2 = ((p0 >> 64) ^ c3 ^ k1) & mask
+        c1, c3 = p1, p0
+        k0 += w0
+        k1 += w1
+    out = []
+    for c in (c0, c1 & mask, c2, c3 & mask):
+        word = np.frombuffer(c.to_bytes(16 * n, "little"), np.uint64)[::2]
+        out.append(word[0] if shape == () else word.reshape(shape).copy())
+    return tuple(out)
+
+
+def _pack(a, shape, rep):
+    """Word ``a`` as a packed int: ``rep`` times it if it is the same for
+    every lane, else its lanes in the low halves of 128-bit slots."""
+    if np.size(a) == 1:
+        return rep * np.asarray(a).item()
+    slots = np.zeros((*shape, 2), np.uint64)
+    slots[..., 0] = a
+    return int.from_bytes(slots.tobytes(), "little")
+
+
 def philox4x64_10(c0, c1, c2, c3, k0, k1):
     """Philox4x64 with 10 rounds; inputs are uint64 scalars or arrays,
     outputs the four uint64 words broadcast together (scalars for scalars)."""
     lanes = np.broadcast(c0, c1, c2, c3, k0, k1)
     if lanes.size > _INT_LANES:
         return _rounds_chunked(lanes.shape, c0, c1, c2, c3, k0, k1)
-    words = np.array([_rounds_int(*map(int, lane)) for lane in lanes], np.uint64)
-    return tuple(words.reshape(lanes.size, 4).T.reshape(4, *lanes.shape))
+    return _rounds_packed(lanes.shape, c0, c1, c2, c3, k0, k1)
 
 
 def _rounds_chunked(shape, *args):

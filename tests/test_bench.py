@@ -344,6 +344,33 @@ class TestVector:
         assert report.dims[0].mean_zeta_info_bits == math.inf
         assert math.isfinite(report.dims[1].mean_zeta_info_bits)
 
+    def test_calibration_log2_rounds_each_index_as_float(self, monkeypatch):
+        # the calibration indices become float64 in one numpy conversion,
+        # which must round each as float(int) does: at ties past 2**53 and
+        # 2**64, at 2**63, and above 2**191, where one ulp is 2**139
+        import relcode.bench.vector as bench_vector
+        from relcode.codecs import Unfittable
+
+        calib = [2**53 - 1, 2**53 + 1, 2**63, 2**64 - 1, 2**64 + 1, 2**191 + 2**138 + 1]
+        assert np.array(calib, dtype=np.float64).tolist() == [float(i) for i in calib]
+
+        class Batch:
+            heap_indices = calib + [1, 2]
+
+        fitted = []
+
+        def fit(samples):
+            fitted.append(np.asarray(samples).tolist())
+            raise Unfittable("recorded")
+
+        monkeypatch.setattr(bench_vector, "encode_batch", lambda *a, **k: Batch)
+        monkeypatch.setattr(bench_vector, "fit_zeta", fit)
+        pairs = [gaussian_pair_for_targets(0.2, 0.95)] * 2
+        report = encode_vector(pairs, 0, calibration_runs=3)
+        assert report.round_trip_ok
+        assert fitted == [np.log2([float(i) for i in calib[:3]]).tolist(),
+                          np.log2([float(i) for i in calib[3:]]).tolist()]
+
     def test_failed_round_trip_is_reported_and_costs_the_same(self, monkeypatch):
         pairs = [gaussian_pair_for_targets(k, k + 0.75) for k in (0.1, 0.3, 0.5)]
         clean = encode_vector(pairs, seed=3, calibration_runs=32, repeats=2)

@@ -1014,11 +1014,25 @@ class TestGlobalRuntime:
             assert sum(lanes) <= 2 * (res.depth + 16)
 
     def test_depth_limit_across_window_edges(self):
-        # the first windows cover columns 0-15, 16-47, 48-111, ..., 496-1007
+        # 2,000 live runs fit 32 columns in the window budget of 65,536
+        # nodes, so the windows double from 16 unchecked: they cover
+        # columns 0-15, 16-47, 48-111, 112-239, 240-495, 496-1007 and
+        # 1008-2031 (the deepest run stops at 2,124)
+        self._check_depth_limits(
+            2000, (15, 16, 17, 47, 48, 49, 111, 112, 239, 240, 495, 496, 500, 1007, 1008, 2031)
+        )
+
+    def test_depth_limit_across_narrow_window_edges(self):
+        # 16,384 live runs fit 4 columns in the budget: the windows cover
+        # columns 0-3, 4-12, 13-31, 32-70, 71-162, 163-432 and 433-1456
+        self._check_depth_limits(16384, (3, 4, 12, 13, 31, 32, 70, 71, 432, 433))
+
+    @staticmethod
+    def _check_depth_limits(n, d_maxes):
         pair = gaussian_pair_for_targets(2.0, 4.0)
-        seeds = derive_seeds(7, 0, 0, 2000)
+        seeds = derive_seeds(7, 0, 0, n)
         full = encode_batch(pair, SplitRule.GLOBAL, seeds)
-        for d_max in (15, 16, 17, 47, 48, 49, 500):
+        for d_max in d_maxes:
             lim = encode_batch(pair, SplitRule.GLOBAL, seeds, d_max=d_max)
             inside = full.depths <= d_max
             assert inside.any() and not inside.all()

@@ -72,12 +72,33 @@ class TestPhiloxPaths:
         assert [int(w) for w in numpy_words] == ref
         assert [int(w) for w in philox4x64_10(*map(np.uint64, words))] == ref
 
-    @pytest.mark.parametrize("n", [0, 1, LANES - 1, LANES, LANES + 1])
+    @staticmethod
+    def _check_words(out, args, shape):
+        """Every path's words for ``args`` against the packed rounds, the
+        numpy rounds and, lane by lane, numpy's Philox."""
+        packed = randomness._rounds_packed(shape, *args)
+        want = randomness._rounds_numpy(*args)
+        for got, p, w in zip(out, packed, want):
+            for a in (got, p):
+                assert type(a) is np.ndarray and a.dtype == np.uint64 and a.shape == shape
+                assert a.flags.writeable and a.flags.owndata
+                assert np.array_equal(a, w)
+        flat = [np.broadcast_to(a, shape).reshape(-1) for a in args]
+        for i in range(int(np.prod(shape))):
+            ref = reference_block([w[i] for w in flat[:4]], [w[i] for w in flat[4:]])
+            assert [int(w.reshape(-1)[i]) for w in out] == ref
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, LANES - 1, LANES, LANES + 1])
     def test_lane_counts(self, n, monkeypatch):
+        # the packed rounds up to LANES lanes, numpy's above; the extreme
+        # words sit in the first and last lanes, where a carry across the
+        # packed slots would show
         rng = np.random.default_rng(n)
-        c0, c2 = rng.integers(0, 2**64, (2, n), dtype=np.uint64)
-        c0[: min(n, 2)] = [0, U64_MAX][: min(n, 2)]  # extreme words in the first lanes
-        args = (c0, np.uint64(5), c2, np.uint64(U64_MAX), np.uint64(0), np.uint64(2**63))
+        c0, c2, k0 = rng.integers(0, 2**64, (3, n), dtype=np.uint64)
+        if n:
+            c0[0], c2[0], k0[0] = 0, U64_MAX, U64_MAX
+            c0[-1], c2[-1], k0[-1] = U64_MAX, 0, 0
+        args = (c0, np.uint64(5), c2, np.uint64(U64_MAX), k0, np.uint64(2**63))
         rounds_numpy = randomness._rounds_numpy
         numpy_calls = []
 
@@ -88,15 +109,24 @@ class TestPhiloxPaths:
         monkeypatch.setattr(randomness, "_rounds_numpy", spy)
         out = philox4x64_10(*args)
         assert len(numpy_calls) == (n > LANES)
-        want = rounds_numpy(*args)
-        for got, w in zip(out, want):
-            assert got.dtype == np.uint64 and got.shape == (n,)
-            assert np.array_equal(got, w)
-        for i in range(n):
-            ref = reference_block([c0[i], 5, c2[i], U64_MAX], [0, 2**63])
-            assert [int(w[i]) for w in out] == ref
+        monkeypatch.setattr(randomness, "_rounds_numpy", rounds_numpy)
+        self._check_words(out, args, (n,))
 
-    @pytest.mark.parametrize("alive", [1, LANES // 16, LANES // 16 + 1])
+    @pytest.mark.parametrize(
+        "shape", [(1, 16), (1, LANES), (2, LANES // 2), (LANES // 16, 16), (3, 5)]
+    )
+    def test_packed_global_window(self, shape):
+        # a window of ``_run_global`` that runs packed: a column of seeds
+        # (0 and 2**64 - 1 in the first and last rows) and a row of depths
+        alive, w = shape
+        seeds = np.arange(7, 7 + alive, dtype=np.uint64)[:, None]
+        seeds[0], seeds[-1] = (0, U64_MAX) if alive > 1 else (U64_MAX, U64_MAX)
+        depths = np.arange(100, 100 + w, dtype=np.uint64)[None, :]
+        zero = np.uint64(0)
+        args = (depths, zero, zero, zero, seeds, randomness._DOMAIN_NODE)
+        self._check_words(philox4x64_10(*args), args, shape)
+
+    @pytest.mark.parametrize("alive", [1, 2, 3, LANES // 16, LANES // 16 + 1])
     def test_global_window_broadcast(self, alive, monkeypatch):
         # the (alive, 16) first window of ``_run_global``: seeds down, depths across
         seeds = np.array([U64_MAX, 0] + list(range(7, 7 + alive)), np.uint64)[:alive, None]
