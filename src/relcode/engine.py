@@ -316,13 +316,13 @@ def _run_global(pair, seeds, limit):
     The active interval never shrinks, so every step draws from the whole
     proposal and all runs share one level sequence, L_{d+1} = L_d + res(L_d)
     with res the residual mass of the real line.  Steps are processed in
-    windows of columns that start at 16 and double up to 65,536, so a call
-    computes levels and Philox blocks only about as deep as its deepest
-    run.  A window also spans at most 65,536 nodes of its live runs, and
-    at least one column: a lone run keeps the full doubling, while 16,384
-    live runs, most of which stop within a few steps, test 4 columns at a
-    time.  Where the windows fall does not change which column first stops
-    a run.
+    windows of columns: the window from column d0 spans at most d0 + 16
+    columns and at most 65,536, so a lone run's windows start at 16 and
+    double, and a call computes levels and Philox blocks at most about
+    twice as deep as its deepest run.  A window also spans at most 65,536
+    nodes of its live runs, and at least one column: 16,384 live runs,
+    most of which stop within a few steps, test 4 columns at a time.
+    Where the windows fall does not change which column first stops a run.
     """
     n = seeds.shape[0]
     out_sample = np.empty(n)
@@ -332,10 +332,8 @@ def _run_global(pair, seeds, limit):
     alive_seeds = seeds
     levels, resid = [0.0], [1.0]
     d0 = 0
-    window = 16
     while alive.size:
-        width = min(window, max(1, (1 << 16) // alive.size))
-        window = min(2 * window, 1 << 16)
+        width = min(d0 + 16, 1 << 16, max(1, (1 << 16) // alive.size))
         # from the first residual <= eps on, every run accepts: stop there
         while len(levels) < d0 + width and resid[-1] > _DEGENERATE_EPS:
             if len(levels) == GLOBAL_STEP_CAP:

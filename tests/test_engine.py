@@ -1024,8 +1024,29 @@ class TestGlobalRuntime:
 
     def test_depth_limit_across_narrow_window_edges(self):
         # 16,384 live runs fit 4 columns in the budget: the windows cover
-        # columns 0-3, 4-12, 13-31, 32-70, 71-162, 163-432 and 433-1456
-        self._check_depth_limits(16384, (3, 4, 12, 13, 31, 32, 70, 71, 432, 433))
+        # columns 0-3, 4-12, 13-31, 32-70, 71-157, 158-331, 332-679,
+        # 680-1375 and 1376-2767
+        self._check_depth_limits(
+            16384, (3, 4, 12, 13, 31, 32, 70, 71, 157, 158, 331, 332, 679, 680)
+        )
+
+    def test_batch_windows_track_the_deepest_run(self, monkeypatch):
+        # a window from column d0 spans at most d0 + 16 columns and 65,536
+        # nodes: the first of 16,384 runs is 4 columns wide, and no column
+        # past twice the deepest run's depth plus 16 is drawn
+        windows = []
+
+        def recording(seeds, depths, *args):
+            windows.append((seeds.shape[0], int(depths[0, 0]), depths.shape[1]))
+            return node_uniforms(seeds, depths, *args)
+
+        monkeypatch.setattr(engine, "node_uniforms", recording)
+        pair = gaussian_pair_for_targets(2.0, 4.0)
+        out = encode_batch(pair, SplitRule.GLOBAL, derive_seeds(7, 0, 0, 16384))
+        assert windows[0] == (16384, 0, 4)
+        for alive, d0, width in windows:
+            assert 1 <= width <= min(d0 + 16, max(1, 65536 // alive))
+        assert windows[-1][1] + windows[-1][2] <= 2 * int(out.depths.max()) + 16
 
     @staticmethod
     def _check_depth_limits(n, d_maxes):
