@@ -1,11 +1,11 @@
 """Command-line benchmark harness.
 
-Subcommands: ``sweep`` (grid runs), ``unbias`` (KS tests), ``bias``
-(depth-limited sampling bias) and ``vector`` (dimensionwise coding).  Each
-study returns rows, which are printed and, with ``--out``, written as CSV.
-Invalid options exit with status 2 and a usage line before the first
-encode.  With ``--check``, exits with status 2 when any acceptance-style
-threshold is violated.
+Subcommands: ``sweep`` (grid runs; KS tests with ``--mode unbiasedness``),
+``bias`` (depth-limited sampling bias) and ``vector`` (dimensionwise
+coding).  Each study returns rows, which are printed and, with ``--out``,
+written as CSV.  Invalid options exit with status 2 and a usage line before
+the first encode.  With ``--check``, exits with status 2 when any
+acceptance-style threshold is violated.
 """
 
 from __future__ import annotations
@@ -83,22 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--check", action="store_true",
                        help="exit 2 when thresholds are violated")
 
-    def grid(p, variants):
-        p.add_argument("--dkl", type=_float_list, required=True)
-        p.add_argument("--dinf", type=_float_list, required=True)
-        p.add_argument("--variants", type=_variant_list, default=variants)
-        p.add_argument("--dmax", type=_dmax, default=None)
-        p.add_argument("--force-global", action="store_true",
-                       help="run the global variant even at large dinf")
-        p.add_argument("--seeds", type=int, default=4000,
-                       help="runs per grid point")
-        common(p)
-
     p = sub.add_parser("sweep", help="grid sweep over divergence targets")
     p.add_argument("--mode", choices=MODES, default="runtime_vs_dinf")
-    grid(p, tuple(SplitRule))
-    p = sub.add_parser("unbias", help="KS unbiasedness test per variant")
-    grid(p, (SplitRule.SAMPLE, SplitRule.DYADIC))
+    p.add_argument("--dkl", type=_float_list, required=True)
+    p.add_argument("--dinf", type=_float_list, required=True)
+    p.add_argument("--variants", type=_variant_list, default=tuple(SplitRule))
+    p.add_argument("--dmax", type=_dmax, default=None)
+    p.add_argument("--force-global", action="store_true",
+                   help="run the global variant even at large dinf")
+    p.add_argument("--seeds", type=int, default=4000,
+                   help="runs per grid point")
+    common(p)
 
     p = sub.add_parser("bias", help="depth-limited sampling bias study")
     p.add_argument("--dkl", type=float, default=3.0)
@@ -196,7 +191,7 @@ def main(argv=None) -> int:
     else:
         try:
             config = SweepConfig(
-                mode="unbiasedness" if args.command == "unbias" else args.mode,
+                mode=args.mode,
                 dkl_grid=args.dkl,
                 dinf_grid=args.dinf,
                 seeds_per_point=args.seeds,

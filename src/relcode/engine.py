@@ -55,6 +55,7 @@ holds no mutable state, so concurrent calls need no locks.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
 import operator
@@ -310,6 +311,21 @@ def _branch_arrays(rule, st: _BatchState, d: int, x, t, u_branch):
     return res_child
 
 
+def _global_levels(pair):
+    """The global rule's ``(level, residual)`` columns from depth 0, by
+    ``L_{d+1} = L_d + res(L_d)``.  The stream ends after the first residual
+    <= eps, from which on every run accepts, or NaN."""
+    level, res = 0.0, 1.0
+    for d in itertools.count(1):
+        yield level, res
+        if not res > _DEGENERATE_EPS:
+            return
+        if d == GLOBAL_STEP_CAP:
+            raise NonTermination("global levels exceed the step cap")
+        level += res
+        res = pair.residual_real_line(level)
+
+
 def _run_global(pair, seeds, limit):
     """Global-rule encode, vectorized across runs and steps.
 
@@ -319,7 +335,8 @@ def _run_global(pair, seeds, limit):
     windows of columns: the window from column d0 spans at most d0 + 16
     columns and at most 65,536, so a lone run's windows start at 16 and
     double, and a call computes levels and Philox blocks at most about
-    twice as deep as its deepest run.  A window also spans at most 65,536
+    twice as deep as its deepest run; it holds one window's levels at a
+    time, taken from ``_global_levels``.  A window also spans at most 65,536
     nodes of its live runs, and at least one column: 16,384 live runs,
     most of which stop within a few steps, test 4 columns at a time.
     Where the windows fall does not change which column first stops a run.
@@ -330,17 +347,12 @@ def _run_global(pair, seeds, limit):
     out_accepted = np.zeros(n, bool)
     alive = np.arange(n)
     alive_seeds = seeds
-    levels, resid = [0.0], [1.0]
+    levels = _global_levels(pair)
     d0 = 0
     while alive.size:
         width = min(d0 + 16, 1 << 16, max(1, (1 << 16) // alive.size))
-        # from the first residual <= eps on, every run accepts: stop there
-        while len(levels) < d0 + width and resid[-1] > _DEGENERATE_EPS:
-            if len(levels) == GLOBAL_STEP_CAP:
-                raise NonTermination("global levels exceed the step cap")
-            levels.append(levels[-1] + resid[-1])
-            resid.append(pair.residual_real_line(levels[-1]))
-        w = min(width, len(levels) - d0)
+        cols = np.fromiter(itertools.islice(levels, width), (np.float64, 2))
+        w = cols.shape[0]
         if w == 0:  # a NaN residual leaves live runs with no level to test
             raise NonTermination("global levels exhausted with live runs")
         depths = np.arange(d0, d0 + w, dtype=np.uint64)
@@ -348,9 +360,7 @@ def _run_global(pair, seeds, limit):
         x = pair.proposal.quantile(u_s)
         # the whole line has proposal mass 1, and 1.0 * (r - level) is exact
         with _quiet():
-            beta = _accept_prob(
-                pair, x, np.array(levels[d0:d0 + w]), np.array(resid[d0:d0 + w]), 1.0
-            )
+            beta = _accept_prob(pair, x, cols[:, 0], cols[:, 1], 1.0)
         stop = u_a <= beta
         if d0 <= limit < d0 + w:
             # the depth budget forces a return at that column

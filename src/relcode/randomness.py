@@ -14,19 +14,18 @@ and lets a decoder replay exactly the draws it needs without simulating
 rejected branches.  The same primitive (under a different domain constant)
 fans a benchmark base seed out into per-run seeds.
 
-One stream, three ways to run the rounds.  Every Philox lane (one counter
-block under one key) is independent, so any grouping of lanes gives the
-same words, and :func:`philox4x64_10` runs a call in one of three ways:
-
-- up to ``_INT_LANES`` broadcast lanes as packed ints: each word is one
-  Python int with a 128-bit slot per lane, so a round is two big-int
-  multiplies and a few shifts, xors and masks over all lanes at once
-  (``_rounds_packed``).  Below about 300 lanes this beats numpy's rounds,
-  whose some 360 ufunc calls cost about 180 us however few the lanes;
-- more lanes as numpy uint64 arrays (``_rounds_numpy``);
-- from ``2 * _CHUNK_LANES`` lanes as numpy arrays over near-equal blocks
-  of about ``_CHUNK_LANES`` lanes, whose temporaries stay in cache
-  (``_rounds_chunked``).
+One stream, two round loops.  Every Philox lane (one counter block under
+one key) is independent, so any grouping of lanes gives the same words.
+``_rounds_int`` runs the rounds on Python ints with a 128-bit slot per
+lane, so a round is two big-int multiplies and a few shifts, xors and
+masks over all lanes at once.  One lane is that loop at one slot
+(:func:`node_randoms`, and a one-lane :func:`node_uniforms`: the step of a
+single code); :func:`philox4x64_10` packs up to ``_INT_LANES`` lanes into
+it (``_rounds_packed``), where it beats numpy's rounds, whose some 360
+ufunc calls cost about 180 us however few the lanes.  More lanes run
+``_rounds_numpy`` on uint64 arrays, from ``2 * _CHUNK_LANES`` lanes over
+near-equal blocks of about ``_CHUNK_LANES`` lanes, whose temporaries stay
+in cache (``_rounds_chunked``).
 
 The numpy rounds do only the work their lanes differ in: a word that is
 the same for every lane (the depth of a step, the zero upper offset words
@@ -34,14 +33,11 @@ below depth 64, the key's domain) stays a scalar, and a column of seeds or
 a row of depths keeps its shape in every block, so the first round on such
 words is three array operations, not about thirty-five; the multiply-high
 updates its own temporaries in place.  The packed rounds take such a word
-as one small int times the int with a 1 in every slot.
-:func:`node_randoms` calls the one-lane integer rounds (``_rounds_int``)
-directly, and so does a one-lane :func:`node_uniforms` (the step of a
-single code), which maps the words to floats by the same integer
-arithmetic (``_units``), with no word array.  Every way gives the same
-words and the same exact map to floats.  Python ints do not wrap, so seeds
-pass :func:`seed_words` and offsets the ``MAX_OFFSET_BITS`` check before
-any word reaches the rounds.
+as one small int times the int with a 1 in every slot.  One lane maps its
+words to floats by integer arithmetic (``_units``), with no word array;
+every way gives the same words and the same exact map to floats.  Python
+ints do not wrap, so seeds pass :func:`seed_words` and offsets the
+``MAX_OFFSET_BITS`` check before any word reaches the rounds.
 
 Encoder and decoder share one seed contract (:func:`seed_words`): a seed is
 an integer with ``0 <= seed < 2**64``; any other value raises ValueError
@@ -141,29 +137,14 @@ def _rounds_numpy(c0, c1, c2, c3, k0, k1):
     return c0, c1, c2, c3
 
 
-def _rounds_int(c0, c1, c2, c3, k0, k1):
-    """One lane on Python ints; every word must already be below 2**64."""
-    for _ in range(10):
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
-        k0 = (k0 + _W0) & _MASK64
-        k1 = (k1 + _W1) & _MASK64
-    return c0, c1, c2, c3
-
-
-def _rounds_packed(shape, *args):
-    """The rounds of all lanes of the broadcast ``shape`` at once, on
-    one Python int per word with a 128-bit slot per lane (lane ``i`` in bits
-    ``128 i`` up).  No slot ever reaches 2**128: a product of two words is
-    below it, and a key below 2**68 after its ten additions.  So no carry
-    crosses into the next slot, and masking each slot to its low 64 bits
-    gives every lane's words; the products' high halves, kept in ``c1`` and
-    ``c3`` from one round to the next, are masked away there and at the end.
-    Returns ``np.uint64`` scalars for shape ``()`` and new arrays otherwise."""
-    n = math.prod(shape)
-    rep = int.from_bytes(_SLOT_ONE * n, "little")  # a 1 in every slot
-    c0, c1, c2, c3, k0, k1 = (_pack(a, shape, rep) for a in args)
+def _rounds_int(c0, c1, c2, c3, k0, k1, rep=1):
+    """The rounds on Python ints with one lane per 128-bit slot (lane ``i``
+    in bits ``128 i`` up), each below 2**64; ``rep`` has a 1 in every slot,
+    and one lane (``rep = 1``) is its own packing.  No slot reaches 2**128:
+    a product of two words is below it, and a key below 2**68 after its ten
+    additions.  So no carry crosses slots, and masking each slot to its low
+    64 bits gives every lane's words; the products' high halves, kept in
+    ``c1`` and ``c3`` between rounds, are masked away there and at the end."""
     mask = rep * _MASK64
     w0, w1 = rep * _W0, rep * _W1
     for _ in range(10):
@@ -174,8 +155,17 @@ def _rounds_packed(shape, *args):
         c1, c3 = p1, p0
         k0 += w0
         k1 += w1
+    return c0, c1 & mask, c2, c3 & mask
+
+
+def _rounds_packed(shape, *args):
+    """The rounds of all lanes of the broadcast ``shape`` at once, packed
+    into one int per word for ``_rounds_int``.  Returns ``np.uint64``
+    scalars for shape ``()`` and new arrays otherwise."""
+    n = math.prod(shape)
+    rep = int.from_bytes(_SLOT_ONE * n, "little")  # a 1 in every slot
     out = []
-    for c in (c0, c1 & mask, c2, c3 & mask):
+    for c in _rounds_int(*(_pack(a, shape, rep) for a in args), rep):
         word = np.frombuffer(c.to_bytes(16 * n, "little"), np.uint64)[::2]
         out.append(word[0] if shape == () else word.reshape(shape).copy())
     return tuple(out)

@@ -431,7 +431,7 @@ class TestCli:
             a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        assert set(sub.choices) == {"sweep", "unbias", "bias", "vector"}
+        assert set(sub.choices) == {"sweep", "bias", "vector"}
         with pytest.raises(SystemExit) as err:
             cli_main(["plot", "s.csv", "--outdir", str(tmp_path / "plots")])
         assert err.value.code == 2
@@ -453,8 +453,8 @@ class TestCli:
 
     def test_unbias_check_passes(self):
         rc = cli_main([
-            "unbias", "--dkl", "1.5", "--dinf", "3", "--variants", "dyadic",
-            "--seeds", "2000", "--seed-base", "3", "--check",
+            "sweep", "--mode", "unbiasedness", "--dkl", "1.5", "--dinf", "3",
+            "--variants", "dyadic", "--seeds", "2000", "--seed-base", "3", "--check",
         ])
         assert rc == 0
 
@@ -510,7 +510,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--dkl", "2", "--dinf", "4", "--dmax", "-1"],
-        ["unbias", "--dkl", "1,2,3", "--dinf", "4,5"],
+        ["sweep", "--mode", "unbiasedness", "--dkl", "1,2,3", "--dinf", "4,5",
+         "--variants", "sample,dyadic"],
         ["bias", "--samples", "10"],
         ["bias", "--extra-bits=-5"],
         ["bias", "--groups", "1"],
@@ -545,12 +546,13 @@ class TestCli:
             cli_main(["bias", "--extra-bits", "1", "--samples", "20", "--groups", "2"])
 
     def test_run_options_only_on_grid_commands(self, tmp_path):
-        # only sweep and unbias have runs to set
+        # only sweep has runs to set
         for argv in (
             ["vector", "--seeds", "5"],
             ["bias", "--workers", "2"],
             ["sweep", "--dkl", "2", "--dinf", "4", "--seeds", "100", "--workers", "2"],
-            ["unbias", "--dkl", "2", "--dinf", "4", "--seeds", "100", "--workers", "2"],
+            ["sweep", "--mode", "unbiasedness", "--dkl", "2", "--dinf", "4",
+             "--variants", "sample,dyadic", "--seeds", "100", "--workers", "2"],
         ):
             with pytest.raises(SystemExit) as err:
                 cli_main(argv)

@@ -174,6 +174,27 @@ class TestResidualMass:
         ref = numeric_residual_mass(SHIFTED, 0.3, 1.4, 0.8)
         assert val == pytest.approx(ref, abs=1e-6)
 
+    @pytest.mark.parametrize("m", [1.5, -1.5, 0.3, -4.0])
+    def test_real_line_half_lines(self, m):
+        # equal scales give a linear log-ratio, whose level sets are the
+        # half-lines [x0, inf) (m > 0) and (-inf, x0] (m < 0)
+        pair = DistributionPair(Distribution1D(m, 1.0), STD)
+        c2, c1, _ = pair._coeffs
+        assert c2 == 0.0 and (c1 > 0.0) == (m > 0.0)
+        for level in (0.25, 0.5, 1.0, 2.0, 5.0, 40.0):
+            val = pair.residual_real_line(level)
+            assert val == pytest.approx(
+                residual(pair, REAL_LINE, level), rel=0.0, abs=16 * math.ulp(1.0)
+            )
+            ref = numeric_residual_mass(pair, -math.inf, math.inf, level)
+            assert val == pytest.approx(ref, abs=1e-7)
+
+    def test_real_line_above_the_ratio_max(self):
+        # NARROW's ratio peaks at 2: above that, the level set is empty
+        for level in (2.5, 100.0):
+            assert NARROW.residual_real_line(level) == 0.0
+            assert residual(NARROW, REAL_LINE, level) == 0.0
+
     def test_monotone_in_level_and_interval(self):
         rng = np.random.default_rng(4)
         for pair in random_pairs(20, seed=5):

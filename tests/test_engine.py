@@ -719,6 +719,15 @@ class TestDeepHeapIndices:
             res = encode(self.FAR, rule, seed)
             assert (res.heap_index, res.sample) == (out.heap_indices[seed], out.samples[seed])
 
+    @pytest.mark.parametrize("rule", [SplitRule.SAMPLE, SplitRule.DYADIC])
+    def test_offset_past_192_bits_raises(self, rule):
+        # N(9, 0.1^2) sits so far in the proposal's upper tail that every
+        # run turns right more often than the 192-bit counter can hold
+        far = DistributionPair(Distribution1D(9.0, 0.1), STD)
+        for seed in range(20):
+            with pytest.raises(NonTermination, match="tree offset exceeded 192 bits"):
+                encode(far, rule, seed)
+
     DEPTHS = [0, 1, 63, 64, 127, 128, 191]
 
     @staticmethod
@@ -1047,6 +1056,43 @@ class TestGlobalRuntime:
         for alive, d0, width in windows:
             assert 1 <= width <= min(d0 + 16, max(1, 65536 // alive))
         assert windows[-1][1] + windows[-1][2] <= 2 * int(out.depths.max()) + 16
+
+    # N(0, 1e-12) against N(0, 1): a ratio peak of 1e6, so global runs go
+    # hundreds of thousands of steps deep; seed 1 passes depth 300,000
+    NEEDLE = DistributionPair(Distribution1D(0.0, 1e-6), STD)
+
+    def test_deep_lone_run_holds_one_window_of_levels(self, monkeypatch):
+        # the levels stream through the windows: a lone run 200,000 steps
+        # deep keeps no more Python objects alive at its last window than at
+        # its first, where holding every level and residual adds two floats
+        # (two allocated blocks) per level
+        blocks = []
+
+        def recording(*args):
+            blocks.append(sys.getallocatedblocks())
+            return node_uniforms(*args)
+
+        encode_batch(self.NEEDLE, SplitRule.GLOBAL, [1], d_max=100)  # lazy set-up first
+        monkeypatch.setattr(engine, "node_uniforms", recording)
+        out = encode_batch(self.NEEDLE, SplitRule.GLOBAL, [1], d_max=200_000)
+        assert out.depths[0] == 200_000 and not out.accepted[0]
+        # windows of 16, 32, ..., 65,536 columns, then three more of 65,536
+        assert len(blocks) == 15
+        assert max(blocks) - blocks[0] < 2 * 65_536
+
+    def test_level_stream_ends(self, monkeypatch):
+        # the step cap bounds the levels one call computes: a budget of 400
+        # steps stops in the window of columns 240-495, inside a cap of 1,000
+        monkeypatch.setattr(engine, "GLOBAL_STEP_CAP", 1000)
+        with pytest.raises(NonTermination, match="global levels exceed the step cap"):
+            encode(self.NEEDLE, SplitRule.GLOBAL, 1)
+        assert encode(self.NEEDLE, SplitRule.GLOBAL, 1, d_max=400).depth == 400
+        monkeypatch.undo()
+        # a NaN residual ends the stream, after its own column: runs still
+        # live then have no level to test
+        monkeypatch.setattr(DistributionPair, "residual_real_line", lambda self, level: math.nan)
+        with pytest.raises(NonTermination, match="global levels exhausted with live runs"):
+            encode(self.NEEDLE, SplitRule.GLOBAL, 1)
 
     @staticmethod
     def _check_depth_limits(n, d_maxes):

@@ -14,7 +14,10 @@ sweeps) is timed alone under pytest in each tree, alternating the same way.
 The file holds every run's metrics, the as-measured figures and digest, and
 per workload and metric the medians of both trees, the parent's quartiles
 and IQR (inclusive method) and the pairs the change wins (higher
-``runs_per_s``, lower otherwise; ties count for neither).
+``runs_per_s``, lower otherwise; ties count for neither).  Per workload it
+also records whether the parent's and the change's output digests matched
+in every pair, and it prints one stderr line for each pair where they did
+not.
 """
 
 import argparse
@@ -74,6 +77,11 @@ def summary(parent, change, higher):
     }
 
 
+def digest_mismatches(parent, change):
+    """The indices of the pairs whose two runs' output digests differ."""
+    return [i for i, (p, c) in enumerate(zip(parent, change)) if p["digest"] != c["digest"]]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="the parent commit")
@@ -102,6 +110,11 @@ def main(argv=None):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 setups[side].append(criterion_02_setup_s(trees[side]))
                 print(i, "criterion 02", side, setups[side][-1], file=sys.stderr)
+    mismatched = {w: digest_mismatches(runs[w]["parent"], runs[w]["change"]) for w in WORKLOADS}
+    for w, pairs in mismatched.items():
+        for i in pairs:
+            print(f"digest mismatch: {w} pair {i}: parent {runs[w]['parent'][i]['digest']}, "
+                  f"change {runs[w]['change'][i]['digest']}", file=sys.stderr)
     out = {
         "tag": args.tag,
         "command": "python3 tools/bench_pairs.py " + " ".join(map(shlex.quote, argv or sys.argv[1:])),
@@ -116,6 +129,7 @@ def main(argv=None):
                                            [r["as_measured"][m] for r in runs[w]["change"]],
                                            m in HIGHER)
                                 for m in runs[w]["parent"][0]["as_measured"]},
+                "digests_match": not mismatched[w],
                 "runs": runs[w],
             }
             for w in WORKLOADS
